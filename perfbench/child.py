@@ -26,8 +26,10 @@ import traceback
 ROOT = os.getcwd()
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(1, os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(2, os.path.join(os.path.dirname(os.path.abspath(__file__)), "site"))
 
 import workloads  # noqa: E402  (does not import the library)
+from hostprobe import HostProbe  # noqa: E402
 
 
 def import_library() -> float:
@@ -52,6 +54,16 @@ def timed_setup(inp: dict):
     return mode, {"import_s": import_s, "setup_s": setup_s, "backend": backend_name()}
 
 
+def gauged_setup(inp: dict):
+    """timed_setup, then five host probes back to back to gauge it by."""
+    mode, out = timed_setup(inp)
+    probe = HostProbe()
+    for _ in range(5):
+        probe.fire()
+    out["setup_probes"] = probe.samples
+    return mode, out
+
+
 def traced(fn, modes=()):
     """Run fn() under a freshly installed tracer; returns (result, summary).
     ``modes`` built before the tracer was installed still have their cache
@@ -70,26 +82,33 @@ def traced(fn, modes=()):
 
 
 def cmd_round(workload: str, inp: dict, trace: bool) -> dict:
-    mode, out = timed_setup(inp)
+    """One job.  Untraced, the host probe runs during the body; its times are
+    returned as probes and taken out of wall_s and cpu_s."""
+    mode, out = gauged_setup(inp)
     body = lambda: workloads.run_body(workload, inp, mode)  # noqa: E731
+    probe = HostProbe()
     t0, c0 = time.perf_counter(), time.process_time()
     try:
         if trace:
             result, out["trace"] = traced(body, modes=[mode])
         else:
-            result = body()
+            with probe:
+                result = body()
     except Exception:
         out.update(passed=0, failed=workloads.round_ops(workload),
                    error=traceback.format_exc())
         return out
-    out["wall_s"] = time.perf_counter() - t0
-    out["cpu_s"] = time.process_time() - c0
+    probed = sum(probe.samples)
+    out["wall_s"] = time.perf_counter() - t0 - probed
+    out["cpu_s"] = time.process_time() - c0 - probed
+    if not trace:
+        out["probes"] = probe.samples
     out["passed"], out["failed"] = workloads.check_body(workload, result)
     return out
 
 
 def cmd_setup(inp: dict) -> dict:
-    return timed_setup(inp)[1]
+    return gauged_setup(inp)[1]
 
 
 def cmd_cli(argv: list) -> dict:

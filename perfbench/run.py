@@ -8,11 +8,18 @@ driver starts one child interpreter at a time and keeps starting rounds
 until S seconds have passed; every round runs in fresh interpreters, so the
 library's module-level caches are cold in each, as they are for a CLI user.
 
-Untraced, a round is one job of the workload and the driver reports the
-median over rounds of each end-to-end metric.  Traced, the driver repeats
-round 0 alternately without and with the span tracer (spans.py) and reports
-per-layer counts, self times and the tracing overhead; the counts of every
-traced repeat must be identical.
+Untraced, a round is one job of the workload.  The host's speed swings by
+tens of percent within seconds, so every timed process of a round also runs
+a short fixed loop every 50 ms (site/hostprobe.py): the round child for
+suite and limits, and each command for cli, through site/sitecustomize.py.
+The probes' time is taken out of the round's times, which are then scaled by
+the loop's nominal time over its median measured time: the times reported
+are seconds at the reference host speed.  run.py reports the median over
+rounds of each end-to-end metric.
+
+Traced, run.py repeats round 0 alternately without and with the span
+tracer (spans.py) and reports per-layer counts, self times (unscaled) and the
+tracing overhead; the counts of every traced repeat must be identical.
 
 The last line of standard output is one JSON object with the keys
 correct, attempted, failed and metrics.
@@ -28,17 +35,25 @@ import platform
 import statistics
 import subprocess
 import sys
-import threading
+import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+SITE = os.path.join(HERE, "site")
 sys.path.insert(0, HERE)
+sys.path.insert(1, SITE)
 
 import workloads  # noqa: E402
+from hostprobe import MARK  # noqa: E402
 
 ROOT = os.getcwd()
 CHILD = os.path.join(HERE, "child.py")
 MIN_SETUP_SAMPLES = 15
+# Median time of one host probe during a timed job, and right after a set-up
+# sample, on the host where the benchmark was calibrated: a 2-vCPU Intel
+# Xeon VM at 2.1 GHz, CPython 3.11.
+PROBE_NOMINAL_S = 0.0018
+SETUP_PROBE_NOMINAL_S = 0.00145
 
 END_TO_END = {
     "setup_s": "s",
@@ -116,27 +131,43 @@ def per_layer_units() -> dict:
 # ---------------------------------------------------------------------------
 
 def run_process(argv: list, env: dict | None = None) -> dict:
-    """Run one child to completion; wall time plus its own rusage."""
-    t0 = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE)
-    err: list = []
-    reader = threading.Thread(target=lambda: err.append(proc.stderr.read()))
-    reader.start()
-    out = proc.stdout.read()
-    reader.join()
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)
-    proc.stdout.close()
-    proc.stderr.close()
-    return {
-        "returncode": proc.returncode,
-        "stdout": out.decode(),
-        "stderr": err[0].decode(),
-        "wall_s": time.perf_counter() - t0,
-        "cpu_s": usage.ru_utime + usage.ru_stime,
-        "rss_mb": usage.ru_maxrss / 1024.0,
-    }
+    """Run one child to completion; wall time plus its own rusage.
+
+    The child writes to unnamed files in the checkout, not to pipes: the host
+    probe's SIGALRM can cut a blocked pipe write short, and CPython's text
+    streams then drop the rest of the output without an error."""
+    with tempfile.TemporaryFile(dir=ROOT) as out, tempfile.TemporaryFile(dir=ROOT) as err:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=out, stderr=err)
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall_s = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        out.seek(0)
+        err.seek(0)
+        return {
+            "returncode": proc.returncode,
+            "stdout": out.read().decode(),
+            "stderr": err.read().decode(),
+            "wall_s": wall_s,
+            "cpu_s": usage.ru_utime + usage.ru_stime,
+            "rss_mb": usage.ru_maxrss / 1024.0,
+        }
+
+
+def probed_process(argv: list) -> dict:
+    """run_process with the host probe installed by site/sitecustomize.py;
+    the probes' time is taken out of wall_s and cpu_s."""
+    env = library_env()
+    env["PYTHONPATH"] += os.pathsep + SITE
+    proc = run_process(argv, env)
+    lines = proc["stderr"].splitlines()
+    if not lines or not lines[-1].startswith(MARK):
+        raise ChildFailed(f"{argv[2:4]}: no host probe report: {proc['stderr'][-2000:]}")
+    proc["stderr"] = "\n".join(lines[:-1])
+    proc["probes"] = json.loads(lines[-1][len(MARK):])
+    proc["wall_s"] -= sum(proc["probes"])
+    proc["cpu_s"] -= sum(proc["probes"])
+    return proc
 
 
 def library_env(backend: str | None = None) -> dict:
@@ -178,18 +209,18 @@ def inproc_round(workload: str, inp: dict, trace: bool) -> dict:
     if "error" in res:
         warn(res["error"])
         return {"passed": res["passed"], "failed": res["failed"]}
-    return {"setup_s": res["setup_s"], "import_s": res["import_s"],
-            "backend": res["backend"], "wall_s": res["wall_s"], "cpu_s": res["cpu_s"],
-            "rss_mb": proc["rss_mb"], "passed": res["passed"], "failed": res["failed"],
-            "trace": res.get("trace")}
+    row = {k: res[k] for k in ("setup_s", "setup_probes", "import_s", "backend",
+                               "wall_s", "cpu_s", "passed", "failed", "probes")
+           if k in res}
+    row.update(rss_mb=proc["rss_mb"], trace=res.get("trace"))
+    return row
 
 
 def run_cli(argv: list, trace: bool) -> dict:
     """One CLI command in its own interpreter: ``python -m qtspecials.cli``,
     or child.py with the tracer installed.  May raise ChildFailed."""
     if not trace:
-        return run_process([sys.executable, "-m", "qtspecials.cli", *argv],
-                           library_env())
+        return probed_process([sys.executable, "-m", "qtspecials.cli", *argv])
     res, proc = child(["cli", *argv])
     proc.update(returncode=res["returncode"], stdout=res["stdout"],
                 trace=res["trace"], import_s=res["import_s"])
@@ -218,9 +249,10 @@ def cli_command(name: str, argv: list, inp: dict, trace: bool) -> tuple[dict, bo
 def cli_round(inp: dict, trace: bool) -> dict:
     """The CLI command list, one subprocess at a time, plus a set-up sample."""
     setup, _ = child(["setup", json.dumps(inp)])
-    row = {"setup_s": setup["setup_s"], "import_s": setup["import_s"],
-           "backend": setup["backend"], "wall_s": 0.0, "cpu_s": 0.0, "rss_mb": 0.0,
-           "passed": 0, "failed": 0, "commands": {}, "traces": []}
+    row = {"setup_s": setup["setup_s"], "setup_probes": setup["setup_probes"],
+           "import_s": setup["import_s"], "backend": setup["backend"],
+           "wall_s": 0.0, "cpu_s": 0.0, "rss_mb": 0.0, "passed": 0, "failed": 0,
+           "commands": {}, "traces": [], "probes": []}
     for name, argv in workloads.cli_commands(inp):
         proc, ok = cli_command(name, argv, inp, trace)
         row["wall_s"] += proc["wall_s"]
@@ -228,6 +260,7 @@ def cli_round(inp: dict, trace: bool) -> dict:
         row["rss_mb"] = max(row["rss_mb"], proc["rss_mb"])
         row["passed" if ok else "failed"] += 1
         row["commands"][name] = proc["wall_s"]
+        row["probes"] += proc.get("probes", [])
         if trace:
             row["traces"].append(proc.get("trace"))
             if "import_s" in proc:
@@ -274,16 +307,26 @@ def spread(values: list) -> tuple:
 
 
 def summarize(rows: list) -> tuple[dict, list]:
-    """Median over the rounds of each end-to-end metric, and report lines."""
+    """Median over the rounds of each end-to-end metric, and report lines.
+    Times are scaled to the reference host speed round by round."""
     ok = [r for r in rows if "wall_s" in r and r["failed"] == 0]
+
+    def scale(r):
+        return PROBE_NOMINAL_S / statistics.median(r["probes"])
+
     samples = {
-        "setup_s": [r["setup_s"] for r in rows if "setup_s" in r],
-        "wall_s": [r["wall_s"] for r in ok],
-        "cpu_s": [r["cpu_s"] for r in ok],
-        "ops_per_s": [r["passed"] / r["wall_s"] for r in ok],
+        "setup_s": [r["setup_s"] * SETUP_PROBE_NOMINAL_S / statistics.median(r["setup_probes"])
+                    for r in rows if "setup_s" in r],
+        "wall_s": [r["wall_s"] * scale(r) for r in ok],
+        "cpu_s": [r["cpu_s"] * scale(r) for r in ok],
+        "ops_per_s": [r["passed"] / (r["wall_s"] * scale(r)) for r in ok],
         "peak_rss_mb": [r["rss_mb"] for r in ok],
     }
-    metrics, lines = {}, []
+    raw = [r["wall_s"] for r in ok] or [0.0]
+    metrics, lines = {}, [
+        f"  host speed: median scale {statistics.median(map(scale, ok)):.4g} "
+        f"(nominal / measured probe time) over n={len(ok)} rounds; unscaled "
+        f"wall_s median {statistics.median(raw):.4g} s"] if ok else []
     for name, unit in END_TO_END.items():
         vals = samples[name]
         if not vals:
@@ -347,7 +390,8 @@ def measure(workload: str, seed: int, seconds: float) -> list:
     setups = sum("setup_s" in r for r in rows)
     for k in range(k, k + MIN_SETUP_SAMPLES - setups):
         res, _ = child(["setup", json.dumps(workloads.round_inputs(workload, seed, k))])
-        rows.append({"setup_s": res["setup_s"], "passed": 0, "failed": 0})
+        rows.append({"setup_s": res["setup_s"], "setup_probes": res["setup_probes"],
+                     "passed": 0, "failed": 0})
     return rows
 
 

@@ -25,7 +25,7 @@ SUITE_BOUND = (3, 3, 3)
 # only on the bound, never on the drawn point.
 SUITE_CHECKS = 762
 
-# Sized so that a round takes 1-2 s here and a 30 s run holds 10+ rounds.
+# Sized so that a round takes 1-2.5 s here and a 36 s run holds 12+ rounds.
 STIRLING_BOUND = (2, 2, 1)
 ALPHA_BOUND = (2, 2)
 ALPHAS = (1, 2)
