@@ -12,7 +12,6 @@ residual exactly zero.
 from .errors import (
     ConvergenceViolated,
     DegenerateParameters,
-    DivisionByZero,
     LengthMismatch,
     NotAPartition,
     NotAStrip,

@@ -13,40 +13,17 @@ from .partitions import contains, n_prime_stat, n_stat, weight
 from .wcore import (
     ScalarMode,
     guarded_div,
+    pair_ratio,
     poch,
-    poch_partition,
+    poch_norm,
+    pochm,
     w_principal,
 )
 
 
-def pair_ratio(mu, mode: ScalarMode):
-    """prod_{i<j} (q t^{j-i}; q)_{mu_i - mu_j} / (q t^{j-i-1}; q)_{mu_i - mu_j}."""
-    n = len(mu)
-    acc = mode.one
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            d = mu[i - 1] - mu[j - 1]
-            if d == 0:
-                continue
-            num = poch(mode.q * mode.tpow(j - i), d, mode)
-            den = poch(mode.q * mode.tpow(j - i - 1), d, mode)
-            acc = acc * guarded_div(num, den, "binomial pair ratio")
-    return acc
-
-
 def _t_pair_ratio(mu, mode: ScalarMode):
     """prod_{i<j} (t^{j-i+1}; q)_{mu_i - mu_j} / (t^{j-i}; q)_{mu_i - mu_j}."""
-    n = len(mu)
-    acc = mode.one
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            d = mu[i - 1] - mu[j - 1]
-            if d == 0:
-                continue
-            num = poch(mode.tpow(j - i + 1), d, mode)
-            den = poch(mode.tpow(j - i), d, mode)
-            acc = acc * guarded_div(num, den, "t-pair ratio")
-    return acc
+    return pair_ratio(mu, mode, 0)
 
 
 def qt_binomial(lam, mu, mode: ScalarMode):
@@ -67,7 +44,7 @@ def qt_binomial(lam, mu, mode: ScalarMode):
     n = len(mu)
     w = weight(mu)
     pref = mode.qpow(w) * mode.tpow(2 * n_stat(mu) + (1 - n) * w)
-    den = poch_partition(mode.q * mode.tpow(n - 1), mu, mode)
+    den = poch_norm(mu, mode)
     value = (
         guarded_div(pref, den, "qt-binomial prefactor")
         * pair_ratio(mu, mode)
@@ -84,8 +61,8 @@ def binom_rect_lower(lam, k: int, mode: ScalarMode):
     n = len(lam)
     acc = mode.one
     for i in range(1, n + 1):
-        num = poch(mode.qpow(1 - k + lam[i - 1]) * mode.tpow(n - i), k, mode)
-        den = poch(mode.q * mode.tpow(n - i), k, mode)
+        num = pochm(1 - k + lam[i - 1], n - i, k, mode)
+        den = pochm(1, n - i, k, mode)
         acc = acc * guarded_div(num, den, "rectangular lower binomial")
     return acc
 
@@ -99,8 +76,8 @@ def binom_rect_upper(k: int, mu, mode: ScalarMode):
     acc = mode.tpow(2 * n_stat(mu) + (1 - n) * w)
     for i in range(1, n + 1):
         mi = mu[i - 1]
-        num = poch(mode.qpow(1 + k - mi) * mode.tpow(i - 1), mi, mode)
-        den = poch(mode.q * mode.tpow(n - i), mi, mode)
+        num = pochm(1 + k - mi, i - 1, mi, mode)
+        den = pochm(1, n - i, mi, mode)
         acc = acc * guarded_div(num, den, "rectangular upper binomial")
     return acc * pair_ratio(mu, mode) * _t_pair_ratio(mu, mode)
 
@@ -122,8 +99,8 @@ def gaussian_binomial(m: int, k: int, mode: ScalarMode):
     """The Gaussian polynomial (q)_m / ((q)_{m-k} (q)_k), zero off-range."""
     if k < 0 or k > m:
         return mode.zero
-    num = poch(mode.q, m, mode)
-    den = poch(mode.q, m - k, mode) * poch(mode.q, k, mode)
+    num = pochm(1, 0, m, mode)
+    den = pochm(1, 0, m - k, mode) * pochm(1, 0, k, mode)
     return guarded_div(num, den, "Gaussian binomial")
 
 
@@ -143,15 +120,13 @@ def qt_bracket_shifted(Q, mu, mode: ScalarMode):
 
     Equal to q^{n(mu')} (Q; 1/q, 1/t)_mu / prod_i (1 - q t^{n-i})^{mu_i};
     the reciprocal-base partition product expands to
-    prod_i prod_{k<mu_i} (1 - Q t^{i-1} q^{-k}).
+    prod_i (Q t^{i-1} q^{1-mu_i}; q)_{mu_i}.
     """
     Q = mode.lift(Q)
     n = len(mu)
     acc = mode.qpow(n_prime_stat(mu))
     for i in range(1, n + 1):
-        base = Q * mode.tpow(i - 1)
-        for k in range(mu[i - 1]):
-            acc = acc * (mode.one - base * mode.qpow(-k))
+        acc = acc * poch(Q * mode.tpow(i - 1) * mode.qpow(1 - mu[i - 1]), mu[i - 1], mode)
         den = (mode.one - mode.q * mode.tpow(n - i)) ** mu[i - 1]
         acc = guarded_div(acc, den, "shifted bracket")
     return acc

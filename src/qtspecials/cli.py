@@ -15,11 +15,11 @@ import json
 import os
 import sys
 
-from .errors import QtError
+from .errors import DegenerateParameters, QtError
 from .identities import run_identity_suite, run_specials_suite
 from .partitions import enumerate_sub, format_partition, parse_partition
 from .scalars import as_rational, format_rational, parse_rational
-from .wcore import AtPoint, FormalQ, QtPoint
+from .wcore import AtPoint, QtPoint
 
 
 def _seed_default() -> int:
@@ -208,21 +208,29 @@ def _cmd_sequence(args, name: str) -> int:
     fn = getattr(specials, name)
     shape = parse_partition(args.lam if args.lam else args.bound)
     lams = [shape] if args.lam else enumerate_sub(shape)
-    values = {}
     if args.alpha is not None:
-        for lam in lams:
-            values[lam] = specials.alpha_limit(
-                lambda m, lam=lam: fn(lam, m), args.alpha)
         meta = {"alpha": args.alpha}
     else:
         # window covers the doubled index that the Catalan ratio reaches
         point = _point_from(args, len(shape), 2 * shape[0] + 2 if shape[0] else 4)
         mode = AtPoint(point)
-        for lam in lams:
-            values[lam] = fn(lam, mode)
         meta = {"q": args.q, "t": args.t}
+    values = {}
+    undefined = {}  # table entries left out: degenerate at these parameters
+    for lam in lams:
+        try:
+            if args.alpha is not None:
+                values[lam] = specials.alpha_limit(lambda m, lam=lam: fn(lam, m), args.alpha)
+            else:
+                values[lam] = fn(lam, mode)
+        except DegenerateParameters as exc:
+            if args.lam:
+                raise
+            undefined[format_partition(lam)] = str(exc)
     table = {format_partition(l): format_rational(v) for l, v in values.items()}
     payload = {"command": name, **meta, "values": table}
+    if undefined:
+        payload["undefined"] = undefined
     rows = [(format_partition(l), format_rational(v)) for l, v in values.items()]
     _emit(args, payload, (("lambda", "value"), rows))
     return 0

@@ -18,7 +18,7 @@ from .binomial import pair_ratio, _t_pair_ratio, qt_binomial
 from .errors import ConvergenceViolated, DegenerateParameters, UnsupportedRegime
 from .partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
 from .scalars import Rational, as_rational
-from .wcore import AtPoint, QtPoint, guarded_div, poch, poch_partition
+from .wcore import AtPoint, QtPoint, guarded_div, poch_norm, poch_partition
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
 
@@ -98,10 +98,7 @@ def density(spec: DensitySpec, mu) -> Rational:
 
 def _poisson_prefactor(spec: DensitySpec, mode: AtPoint) -> Rational:
     """Truncation of (z)_inf over the n rows: prod_i (z t^{1-i}; q)_trunc."""
-    acc = mode.one
-    for i in range(1, spec.n + 1):
-        acc = acc * poch(spec.z * mode.tpow(1 - i), spec.trunc, mode)
-    return acc
+    return poch_partition(spec.z, (spec.trunc,) * spec.n, mode)
 
 
 def _poisson_mass(spec: DensitySpec, mu, mode: AtPoint) -> Rational:
@@ -112,9 +109,7 @@ def _poisson_mass(spec: DensitySpec, mu, mode: AtPoint) -> Rational:
     n = spec.n
     z = spec.z
     wm = weight(mu)
-    den = poch_partition(z, mu, mode) * poch_partition(
-        mode.q * mode.tpow(n - 1), mu, mode
-    )
+    den = poch_partition(z, mu, mode) * poch_norm(mu, mode)
     return (
         _poisson_prefactor(spec, mode)
         * guarded_div(
@@ -174,7 +169,6 @@ class ExpResult(NamedTuple):
 
 def _exp_series(z, n, part_cap, mode, upper: bool) -> Rational:
     acc = mode.zero
-    tn1 = mode.tpow(n - 1)
     for mu in enumerate_sub((part_cap,) * n):
         wm = weight(mu)
         if upper:
@@ -183,9 +177,7 @@ def _exp_series(z, n, part_cap, mode, upper: bool) -> Rational:
             )
         else:
             num = z ** wm * mode.tpow(2 * n_stat(mu) + (1 - n) * wm)
-        term = guarded_div(
-            num, poch_partition(mode.q * tn1, mu, mode), "exponential term"
-        )
+        term = guarded_div(num, poch_norm(mu, mode), "exponential term")
         acc = acc + term * pair_ratio(mu, mode) * _t_pair_ratio(mu, mode)
     return acc
 
@@ -196,9 +188,7 @@ def exp_E(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
         raise ConvergenceViolated("infinite products require |q| < 1")
     mode = AtPoint(point)
     z = as_rational(z)
-    prod = mode.one
-    for i in range(1, n + 1):
-        prod = prod * poch(-z * mode.tpow(1 - i), trunc, mode)
+    prod = poch_partition(-z, (trunc,) * n, mode)
     series = _exp_series(z, n, part_cap, mode, upper=True)
     return ExpResult(prod, series, prod - series)
 
@@ -214,9 +204,7 @@ def exp_e(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
         raise ConvergenceViolated("parameters violate max_i |z t^(2i-n-1)| < 1")
     mode = AtPoint(point)
     z = as_rational(z)
-    prod = mode.one
-    for i in range(1, n + 1):
-        prod = prod * poch(z * mode.tpow(1 - i), trunc, mode)
+    prod = poch_partition(z, (trunc,) * n, mode)
     if prod == 0:
         raise DegenerateParameters("truncated product vanishes")
     series = _exp_series(z, n, part_cap, mode, upper=False)

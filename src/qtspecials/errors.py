@@ -36,7 +36,3 @@ class UnsupportedRegime(QtError):
     """The operation is only defined for a restricted parameter regime
     (e.g. sampling requires the positivity regime, a limit mode is not
     available for this input)."""
-
-
-# Exact division by zero is reported with the builtin; alias for API clarity.
-DivisionByZero = ZeroDivisionError

@@ -31,6 +31,7 @@ from .wcore import (
     ScalarMode,
     guarded_div,
     poch,
+    poch_norm,
     poch_partition,
     w_principal,
 )
@@ -82,7 +83,7 @@ def _params(**kv) -> dict:
 
 
 def _mode_params(mode: ScalarMode) -> dict:
-    if getattr(mode, "is_point", False):
+    if mode.is_point:
         return {"q": format_rational(mode.q), "t": format_rational(mode.t)}
     return {"mode": repr(mode)}
 
@@ -125,7 +126,7 @@ def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
     s_slot = s ** -1 * mode.tpow(n - 1)
     rhs = mode.zero
     for mu in enumerate_sub(lam):
-        den = poch_partition(mode.q * mode.tpow(n - 1), mu, mode)
+        den = poch_norm(mu, mode)
         term = (
             guarded_div(mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu)), den, "series term")
             * poch_partition(x ** -1, mu, mode)
@@ -186,7 +187,7 @@ def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
-        den = poch_partition(mode.q * tn1, lam, mode)
+        den = poch_norm(lam, mode)
         term = (
             guarded_div(
                 mode.qpow(weight(lam)) * mode.tpow(2 * n_stat(lam)) * s_nu,
@@ -292,12 +293,9 @@ def check_geometric(
         raise ConvergenceViolated("infinite products require |q| < 1")
     if not geometric_convergence_ok(z, point, n):
         raise ConvergenceViolated("parameters violate max_i |q z t^(2i-n-1)| < 1")
-    prod = mode.one
-    for i in range(1, n + 1):
-        prod = prod * poch(mode.q * z * mode.tpow(1 - i), trunc, mode)
+    prod = poch_partition(mode.q * z, (trunc,) * n, mode)
     lhs = guarded_div(z ** weight(mu), prod, "truncated product") * _t_pair_ratio(mu, mode)
     qz = mode.q * z
-    tn1 = mode.tpow(n - 1)
     rhs = mode.zero
     for lam in enumerate_sub((part_cap,) * n):
         if not contains(lam, mu):
@@ -308,7 +306,7 @@ def check_geometric(
         wl = weight(lam)
         coeff = guarded_div(
             qz ** wl * mode.tpow(2 * n_stat(lam) + (1 - n) * wl),
-            poch_partition(mode.q * tn1, lam, mode),
+            poch_norm(lam, mode),
             "series coefficient",
         )
         rhs = rhs + coeff * pair_ratio(lam, mode) * _t_pair_ratio(lam, mode) * w
@@ -506,7 +504,6 @@ def run_specials_suite(
     """
     from .binomial import qt_binomial
     from .specials import (
-        SpecialSequence,
         alpha_limit,
         bell,
         bernoulli,

@@ -221,19 +221,6 @@ class UniPoly:
             acc = acc * x + c
         return acc
 
-    def div_qminus1(self) -> "UniPoly":
-        """Exact synthetic division by (q - 1); requires self(1) == 0."""
-        if self.is_zero():
-            return self
-        out = [ZERO] * len(self.coeffs)
-        carry = ZERO
-        for i in range(len(self.coeffs) - 1, 0, -1):
-            carry = carry + self.coeffs[i]
-            out[i - 1] = carry
-        if carry + self.coeffs[0] != 0:
-            raise ValueError("polynomial does not vanish at q = 1")
-        return UniPoly(out)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return self.coeffs == other.coeffs
@@ -257,8 +244,9 @@ class RatFuncQ:
 
     The representation is normalized only lightly: any common power of q is
     stripped and the denominator is made monic.  No polynomial GCD is taken
-    during arithmetic; cancellation of (q - 1) factors happens lazily in
-    :func:`limit_at_one`, which is the only cancellation ever needed.
+    during arithmetic; common (q - q0) factors are divided out lazily by
+    :meth:`cancel_at`, which :func:`limit_at_one` and evaluation at a
+    common root both use.
     ``==`` compares values (by cross-multiplication); ``hash`` is
     representation-based, which is fine for the internal caches because
     their keys are always built along identical code paths.
@@ -444,18 +432,13 @@ def _div_root(p: UniPoly, root) -> UniPoly:
 def limit_at_one(f):
     """Limit of a rational function of q as q -> 1, as an exact Rational.
 
-    Repeatedly divides numerator and denominator by (q - 1) while both
-    vanish at 1, then evaluates.  Raises PoleAtOne when the denominator
-    still vanishes after full cancellation.
+    Divides out every common (q - 1) factor, then evaluates.  Raises
+    PoleAtOne when the denominator still vanishes after full cancellation.
     """
     if not isinstance(f, RatFuncQ):
         return as_rational(f)
-    num, den = f.num, f.den
-    while True:
-        d1 = den(ONE)
-        if d1 != 0:
-            return num(ONE) / d1
-        if num(ONE) != 0:
-            raise PoleAtOne("no finite limit at q = 1")
-        num = num.div_qminus1()
-        den = den.div_qminus1()
+    f = f.cancel_at(ONE)
+    d1 = f.den(ONE)
+    if d1 == 0:
+        raise PoleAtOne("no finite limit at q = 1")
+    return f.num(ONE) / d1

@@ -30,7 +30,7 @@ from .wcore import (
     FormalQ,
     ScalarMode,
     guarded_div,
-    poch_partition,
+    poch_norm,
     w_principal,
 )
 
@@ -43,11 +43,10 @@ def u_coeff(lam, mu, mode: ScalarMode):
     """Coefficient of x^{|mu|} in the expansion of (x; 1/q, 1/t)_lam."""
     if not contains(lam, mu):
         return mode.zero
-    n = len(mu)
     w = w_principal("s_down", mu, lam, mode)
     if w == 0:
         return mode.zero
-    den = poch_partition(mode.q * mode.tpow(n - 1), mu, mode)
+    den = poch_norm(mu, mode)
     pref = guarded_div(
         mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu)), den, "u-coefficient"
     )
@@ -63,7 +62,7 @@ def v_coeff(lam, mu, mode: ScalarMode):
     if w == 0:
         return mode.zero
     wm = weight(mu)
-    den = poch_partition(mode.q * mode.tpow(n - 1), mu, mode)
+    den = poch_norm(mu, mode)
     sign = mode.one if wm % 2 == 0 else -mode.one
     pref = guarded_div(
         sign * mode.qpow(wm + n_prime_stat(mu)) * mode.tpow(n_stat(mu) + (1 - n) * wm),
@@ -89,7 +88,7 @@ def _inner_t(mode: ScalarMode, n: int):
     """The rational t to specialize inside the Stirling limit, or None at n=1."""
     if n == 1:
         return None
-    if getattr(mode, "is_point", False):
+    if mode.is_point:
         return mode.point.t
     t0 = getattr(mode, "t0", None)
     if t0 is None:

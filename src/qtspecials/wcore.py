@@ -234,6 +234,15 @@ def poch(a, m: int, mode: ScalarMode):
     return acc
 
 
+def pochm(i: int, j: int, m: int, mode: ScalarMode):
+    """(q^i t^j; q)_m for integer exponents, memoized on the mode."""
+    key = ("poch", i, j, m)
+    hit = mode.cache.get(key)
+    if hit is None:
+        hit = mode.cache[key] = poch(mode.qpow(i) * mode.tpow(j), m, mode)
+    return hit
+
+
 def poch_partition(a, lam, mode: ScalarMode):
     """Partition product (a; q, t)_lam = prod_i (a t^{1-i}; q)_{lam_i}."""
     acc = mode.one
@@ -251,9 +260,35 @@ def poch_ratio(a, lam, mu, mode: ScalarMode):
     """
     acc = mode.one
     for i in range(len(lam)):
-        base = a * mode.tpow(-i)
-        for k in range(mu[i], lam[i]):
-            acc = acc * (mode.one - base * mode.qpow(k))
+        acc = acc * poch(a * mode.tpow(-i) * mode.qpow(mu[i]), lam[i] - mu[i], mode)
+    return acc
+
+
+def poch_norm(mu, mode: ScalarMode):
+    """(q t^{n-1}; q, t)_mu with n = len(mu), the normalizing product of the
+    binomial and of every series weighted like it."""
+    n = len(mu)
+    acc = mode.one
+    for i, m in enumerate(mu, start=1):
+        acc = acc * pochm(1, n - i, m, mode)
+    return acc
+
+
+def pair_ratio(mu, mode: ScalarMode, s: int = 1):
+    """prod_{i<j} (q^s t^{j-i+1-s}; q)_d / (q^s t^{j-i-s}; q)_d, d = mu_i - mu_j.
+
+    s = 1 is the pair ratio of the binomial; s = 0 is its t-only partner.
+    """
+    n = len(mu)
+    acc = mode.one
+    for j in range(2, n + 1):
+        for i in range(1, j):
+            d = mu[i - 1] - mu[j - 1]
+            if d == 0:
+                continue
+            num = pochm(s, j - i + 1 - s, d, mode)
+            den = pochm(s, j - i - s, d, mode)
+            acc = acc * guarded_div(num, den, "pair ratio")
     return acc
 
 
@@ -279,10 +314,10 @@ def h_factor(lam, mu, mode: ScalarMode):
             if m == 0:
                 continue
             mi, li = mu[i - 1], lam[i - 1]
-            num = num * poch(mode.qpow(mi - mu[j - 2]) * mode.tpow(j - i), m, mode)
-            num = num * poch(mode.qpow(li - mu[j - 2] + 1) * mode.tpow(j - i - 1), m, mode)
-            den = den * poch(mode.qpow(mi - mu[j - 2] + 1) * mode.tpow(j - i - 1), m, mode)
-            den = den * poch(mode.qpow(li - mu[j - 2]) * mode.tpow(j - i), m, mode)
+            num = num * pochm(mi - mu[j - 2], j - i, m, mode)
+            num = num * pochm(li - mu[j - 2] + 1, j - i - 1, m, mode)
+            den = den * pochm(mi - mu[j - 2] + 1, j - i - 1, m, mode)
+            den = den * pochm(li - mu[j - 2], j - i, m, mode)
     return guarded_div(num, den, "strip factor")
 
 
@@ -398,29 +433,14 @@ def w_rectangular(kind: str, k: int, z, mode: ScalarMode, s=None):
 # Closed self-evaluations at the principal argument
 # ---------------------------------------------------------------------------
 
-def _diag_pair_ratio(lam, mode: ScalarMode):
-    acc = mode.one
-    n = len(lam)
-    for j in range(2, n + 1):
-        for i in range(1, j):
-            d = lam[i - 1] - lam[j - 1]
-            if d == 0:
-                continue
-            num = poch(mode.q * mode.tpow(j - i - 1), d, mode)
-            den = poch(mode.q * mode.tpow(j - i), d, mode)
-            acc = acc * guarded_div(num, den, "self-evaluation pair ratio")
-    return acc
-
-
 def wsup_self(lam, mode: ScalarMode):
     """Closed form of the s_up value at its own principal argument."""
     n = len(lam)
     w = weight(lam)
-    return (
-        poch_partition(mode.q * mode.tpow(n - 1), lam, mode)
-        * mode.tpow((n - 1) * w - 2 * n_stat(lam))
-        * mode.qpow(-w)
-        * _diag_pair_ratio(lam, mode)
+    return guarded_div(
+        poch_norm(lam, mode) * mode.tpow((n - 1) * w - 2 * n_stat(lam)) * mode.qpow(-w),
+        pair_ratio(lam, mode),
+        "self-evaluation pair ratio",
     )
 
 
@@ -429,10 +449,8 @@ def wsdown_self(lam, mode: ScalarMode):
     n = len(lam)
     w = weight(lam)
     sign = mode.one if w % 2 == 0 else -mode.one
-    return (
-        sign
-        * mode.tpow(-n_stat(lam))
-        * mode.qpow(-w - n_prime_stat(lam))
-        * poch_partition(mode.q * mode.tpow(n - 1), lam, mode)
-        * _diag_pair_ratio(lam, mode)
+    return guarded_div(
+        sign * mode.tpow(-n_stat(lam)) * mode.qpow(-w - n_prime_stat(lam)) * poch_norm(lam, mode),
+        pair_ratio(lam, mode),
+        "self-evaluation pair ratio",
     )

@@ -154,3 +154,28 @@ def test_out_flag(tmp_path, capsys):
                         "--q", "1/2", "--t", "1/3", "--out", str(target))
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["value"] == "1/1"
+
+
+@pytest.mark.parametrize("where", [("--q", "1/2", "--t", "1/3"), ("--alpha", "1")],
+                         ids=["point", "alpha"])
+def test_catalan_table_lists_undefined_entries(capsys, where):
+    code, out = run_cli(capsys, "catalan", "--bound", "2,2", *where)
+    assert code == 0
+    payload = json.loads(out)
+    below = {"0,0", "1,0", "1,1", "2,0", "2,1", "2,2"}
+    # the bracket of lam + e_1 has the factor 1 - q^0 t^0 when the last part is 0
+    assert set(payload["undefined"]) == {lam for lam in below if lam.endswith(",0")}
+    assert set(payload["values"]) == below - set(payload["undefined"])
+    for lam, value in payload["values"].items():
+        code, single = run_cli(capsys, "catalan", "--lambda", lam, *where)
+        assert code == 0
+        assert json.loads(single)["values"] == {lam: value}
+
+
+def test_catalan_single_undefined_entry_is_an_error(capsys):
+    code, out = run_cli(capsys, "catalan", "--lambda", "1,0", "--q", "1/2", "--t", "1/3")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegenerateParameters"
+    code, out = run_cli(capsys, "catalan", "--bound", "2,2", "--q", "1", "--t", "1/3")
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "DegenerateParameters"

@@ -4,7 +4,9 @@ import random
 
 import pytest
 
+from qtspecials import wcore
 from qtspecials.binomial import _t_pair_ratio
+from qtspecials.binomial import pair_ratio as binomial_pair_ratio
 from qtspecials.errors import DegenerateParameters, NotAStrip
 from qtspecials.partitions import (
     e1,
@@ -21,8 +23,10 @@ from qtspecials.wcore import (
     FormalQ,
     QtPoint,
     h_factor,
+    pair_ratio,
     poch,
     poch_partition,
+    pochm,
     principal_spec,
     w_multi,
     w_principal,
@@ -250,3 +254,56 @@ def test_strip_vanishing_sweep(mode):
                 assert v != 0 or lam == mu and v == 1
             else:
                 assert v == 0
+
+
+PRIMITIVE_MODES = [
+    pytest.param(lambda: AtPoint(QtPoint(Rational(2, 7), Rational(3, 5))), id="point"),
+    pytest.param(lambda: FormalQ(Rational(3, 5)), id="formal-t0"),
+    pytest.param(lambda: FormalQ.alpha(2), id="formal-alpha2"),
+]
+
+
+@pytest.mark.parametrize("make_mode", PRIMITIVE_MODES)
+def test_pochm_against_retyped_product(make_mode):
+    mode = make_mode()
+    q, t = mode.q, mode.t
+    for i in range(-3, 4):
+        for j in range(-2, 3):
+            for m in range(5):
+                expect = mode.one
+                for k in range(m):
+                    expect = expect * (1 - q ** (i + k) * t ** j)
+                assert pochm(i, j, m, mode) == expect, (i, j, m)
+
+
+def _pair_oracle(mu, s, mode):
+    """prod_{i<j} prod_{k<d} (1 - q^{s+k} t^{j-i+1-s}) / (1 - q^{s+k} t^{j-i-s})."""
+    q, t = mode.q, mode.t
+    val = mode.one
+    for i in range(len(mu)):
+        for j in range(i + 1, len(mu)):
+            for k in range(mu[i] - mu[j]):
+                val = val * (1 - q ** (s + k) * t ** (j - i + 1 - s))
+                val = val / (1 - q ** (s + k) * t ** (j - i - s))
+    return val
+
+
+@pytest.mark.parametrize("make_mode", PRIMITIVE_MODES)
+def test_pair_ratio_both_exponents_against_retyped_loop(make_mode):
+    mode = make_mode()
+    for mu in enumerate_sub((3, 2, 1, 0)):
+        assert pair_ratio(mu, mode, 1) == _pair_oracle(mu, 1, mode), mu
+        assert pair_ratio(mu, mode, 0) == _pair_oracle(mu, 0, mode), mu
+        assert binomial_pair_ratio(mu, mode) == _pair_oracle(mu, 1, mode), mu
+        assert _t_pair_ratio(mu, mode) == _pair_oracle(mu, 0, mode), mu
+
+
+def test_pochm_repeated_call_returns_cached_value(mode, monkeypatch):
+    first = pochm(-2, 1, 3, mode)
+    assert mode.cache[("poch", -2, 1, 3)] is first
+
+    def no_recompute(*args):
+        raise AssertionError("cached value recomputed")
+
+    monkeypatch.setattr(wcore, "poch", no_recompute)
+    assert pochm(-2, 1, 3, mode) is first
