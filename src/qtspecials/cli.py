@@ -18,8 +18,10 @@ import sys
 from .errors import DegenerateParameters, QtError
 from .identities import run_identity_suite, run_specials_suite
 from .partitions import enumerate_sub, format_partition, parse_partition
-from .scalars import as_rational, format_rational, parse_rational
-from .wcore import AtPoint, QtPoint
+from .scalars import as_rational, format_rational, limit_at_one, parse_rational
+from .wcore import FormalQ, QtPoint
+
+ALPHA_HELP = "positive integer: report the t=q^alpha, q->1 limit"
 
 
 def _seed_default() -> int:
@@ -33,12 +35,15 @@ def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--out", help="write output to this path instead of stdout")
 
 
-def _add_point(p: argparse.ArgumentParser, need_alpha=True):
+def _add_point(p: argparse.ArgumentParser, alpha_help=ALPHA_HELP):
     p.add_argument("--q", help='rational literal, e.g. "1/2"')
     p.add_argument("--t", help='rational literal, e.g. "1/3"')
-    if need_alpha:
-        p.add_argument("--alpha", type=int,
-                       help="positive integer: report the t=q^alpha, q->1 limit")
+    if alpha_help:
+        p.add_argument("--alpha", type=int, help=alpha_help)
+
+
+# the inner q->1 limit of the Stirling numbers needs a rational t when n >= 2
+STIRLING_ALPHA_HELP = ALPHA_HELP + "; single-part partitions only"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,7 +63,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("stirling", help="table of qt-Stirling numbers")
     p.add_argument("--kind", choices=("first", "second"), required=True)
     p.add_argument("--bound", required=True, help="top partition of the table")
-    _add_point(p)
+    _add_point(p, STIRLING_ALPHA_HELP)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
 
@@ -67,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
         g = p.add_mutually_exclusive_group(required=True)
         g.add_argument("--lambda", dest="lam", help="single partition")
         g.add_argument("--bound", help="emit the whole table below this partition")
-        _add_point(p)
+        _add_point(p, STIRLING_ALPHA_HELP if name == "bell" else ALPHA_HELP)
         _add_common(p)
 
     p = sub.add_parser("verify", help="run the full identity suite")
@@ -82,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("g", "f", "poisson"), required=True)
     p.add_argument("--lambda", dest="lam", help="required for g and f")
     p.add_argument("--z", required=True)
-    _add_point(p, need_alpha=False)
+    _add_point(p, alpha_help=None)
     p.add_argument("--n", type=int, default=None, help="length (poisson only)")
     p.add_argument("--part-cap", type=int, default=10)
     p.add_argument("--trunc", type=int, default=40)
@@ -92,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kind", choices=("g", "f", "poisson"), required=True)
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--z", required=True)
-    _add_point(p, need_alpha=False)
+    _add_point(p, alpha_help=None)
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--part-cap", type=int, default=10)
     p.add_argument("--trunc", type=int, default=40)
@@ -102,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("exp", help="both exponentials: product vs series")
     p.add_argument("--z", required=True)
-    _add_point(p, need_alpha=False)
+    _add_point(p, alpha_help=None)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--part-cap", type=int, default=20)
     p.add_argument("--trunc", type=int, default=40)
@@ -118,13 +123,14 @@ def _point_from(args, n: int, max_part: int) -> QtPoint:
                    n=n, max_part=max_part)
 
 
-def _value_mode(args, lam):
-    """AtPoint when q,t given; alpha-limit when --alpha given."""
-    if getattr(args, "alpha", None) is not None:
+def _value_mode(args, shape, max_part: int):
+    """(mode, meta): the t=q^alpha mode for --alpha, else the mode of the
+    --q/--t point validated for len(shape) parts up to max_part."""
+    if args.alpha is not None:
         if args.q is not None or args.t is not None:
             raise ValueError("--alpha excludes --q/--t")
-        return None  # caller takes the alpha-limit path
-    return AtPoint(_point_from(args, len(lam), max(lam[0] + 2, 4)))
+        return FormalQ.alpha(args.alpha), {"alpha": args.alpha}
+    return _point_from(args, len(shape), max_part).mode, {"q": args.q, "t": args.t}
 
 
 def _emit(args, payload: dict, csv_rows):
@@ -147,23 +153,15 @@ def _emit(args, payload: dict, csv_rows):
 
 def _cmd_binom(args) -> int:
     from .binomial import qt_binomial
-    from .specials import alpha_limit
 
     lam = parse_partition(args.lam)
     mu = tuple(int(x) for x in args.mu.split(","))
-    if args.alpha is not None:
-        value = alpha_limit(lambda m: qt_binomial(lam, mu, m), args.alpha)
-        meta = {"alpha": args.alpha}
-    else:
-        mode = _value_mode(args, lam)
-        value = qt_binomial(lam, mu, mode)
-        meta = {"q": args.q, "t": args.t}
+    mode, meta = _value_mode(args, lam, max(lam[0] + 2, 4))
+    value = format_rational(limit_at_one(qt_binomial(lam, mu, mode)))
     payload = {"command": "binom", "lambda": format_partition(lam),
-               "mu": format_partition(mu), **meta,
-               "value": format_rational(value)}
+               "mu": format_partition(mu), **meta, "value": value}
     _emit(args, payload, (("lambda", "mu", "value"),
-                          [(format_partition(lam), format_partition(mu),
-                            format_rational(value))]))
+                          [(format_partition(lam), format_partition(mu), value)]))
     return 0
 
 
@@ -171,29 +169,13 @@ def _cmd_stirling(args) -> int:
     from .specials import StirlingTable
 
     bound = parse_partition(args.bound)
-    mode = _value_mode(args, bound) if args.alpha is None else None
-    if mode is None:
-        from .specials import alpha_limit, stirling
-
-        entries = {}
-        for nu in enumerate_sub(bound):
-            for mu in enumerate_sub(nu):
-                entries[(nu, mu)] = alpha_limit(
-                    lambda m, nu=nu, mu=mu: stirling(args.kind, nu, mu, m),
-                    args.alpha,
-                )
-        meta = {"alpha": args.alpha}
-    else:
-        table = StirlingTable.build(args.kind, bound, mode)
-        entries = table.entries
-        meta = {"q": args.q, "t": args.t}
+    mode, meta = _value_mode(args, bound, max(bound[0] + 2, 4))
     nested: dict = {}
     rows = []
-    for (nu, mu), val in entries.items():
-        nested.setdefault(format_partition(nu), {})[format_partition(mu)] = (
-            format_rational(val)
-        )
-        rows.append((format_partition(nu), format_partition(mu), format_rational(val)))
+    for (nu, mu), val in StirlingTable.build(args.kind, bound, mode).entries.items():
+        val = format_rational(limit_at_one(val))
+        nested.setdefault(format_partition(nu), {})[format_partition(mu)] = val
+        rows.append((format_partition(nu), format_partition(mu), val))
     payload = {"command": "stirling", "kind": args.kind, "n": len(bound),
                "bound": format_partition(bound), **meta,
                "seed": args.seed if args.seed is not None else _seed_default(),
@@ -208,21 +190,13 @@ def _cmd_sequence(args, name: str) -> int:
     fn = getattr(specials, name)
     shape = parse_partition(args.lam if args.lam else args.bound)
     lams = [shape] if args.lam else enumerate_sub(shape)
-    if args.alpha is not None:
-        meta = {"alpha": args.alpha}
-    else:
-        # window covers the doubled index that the Catalan ratio reaches
-        point = _point_from(args, len(shape), 2 * shape[0] + 2 if shape[0] else 4)
-        mode = AtPoint(point)
-        meta = {"q": args.q, "t": args.t}
+    # window covers the doubled index that the Catalan ratio reaches
+    mode, meta = _value_mode(args, shape, 2 * shape[0] + 2 if shape[0] else 4)
     values = {}
     undefined = {}  # table entries left out: degenerate at these parameters
     for lam in lams:
         try:
-            if args.alpha is not None:
-                values[lam] = specials.alpha_limit(lambda m, lam=lam: fn(lam, m), args.alpha)
-            else:
-                values[lam] = fn(lam, mode)
+            values[lam] = limit_at_one(fn(lam, mode))
         except DegenerateParameters as exc:
             if args.lam:
                 raise
@@ -271,7 +245,7 @@ def _density_spec(args):
 
 
 def _cmd_density(args) -> int:
-    from .distributions import density, poisson_normalization
+    from .distributions import _poisson_tail, density
 
     spec = _density_spec(args)
     masses = {mu: density(spec, mu) for mu in spec.support()}
@@ -282,8 +256,7 @@ def _cmd_density(args) -> int:
                           for m, v in masses.items()},
                "total": format_rational(total)}
     if args.kind == "poisson":
-        _, tail = poisson_normalization(spec)
-        payload["tail_bound"] = format_rational(tail)
+        payload["tail_bound"] = format_rational(_poisson_tail(spec, total))
     rows = [(format_partition(m), format_rational(v)) for m, v in masses.items()]
     rows.append(("total", format_rational(total)))
     _emit(args, payload, (("partition", "mass"), rows))

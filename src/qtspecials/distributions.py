@@ -18,7 +18,7 @@ from .binomial import pair_ratio, _t_pair_ratio, qt_binomial
 from .errors import ConvergenceViolated, DegenerateParameters, UnsupportedRegime
 from .partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
 from .scalars import Rational, as_rational
-from .wcore import AtPoint, QtPoint, guarded_div, poch_norm, poch_partition
+from .wcore import QtPoint, guarded_div, poch_norm, poch_partition
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
 
@@ -70,7 +70,7 @@ def poisson_convergence_ok(spec: DensitySpec) -> bool:
 def density(spec: DensitySpec, mu) -> Rational:
     """Exact mass of one support point (the poisson mass uses the truncated
     product prefactor and is approximate to that extent)."""
-    mode = AtPoint(spec.point)
+    mode = spec.point.mode
     z = spec.z
     if spec.kind == "poisson":
         return _poisson_mass(spec, mu, mode)
@@ -96,12 +96,17 @@ def density(spec: DensitySpec, mu) -> Rational:
     )
 
 
-def _poisson_prefactor(spec: DensitySpec, mode: AtPoint) -> Rational:
-    """Truncation of (z)_inf over the n rows: prod_i (z t^{1-i}; q)_trunc."""
-    return poch_partition(spec.z, (spec.trunc,) * spec.n, mode)
+def _truncated(a, n: int, trunc: int, mode) -> Rational:
+    """Truncation of (a)_inf over n rows, prod_i (a t^{1-i}; q)_trunc,
+    memoized on the mode."""
+    key = ("trunc", a, n, trunc)
+    hit = mode.cache.get(key)
+    if hit is None:
+        hit = mode.cache[key] = poch_partition(a, (trunc,) * n, mode)
+    return hit
 
 
-def _poisson_mass(spec: DensitySpec, mu, mode: AtPoint) -> Rational:
+def _poisson_mass(spec: DensitySpec, mu, mode) -> Rational:
     if not poisson_convergence_ok(spec):
         raise ConvergenceViolated(
             "poisson density requires |q| < 1 and max_i |z t^(2i-n-1)| < 1"
@@ -111,7 +116,7 @@ def _poisson_mass(spec: DensitySpec, mu, mode: AtPoint) -> Rational:
     wm = weight(mu)
     den = poch_partition(z, mu, mode) * poch_norm(mu, mode)
     return (
-        _poisson_prefactor(spec, mode)
+        _truncated(z, n, spec.trunc, mode)
         * guarded_div(
             z ** wm * mode.qpow(2 * n_prime_stat(mu)) * mode.tpow((1 - n) * wm),
             den,
@@ -130,21 +135,25 @@ def poisson_normalization(spec: DensitySpec):
     series itself carries no closed error bound, so this is the documented
     estimate, not a guarantee.
     """
-    mode = AtPoint(spec.point)
+    mode = spec.point.mode
     total = mode.zero
     for mu in spec.support():
         total = total + _poisson_mass(spec, mu, mode)
+    return total, _poisson_tail(spec, total)
+
+
+def _poisson_tail(spec: DensitySpec, total) -> Rational:
+    """The tail bound of poisson_normalization for a given total mass."""
     n = spec.n
     r = max(abs(spec.z * spec.point.t ** (2 * i - n - 1)) for i in range(1, n + 1))
-    tail = abs(total) * n * r ** (spec.part_cap + 1) / (1 - r)
-    return total, tail
+    return abs(total) * n * r ** (spec.part_cap + 1) / (1 - r)
 
 
 def distribution_F(nu, lam, z, point: QtPoint) -> Rational:
     """Cumulative mass of the g-density below lam inside the poset of nu."""
     if not contains(nu, lam):
         raise ValueError("lam must be contained in nu")
-    mode = AtPoint(point)
+    mode = point.mode
     z = as_rational(z)
     acc = mode.zero
     wn = weight(nu)
@@ -186,9 +195,9 @@ def exp_E(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
     """Upper exponential: truncated product (-z)_inf and its partition series."""
     if not abs(point.q) < 1:
         raise ConvergenceViolated("infinite products require |q| < 1")
-    mode = AtPoint(point)
+    mode = point.mode
     z = as_rational(z)
-    prod = poch_partition(-z, (trunc,) * n, mode)
+    prod = _truncated(-z, n, trunc, mode)
     series = _exp_series(z, n, part_cap, mode, upper=True)
     return ExpResult(prod, series, prod - series)
 
@@ -202,9 +211,9 @@ def exp_e(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
         raise ConvergenceViolated("infinite products require |q| < 1")
     if not all(abs(z * point.t ** (2 * i - n - 1)) < 1 for i in range(1, n + 1)):
         raise ConvergenceViolated("parameters violate max_i |z t^(2i-n-1)| < 1")
-    mode = AtPoint(point)
+    mode = point.mode
     z = as_rational(z)
-    prod = poch_partition(z, (trunc,) * n, mode)
+    prod = _truncated(z, n, trunc, mode)
     if prod == 0:
         raise DegenerateParameters("truncated product vanishes")
     series = _exp_series(z, n, part_cap, mode, upper=False)

@@ -26,7 +26,6 @@ from .partitions import (
 )
 from .scalars import Rational, as_rational, format_rational
 from .wcore import (
-    AtPoint,
     QtPoint,
     ScalarMode,
     guarded_div,
@@ -288,7 +287,7 @@ def check_geometric(
     """
     n = len(mu)
     z = as_rational(z)
-    mode = AtPoint(point)
+    mode = point.mode
     if not abs(point.q) < 1:
         raise ConvergenceViolated("infinite products require |q| < 1")
     if not geometric_convergence_ok(z, point, n):
@@ -414,7 +413,7 @@ def run_identity_suite(
     lams = enumerate_sub(bound)
     for _ in range(points):
         point = random_qt_point(rng, n, max_part=bound[0] + 1)
-        mode = AtPoint(point)
+        mode = point.mode
 
         # scalars entering Pochhammer denominators must keep them alive
         def alive(v):
@@ -527,7 +526,7 @@ def run_specials_suite(
     stir_lams = enumerate_sub(stir_bound)
     for _ in range(points):
         point = random_qt_point(rng, n, max_part=bound[0] + 1)
-        mode = AtPoint(point)
+        mode = point.mode
         x = sample_until(rng, random_rational, lambda v: v != 0)
         Q = sample_until(rng, random_rational, lambda v: v != 0)
 

@@ -25,7 +25,7 @@ from .partitions import (
     sum_decompositions,
     weight,
 )
-from .scalars import RatFuncQ, Rational, as_rational, limit_at_one
+from .scalars import Rational, limit_at_one
 from .wcore import (
     FormalQ,
     ScalarMode,
@@ -72,31 +72,23 @@ def v_coeff(lam, mu, mode: ScalarMode):
     return pref * pair_ratio(mu, mode) * w
 
 
-@lru_cache(maxsize=None)
-def _uv_reciprocal_limit(which: str, lam, mu, t0):
-    """lim_{q -> 1} of u or v at parameters (1/q, 1/t0), as an exact Rational.
+def _uv_reciprocal_limit(which: str, lam, mu, mode: ScalarMode):
+    """lim_{q -> 1} of u or v at parameters (1/q, 1/t0), t0 = mode.t0, as an
+    exact Rational; cached in ``mode``, with the one reciprocal mode.
 
     t0=None is allowed only for single-part partitions, where t never
     enters the coefficient at all.
     """
-    rmode = FormalQ.reciprocal(t0)
+    key = ("uv", which, lam, mu)
+    hit = mode.cache.get(key)
+    if hit is not None:
+        return hit
+    rmode = mode.cache.get(("reciprocal",))
+    if rmode is None:
+        rmode = mode.cache[("reciprocal",)] = FormalQ.reciprocal(mode.t0)
     coeff = u_coeff if which == "u" else v_coeff
-    return limit_at_one(coeff(lam, mu, rmode))
-
-
-def _inner_t(mode: ScalarMode, n: int):
-    """The rational t to specialize inside the Stirling limit, or None at n=1."""
-    if n == 1:
-        return None
-    if mode.is_point:
-        return mode.point.t
-    t0 = getattr(mode, "t0", None)
-    if t0 is None:
-        raise UnsupportedRegime(
-            "Stirling limits with n >= 2 need a rational t "
-            "(a point mode or a formal mode with fixed t)"
-        )
-    return t0
+    hit = mode.cache[key] = limit_at_one(coeff(lam, mu, rmode))
+    return hit
 
 
 STIRLING_KINDS = ("first", "second")
@@ -115,7 +107,11 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
     if hit is not None:
         return hit
     n = len(nu)
-    t0 = _inner_t(mode, n)
+    if n > 1 and mode.t0 is None:
+        raise UnsupportedRegime(
+            "Stirling limits with n >= 2 need a rational t "
+            "(a point mode or a formal mode with fixed t)"
+        )
     den = mode.one
     for i in range(1, n + 1):
         den = den * (mode.one - mode.q * mode.tpow(n - i)) ** (nu[i - 1] - mu[i - 1])
@@ -133,7 +129,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
             ul = u_coeff(nu, lam, mode)
             if ul == 0:
                 continue
-            lim = _uv_reciprocal_limit("v", lam, mu, t0)
+            lim = _uv_reciprocal_limit("v", lam, mu, mode)
             if lim == 0:
                 continue
             total = total + ul * mode.tpow((1 - n) * weight(lam)) * mode.lift(lim)
@@ -147,7 +143,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
         for lam in enumerate_sub(nu):
             if not contains(lam, mu):
                 continue
-            lim = _uv_reciprocal_limit("u", nu, lam, t0)
+            lim = _uv_reciprocal_limit("u", nu, lam, mode)
             if lim == 0:
                 continue
             vl = v_coeff(lam, mu, mode)
@@ -329,11 +325,7 @@ def alpha_limit(quantity, alpha: int):
     scalar a univariate rational function of q) and the limit is taken by
     (q - 1) cancellation.
     """
-    mode = FormalQ.alpha(alpha)
-    value = quantity(mode)
-    if isinstance(value, RatFuncQ):
-        return limit_at_one(value)
-    return as_rational(value)
+    return limit_at_one(quantity(FormalQ.alpha(alpha)))
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ strips, with memoization on the active ScalarMode.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DegenerateParameters, NotAStrip, UnsupportedRegime
 from .partitions import (
@@ -79,6 +80,11 @@ class QtPoint:
                     )
         return self
 
+    @cached_property
+    def mode(self) -> "AtPoint":
+        """The one AtPoint of this point, shared by every layer."""
+        return AtPoint(self)
+
 
 class ScalarMode:
     """How scalars are carried: at an exact point, or formally in q.
@@ -94,6 +100,7 @@ class ScalarMode:
         self._tp: dict = {}
 
     # subclasses provide: q, t, one, zero, lift(r), is_point
+    t0 = None  # the rational t, or None when t is formal
 
     def qpow(self, k: int):
         v = self._qp.get(k)
@@ -117,23 +124,17 @@ class AtPoint(ScalarMode):
 
     def __init__(self, point: QtPoint):
         super().__init__()
-        self.point = point
+        # q and t, not the point: the point holds its mode (QtPoint.mode)
+        self.q = point.q
+        self.t = self.t0 = point.t
         self.one = ONE
         self.zero = Rational(0)
-
-    @property
-    def q(self):
-        return self.point.q
-
-    @property
-    def t(self):
-        return self.point.t
 
     def lift(self, r):
         return as_rational(r)
 
     def __repr__(self):
-        return f"AtPoint(q={self.point.q}, t={self.point.t})"
+        return f"AtPoint(q={self.q}, t={self.t})"
 
 
 class FormalQ(ScalarMode):
@@ -149,6 +150,7 @@ class FormalQ(ScalarMode):
     """
 
     is_point = False
+    _alpha_modes: dict = {}  # a -> the one FormalQ.alpha(a) of the process
 
     def __init__(self, t0=None, *, _q_value=None, _t_value=None, _label=None):
         super().__init__()
@@ -159,7 +161,6 @@ class FormalQ(ScalarMode):
             self.t0 = as_rational(t0)
         else:
             self._t_value = _t_value
-            self.t0 = None
         self.alpha_value = None
         self._label = _label or (f"t0={self.t0}" if t0 is not None else "raw")
         self.one = RatFuncQ.from_rational(1)
@@ -167,12 +168,15 @@ class FormalQ(ScalarMode):
 
     @classmethod
     def alpha(cls, a: int) -> "FormalQ":
-        """Mode with t = q^a (positive integer a)."""
+        """Mode with t = q^a (positive integer a); one per a, kept with its
+        cache for the life of the process."""
         if not (isinstance(a, int) and a >= 1):
             raise UnsupportedRegime(f"alpha must be a positive integer, got {a!r}")
-        g = RatFuncQ.generator()
-        mode = cls(_q_value=g, _t_value=g ** a, _label=f"t=q^{a}")
-        mode.alpha_value = a
+        mode = cls._alpha_modes.get(a)
+        if mode is None:
+            g = RatFuncQ.generator()
+            mode = cls._alpha_modes[a] = cls(_q_value=g, _t_value=g ** a, _label=f"t=q^{a}")
+            mode.alpha_value = a
         return mode
 
     @classmethod

@@ -179,3 +179,47 @@ def test_catalan_single_undefined_entry_is_an_error(capsys):
     code, out = run_cli(capsys, "catalan", "--bound", "2,2", "--q", "1", "--t", "1/3")
     assert code == 1
     assert json.loads(out)["error"]["type"] == "DegenerateParameters"
+
+
+VALUE_COMMANDS = [
+    ("binom", "--lambda", "2,1", "--mu", "1,0"),
+    ("stirling", "--kind", "first", "--bound", "2"),
+    ("bernoulli", "--bound", "2"),
+    ("bell", "--bound", "2"),
+    ("catalan", "--lambda", "2"),
+    ("fibonacci", "--bound", "2"),
+]
+
+
+@pytest.mark.parametrize("argv", VALUE_COMMANDS, ids=[a[0] for a in VALUE_COMMANDS])
+@pytest.mark.parametrize("point", [("--q", "1/2", "--t", "1/3"), ("--q", "1/2"), ("--t", "1/3")],
+                         ids=["q-and-t", "q", "t"])
+def test_alpha_excludes_point_on_every_value_command(capsys, argv, point):
+    code, out = run_cli(capsys, *argv, "--alpha", "1", *point)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError",
+                                         "message": "--alpha excludes --q/--t"}}
+
+
+@pytest.mark.parametrize("argv", [("bell", "--bound", "1,1", "--alpha", "2"),
+                                  ("stirling", "--kind", "first", "--bound", "1,1",
+                                   "--alpha", "1")],
+                         ids=["bell", "stirling"])
+def test_stirling_alpha_limits_need_a_single_part(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out)["error"]["type"] == "UnsupportedRegime"
+
+
+def test_stirling_alpha_one_gives_classical_second_kind(capsys):
+    code, out = run_cli(capsys, "stirling", "--kind", "second", "--bound", "4",
+                        "--alpha", "1")
+    assert code == 0
+    # S(m, k) = S(m-1, k-1) + k S(m-1, k), S(0, 0) = 1
+    s2 = {(0, 0): 1}
+    for m in range(1, 5):
+        for k in range(m + 1):
+            s2[(m, k)] = s2.get((m - 1, k - 1), 0) + k * s2.get((m - 1, k), 0)
+    expect = {str(m): {str(k): f"{s2[(m, k)]}/1" for k in range(m + 1)}
+              for m in range(5)}
+    assert json.loads(out)["entries"] == expect

@@ -56,6 +56,13 @@ GOLDEN = [
      "5af606a2b9cb26c4c7c0fa1fcdd68a33c56901267456c327f3a1644383b1b094"),
     (("verify", "--bound", "2,1", "--points", "1", "--seed", "3"),
      "424faf5b248e65261983cd3d59982707d9f97d81e3edd2040ae0413310669ca6"),
+    # recorded before the alpha paths moved onto one shared t=q^alpha mode
+    (("stirling", "--kind", "first", "--bound", "3", "--alpha", "1"),
+     "4d2a121b7c59a5f30653fc608d45d03bc590e1ba212fe74161ef150432f480a1"),
+    (("stirling", "--kind", "second", "--bound", "4", "--alpha", "2"),
+     "db20791359f6eb7deab99f7df7110f1f73a58b081df71e84ec10aaac3c686712"),
+    (("fibonacci", "--bound", "4", "--alpha", "1"),
+     "1c69d2eb4f4a7a25782540660207faffc470fbe23af2d28659042c2241b747fc"),
 ]
 
 

@@ -219,3 +219,48 @@ def test_poisson_partial_sums_increase_toward_one():
     assert all(a < b for a, b in zip(totals, totals[1:]))
     # the limit overshoots 1 by the tiny truncation error of the prefactor
     assert abs(1 - totals[-1]) < Rational(1, 10 ** 6)
+
+
+def _count_sharing(monkeypatch, shape):
+    """Count AtPoint constructions and the products (a)_shape, by a."""
+    import qtspecials.distributions as distributions
+    from collections import Counter
+
+    built = Counter()
+    init = AtPoint.__init__
+
+    def counting_init(self, point):
+        built["AtPoint"] += 1
+        init(self, point)
+
+    def counting_poch_partition(a, lam, mode):
+        if lam == shape:
+            built[a] += 1
+        return poch_partition(a, lam, mode)
+
+    monkeypatch.setattr(AtPoint, "__init__", counting_init)
+    monkeypatch.setattr(distributions, "poch_partition", counting_poch_partition)
+    return built
+
+
+def test_poisson_masses_share_one_mode_and_one_prefactor(monkeypatch):
+    built = _count_sharing(monkeypatch, (30, 30))
+    pt = QtPoint(HALF, THIRD, n=2, max_part=7)
+    spec = DensitySpec(kind="poisson", z=Rational(1, 20), point=pt,
+                       part_cap=6, trunc=30)
+    masses = exact_masses(spec)
+    assert len(masses) == 28
+    assert built == {"AtPoint": 1, Rational(1, 20): 1}
+
+
+def test_exponentials_share_one_mode_and_each_truncated_product(monkeypatch):
+    built = _count_sharing(monkeypatch, (25, 25))
+    pt = QtPoint(HALF, THIRD, n=2, max_part=9)
+    z = Rational(1, 10)
+    E = exp_E(z, pt, 2, part_cap=8, trunc=25)
+    e = exp_e(z, pt, 2, part_cap=8, trunc=25)
+    Eneg = exp_E(-z, pt, 2, part_cap=8, trunc=25)
+    # (-z)_inf for E(z); (z)_inf once for both e(z) and E(-z)
+    assert built == {"AtPoint": 1, -z: 1, z: 1}
+    assert e.product == 1 / Eneg.product
+    assert E.product == poch_partition(-z, (25, 25), AtPoint(pt))

@@ -25,6 +25,7 @@ from qtspecials.partitions import (
 )
 from qtspecials.scalars import RatFuncQ, Rational, limit_at_one
 from qtspecials.specials import (
+    STIRLING_KINDS,
     SpecialSequence,
     StirlingTable,
     alpha_limit,
@@ -182,6 +183,38 @@ def test_stirling_alpha_mode_guard():
     # n = 1 works because t never enters
     v = stirling("second", (3,), (2,), fmode)
     assert limit_at_one(v) == 3
+
+
+STIRLING_Q, STIRLING_T = Rational(2, 7), Rational(3, 5)
+
+
+def _stirling_point():
+    return QtPoint(STIRLING_Q, STIRLING_T, n=3, max_part=4)
+
+
+def test_stirling_tables_on_one_mode_match_fresh_modes():
+    """Both tables below (2,2,1) on one shared mode, against every entry
+    computed alone in a fresh AtPoint (the construction before sharing)."""
+    mode = _stirling_point().mode
+    for kind in STIRLING_KINDS:
+        table = StirlingTable.build(kind, (2, 2, 1), mode)
+        for (nu, mu), val in table.entries.items():
+            assert val == stirling(kind, nu, mu, AtPoint(_stirling_point())), (kind, nu, mu)
+
+
+def test_second_stirling_build_on_one_mode_reuses_every_coefficient(monkeypatch):
+    import qtspecials.specials as specials
+
+    mode = _stirling_point().mode
+    first = {kind: StirlingTable.build(kind, (2, 2, 1), mode) for kind in STIRLING_KINDS}
+
+    def no_recompute(*args):
+        raise AssertionError("u/v coefficient recomputed")
+
+    monkeypatch.setattr(specials, "u_coeff", no_recompute)
+    monkeypatch.setattr(specials, "v_coeff", no_recompute)
+    for kind in STIRLING_KINDS:
+        assert StirlingTable.build(kind, (2, 2, 1), mode).entries == first[kind].entries
 
 
 # -- Bernoulli ----------------------------------------------------------------

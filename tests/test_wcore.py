@@ -307,3 +307,33 @@ def test_pochm_repeated_call_returns_cached_value(mode, monkeypatch):
 
     monkeypatch.setattr(wcore, "poch", no_recompute)
     assert pochm(-2, 1, 3, mode) is first
+
+
+def test_one_mode_per_point():
+    point = QtPoint(Rational(2, 7), Rational(3, 5))
+    assert point.mode is point.mode
+    assert isinstance(point.mode, AtPoint)
+    assert (point.mode.q, point.mode.t, point.mode.t0) == (point.q, point.t, point.t)
+    # a fresh point of the same value gets its own mode and cache
+    assert QtPoint(Rational(2, 7), Rational(3, 5)).mode is not point.mode
+
+
+def test_dropped_point_frees_its_mode_without_the_cycle_collector():
+    import gc
+    import weakref
+
+    point = QtPoint(Rational(2, 7), Rational(3, 5))
+    ref = weakref.ref(point.mode)
+    gc.disable()
+    try:
+        del point
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_one_alpha_mode_per_alpha():
+    assert FormalQ.alpha(2) is FormalQ.alpha(2)
+    assert FormalQ.alpha(1) is not FormalQ.alpha(2)
+    assert FormalQ.alpha(2).t0 is None
+    assert FormalQ(Rational(3, 5)).t0 == Rational(3, 5)
