@@ -5,7 +5,8 @@ The hot path of this package is chained exact-rational arithmetic
 (Pochhammer products and poset sums), so the relevant comparison is
 gmpy2.mpq against the stdlib fractions.Fraction on the actual identity
 suite.  Each backend runs in a subprocess because the choice is fixed at
-import time via QTSPECIALS_BACKEND.
+import time via QTSPECIALS_BACKEND.  A backend that is not installed (the
+child falls back to another one) is reported as skipped, not timed.
 
 Usage: python scripts/bench_backends.py [--bound 3,3] [--points 3]
 """
@@ -20,6 +21,9 @@ import time
 from qtspecials.identities import run_identity_suite
 from qtspecials.scalars import backend_name
 
+if backend_name() != "{backend}":
+    print("{backend}: not installed, skipped")
+    raise SystemExit(0)
 t0 = time.perf_counter()
 rep = run_identity_suite(({bound},), points={points}, seed=1)
 elapsed = time.perf_counter() - t0
@@ -34,8 +38,8 @@ def main() -> int:
     parser.add_argument("--points", type=int, default=3)
     args = parser.parse_args()
     bound = args.bound.replace(" ", "")
-    code = WORKLOAD.format(bound=bound, points=args.points)
     for backend in ("gmpy2", "fractions"):
+        code = WORKLOAD.format(bound=bound, points=args.points, backend=backend)
         env = dict(os.environ, QTSPECIALS_BACKEND=backend)
         result = subprocess.run(
             [sys.executable, "-c", code], env=env, capture_output=True, text=True

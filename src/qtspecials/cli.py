@@ -156,6 +156,8 @@ def _cmd_binom(args) -> int:
 
     lam = parse_partition(args.lam)
     mu = tuple(int(x) for x in args.mu.split(","))
+    if len(mu) != len(lam):
+        raise ValueError("lam and mu must have the same length")
     mode, meta = _value_mode(args, lam, max(lam[0] + 2, 4))
     value = format_rational(limit_at_one(qt_binomial(lam, mu, mode)))
     payload = {"command": "binom", "lambda": format_partition(lam),
@@ -318,15 +320,26 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
+    """Run one command.  Bad input (a QtError, or a ValueError or
+    ZeroDivisionError raised here or by parse_rational) exits 1 with an error
+    record; any other exception is a fault: ``"internal": true``, exit 2."""
     args = build_parser().parse_args(argv)
     try:
         if args.command in ("bernoulli", "bell", "catalan", "fibonacci"):
             return _cmd_sequence(args, args.command)
         return _DISPATCH[args.command](args)
-    except (QtError, ValueError, ZeroDivisionError) as exc:
-        record = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        sys.stdout.write(json.dumps(record) + "\n")
-        return 1
+    except Exception as exc:
+        import traceback  # here, so that commands that succeed never load it
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        internal = not isinstance(exc, QtError) and not (
+            isinstance(exc, (ValueError, ZeroDivisionError))
+            and (where.filename == __file__ or where.name == "parse_rational"))
+        record = {"type": type(exc).__name__, "message": str(exc)}
+        if internal:
+            traceback.print_exc()
+            record["internal"] = True
+        sys.stdout.write(json.dumps({"error": record}) + "\n")
+        return 2 if internal else 1
 
 
 if __name__ == "__main__":

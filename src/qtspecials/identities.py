@@ -81,12 +81,6 @@ def _params(**kv) -> dict:
     return out
 
 
-def _mode_params(mode: ScalarMode) -> dict:
-    if mode.is_point:
-        return {"q": format_rational(mode.q), "t": format_rational(mode.t)}
-    return {"mode": repr(mode)}
-
-
 # ---------------------------------------------------------------------------
 # Exact identities
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ Two scalar carriers are used throughout the package:
 * ``RatFuncQ`` -- a quotient of two polynomials in a single formal variable
   q with Rational coefficients.  Used to carry values symbolically in q so
   that limits at q = 1 can be taken exactly by cancelling (q - 1) factors.
+  Its polynomials (``UniPoly``) are Python ints over one common denominator.
 
 No floating point enters any computation here.
 """
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import os
 import re
+from itertools import accumulate
+from math import gcd, lcm
 
 _BACKEND = os.environ.get("QTSPECIALS_BACKEND", "gmpy2")
 if _BACKEND == "gmpy2":
@@ -36,7 +39,6 @@ else:  # pragma: no cover
 
 from .errors import PoleAtOne
 
-ZERO = Rational(0)
 ONE = Rational(1)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[+-]?\d+)?$")
@@ -138,96 +140,121 @@ def format_rational(x) -> str:
 class UniPoly:
     """Dense univariate polynomial in q with Rational coefficients.
 
-    Invariant: the coefficient list carries no trailing zeros, so the last
-    entry is the (nonzero) leading coefficient; the zero polynomial is ().
+    The coefficient of q^k is ``ints[k] / den``, and all arithmetic runs on
+    these ints.  Invariants (a canonical form): ``den > 0``,
+    ``gcd(den, *ints) == 1`` and no trailing zero, so 0 is ``((), 1)``.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("ints", "den")
 
     def __init__(self, coeffs=()):
         cs = [as_rational(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(int(c.denominator) for c in cs))
+        self._set([int(c.numerator) * (den // int(c.denominator)) for c in cs], den)
+
+    def _set(self, ints: list, den: int) -> None:
+        while ints and not ints[-1]:
+            ints.pop()
+        if den < 0:
+            ints, den = [-c for c in ints], -den
+        g = gcd(den, *ints) if den != 1 else 1
+        if g != 1:
+            ints, den = [c // g for c in ints], den // g
+        self.ints, self.den = tuple(ints), den
+
+    @classmethod
+    def _of(cls, ints: list, den: int = 1) -> "UniPoly":
+        """sum(ints[k] q^k) / den for a nonzero den; consumes the list."""
+        p = cls.__new__(cls)
+        p._set(ints, den)
+        return p
+
+    @property
+    def coeffs(self) -> tuple:
+        """The Rational coefficients, constant term first (read-only)."""
+        return tuple(Rational(c, self.den) for c in self.ints)
 
     @classmethod
     def const(cls, c) -> "UniPoly":
-        return cls((as_rational(c),))
+        return cls.monomial(c, 0)
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
         c = as_rational(c)
-        if c == 0:
-            return cls()
-        return cls((ZERO,) * k + (c,))
+        return cls._of([0] * k + [int(c.numerator)], int(c.denominator))
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.ints) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.ints
 
     def valuation(self) -> int:
         """Lowest power of q with a nonzero coefficient (0 for the zero poly)."""
-        for k, c in enumerate(self.coeffs):
-            if c != 0:
+        for k, c in enumerate(self.ints):
+            if c:
                 return k
         return 0
 
     def shift_down(self, k: int) -> "UniPoly":
         """Divide by q^k; only valid when the valuation is at least k."""
-        return UniPoly(self.coeffs[k:])
+        return UniPoly._of(list(self.ints[k:]), self.den)
 
     def scale(self, c) -> "UniPoly":
         c = as_rational(c)
-        if c == 0:
-            return UniPoly()
-        return UniPoly(tuple(a * c for a in self.coeffs))
+        a = int(c.numerator)
+        return UniPoly._of([x * a for x in self.ints], self.den * int(c.denominator))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b, den = self.ints, other.ints, self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            ma, mb = other.den // g, den // g
+            a, b, den = [x * ma for x in a], [x * mb for x in b], den * ma
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = out[i] + c
-        return UniPoly(out)
+        return UniPoly._of([x + y for x, y in zip(a, b)] + list(a[len(b):]), den)
 
     def __neg__(self) -> "UniPoly":
-        return UniPoly(tuple(-c for c in self.coeffs))
+        return UniPoly._of([-c for c in self.ints], self.den)
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
-        a, b = self.coeffs, other.coeffs
+        a, b = self.ints, other.ints
         if not a or not b:
             return UniPoly()
-        out = [ZERO] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-        return UniPoly(out)
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, cb in enumerate(b):
+            if cb:
+                for j, ca in enumerate(a, i):
+                    out[j] += ca * cb
+        return UniPoly._of(out, self.den * other.den)
 
     def __call__(self, x):
-        """Evaluate at a rational point by Horner's rule."""
+        """Evaluate at a rational a/b by homogeneous integer Horner."""
         x = as_rational(x)
-        acc = ZERO
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        if x == 1:
+            return Rational(sum(self.ints), self.den)
+        a, b = int(x.numerator), int(x.denominator)
+        acc, bk = 0, 1
+        for c in reversed(self.ints):
+            acc = acc * a + c * bk
+            bk *= b
+        return Rational(acc * b, self.den * bk)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
-            return self.coeffs == other.coeffs
+            return self.ints == other.ints and self.den == other.den
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.ints, self.den))
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -243,13 +270,14 @@ class RatFuncQ:
     """Quotient of two UniPoly values in the single formal variable q.
 
     The representation is normalized only lightly: any common power of q is
-    stripped and the denominator is made monic.  No polynomial GCD is taken
-    during arithmetic; common (q - q0) factors are divided out lazily by
-    :meth:`cancel_at`, which :func:`limit_at_one` and evaluation at a
-    common root both use.
-    ``==`` compares values (by cross-multiplication); ``hash`` is
-    representation-based, which is fine for the internal caches because
-    their keys are always built along identical code paths.
+    stripped, the denominator is made monic (``den.ints[-1] == den.den``)
+    and zero is 0 / 1.  No polynomial GCD is taken during arithmetic; common
+    (q - q0) factors are divided out lazily by :meth:`cancel_at`, which
+    :func:`limit_at_one` and evaluation at a common root both use.  ``==``
+    compares values (by cross-multiplication, or by ``is_zero`` when either
+    side is zero); ``hash`` is representation-based, which is fine for the
+    internal caches because their keys are always built along identical
+    code paths.
     """
 
     __slots__ = ("num", "den")
@@ -264,11 +292,10 @@ class RatFuncQ:
             if v:
                 num = num.shift_down(v)
                 den = den.shift_down(v)
-            lc = den.coeffs[-1]
-            if lc != 1:
-                inv = ONE / lc
-                num = num.scale(inv)
-                den = den.scale(inv)
+            lc = den.ints[-1]
+            if lc != den.den:  # make the leading coefficient lc / den.den one
+                num = UniPoly._of([c * den.den for c in num.ints], num.den * lc)
+                den = UniPoly._of(list(den.ints), lc)
         self.num = num
         self.den = den
 
@@ -295,12 +322,6 @@ class RatFuncQ:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def _is_monomial(self) -> bool:
-        return (
-            sum(1 for c in self.num.coeffs if c != 0) == 1
-            and sum(1 for c in self.den.coeffs if c != 0) == 1
-        )
 
     # -- arithmetic --------------------------------------------------------
 
@@ -368,11 +389,10 @@ class RatFuncQ:
                 raise ZeroDivisionError("0 raised to a negative power")
             base = RatFuncQ(base.den, base.num)
             k = -k
-        if base._is_monomial():
-            nk = base.num.valuation()
-            dk = base.den.valuation()
-            c = base.num.coeffs[-1] ** k
-            return RatFuncQ(UniPoly.monomial(c, nk * k), UniPoly.monomial(ONE, dk * k))
+        if all(len(p.ints) - p.ints.count(0) == 1 for p in (base.num, base.den)):
+            c = Rational(base.num.ints[-1], base.num.den) ** k  # c q^i / q^j
+            return RatFuncQ(UniPoly.monomial(c, base.num.degree * k),
+                            UniPoly.monomial(ONE, base.den.degree * k))
         out = RatFuncQ.from_rational(ONE)
         acc = base
         while k:
@@ -387,10 +407,12 @@ class RatFuncQ:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        if self.is_zero() or o.is_zero():
+            return self.is_zero() and o.is_zero()
         return (self.num * o.den - o.num * self.den).is_zero()
 
     def __hash__(self) -> int:
-        return hash((self.num.coeffs, self.den.coeffs))
+        return hash((self.num, self.den))
 
     def __call__(self, q0):
         """Evaluate at an exact rational point; the point must avoid poles."""
@@ -417,16 +439,27 @@ class RatFuncQ:
 
 
 def _div_root(p: UniPoly, root) -> UniPoly:
-    """Exact synthetic division of p by (q - root); requires p(root) == 0."""
+    """Exact synthetic division of p by (q - root); requires p(root) == 0.
+
+    For root = a/b, p = (b q - a) s with s integral over p's denominator
+    (Gauss's lemma): s comes top down by exact integer division, a running
+    sum for root 1, and p / (q - root) = b s.  A remainder is a program fault.
+    """
     root = as_rational(root)
-    out = [ZERO] * len(p.coeffs)
-    carry = ZERO
-    for i in range(len(p.coeffs) - 1, 0, -1):
-        carry = carry * root + p.coeffs[i]
-        out[i - 1] = carry
-    if carry * root + p.coeffs[0] != 0:
-        raise ValueError(f"polynomial does not vanish at q = {root}")
-    return UniPoly(out)
+    a, b = int(root.numerator), int(root.denominator)
+    ints = p.ints or (0,)
+    if root == 1:
+        s, rem = list(accumulate(reversed(ints[1:]))), sum(ints)
+    else:
+        s, acc, rem = [], 0, 0
+        for c in reversed(ints[1:]):
+            acc, r = divmod(c + a * acc, b)
+            s.append(acc)
+            rem = rem or r
+        rem = rem or ints[0] + a * acc
+    if rem:
+        raise ArithmeticError(f"polynomial does not vanish at q = {root}")
+    return UniPoly._of([b * c for c in reversed(s)], p.den)
 
 
 def limit_at_one(f):

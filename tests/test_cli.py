@@ -223,3 +223,43 @@ def test_stirling_alpha_one_gives_classical_second_kind(capsys):
     expect = {str(m): {str(k): f"{s2[(m, k)]}/1" for k in range(m + 1)}
               for m in range(5)}
     assert json.loads(out)["entries"] == expect
+
+
+def test_binom_length_mismatch_is_an_input_error(capsys):
+    code, out = run_cli(capsys, "binom", "--lambda", "2,1", "--mu", "1",
+                        "--q", "1/2", "--t", "1/3")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError",
+                                         "message": "lam and mu must have the same length"}}
+
+
+def _internal_record(capsys, *argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "Traceback" in captured.err
+    return json.loads(captured.out)
+
+
+def test_library_fault_is_an_internal_error(capsys, monkeypatch):
+    import qtspecials.binomial
+
+    def broken(*args):
+        raise TypeError("broken on purpose")
+
+    monkeypatch.setattr(qtspecials.binomial, "qt_binomial", broken)
+    record = _internal_record(capsys, "binom", "--lambda", "2,1", "--mu", "1,0",
+                              "--q", "1/2", "--t", "1/3")
+    assert record == {"error": {"type": "TypeError", "message": "broken on purpose",
+                                "internal": True}}
+
+
+def test_div_root_fault_is_an_internal_error(capsys, monkeypatch):
+    from qtspecials.scalars import UniPoly
+
+    # every polynomial claims to vanish, so cancel_at divides one that does not
+    monkeypatch.setattr(UniPoly, "__call__", lambda self, x: 0)
+    record = _internal_record(capsys, "catalan", "--lambda", "2", "--alpha", "1")
+    assert record == {"error": {"type": "ArithmeticError",
+                                "message": "polynomial does not vanish at q = 1",
+                                "internal": True}}

@@ -1,15 +1,18 @@
 """Exact rationals, polynomials in q, and limits at q = 1."""
 
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qtspecials
+from qtspecials import scalars
 from qtspecials.errors import PoleAtOne
 from qtspecials.scalars import (
     RatFuncQ,
@@ -221,3 +224,249 @@ def test_ratfunc_pow_negative():
     f = (1 - Q) / (2 + Q)
     assert f ** -2 == (f ** 2) ** -1
     assert f ** 0 == 1
+
+
+# ---------------------------------------------------------------------------
+# The integer kernel against a list-of-Fraction reference retyped here
+# ---------------------------------------------------------------------------
+
+def _ref_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return cs
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    a, b = a + [Fraction(0)] * (n - len(a)), b + [Fraction(0)] * (n - len(b))
+    return _ref_trim(x + y for x, y in zip(a, b))
+
+
+def _ref_mul(a, b):
+    out = [Fraction(0)] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_eval(a, x):
+    return sum((c * x ** k for k, c in enumerate(a)), Fraction(0))
+
+
+def _ref_div_linear(a, r):
+    """Long division of a by (q - r), highest power first: (quotient, remainder)."""
+    rem, quot = list(a), [Fraction(0)] * max(len(a) - 1, 0)
+    for k in range(len(a) - 1, 0, -1):
+        quot[k - 1] = rem[k]
+        rem[k - 1] += r * rem[k]
+        rem[k] = Fraction(0)
+    return _ref_trim(quot), (rem[0] if rem else Fraction(0))
+
+
+def _ref_ratfunc(num, den):
+    """Normal form: common power of q stripped, monic denominator."""
+    num, den = _ref_trim(num), _ref_trim(den)
+    if not num:
+        return [], [Fraction(1)]
+    v = min(next(k for k, c in enumerate(p) if c) for p in (num, den))
+    num, den = num[v:], den[v:]
+    lc = den[-1]
+    return [c / lc for c in num], [c / lc for c in den]
+
+
+def _frac(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _coeffs(p):
+    return [_frac(c) for c in p.coeffs]
+
+
+def _assert_canonical(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(c) is int for c in p.ints)
+    assert math.gcd(p.den, *p.ints) == 1
+    assert not p.ints or p.ints[-1] != 0
+
+
+def _assert_normal(f):
+    _assert_canonical(f.num)
+    _assert_canonical(f.den)
+    assert f.den.ints[-1] == f.den.den  # monic
+    assert f.num.is_zero() or min(f.num.valuation(), f.den.valuation()) == 0
+    if f.num.is_zero():
+        assert f.den.ints == (1,) and f.den.den == 1
+
+
+# numerators and denominators drawn apart, so the common denominators differ
+coefficients = st.builds(
+    Fraction,
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([1, 1, 2, 3, 4, 6, 9, 10, 35, 2 ** 70 + 1]),
+)
+polys = st.lists(coefficients, max_size=7)  # includes zero, constants, trailing zeros
+points = st.builds(Fraction, st.integers(min_value=-9, max_value=9),
+                   st.integers(min_value=1, max_value=9))
+
+
+@given(polys, polys, coefficients, points)
+@settings(max_examples=300, deadline=None)
+def test_unipoly_kernel_matches_fraction_reference(a, b, c, x):
+    pa, pb = UniPoly(a), UniPoly(b)
+    ra, rb = _ref_trim(a), _ref_trim(b)
+    cases = [
+        (pa, ra),
+        (pa + pb, _ref_add(ra, rb)),
+        (pa - pb, _ref_add(ra, [-y for y in rb])),
+        (-pa, [-y for y in ra]),
+        (pa * pb, _ref_mul(ra, rb)),
+        (pa.scale(c), _ref_trim(y * c for y in ra)),
+        (UniPoly.monomial(c, 3), _ref_trim([0, 0, 0, c])),
+        (UniPoly.const(c), _ref_trim([c])),
+    ]
+    for p, ref in cases:
+        _assert_canonical(p)
+        assert _coeffs(p) == ref
+        assert p.degree == len(ref) - 1
+        assert _frac(p(1)) == _ref_eval(ref, Fraction(1))
+        assert _frac(p(x)) == _ref_eval(ref, x)
+        assert (p == UniPoly(ref)) and hash(p) == hash(UniPoly(ref))
+    k = next((k for k, y in enumerate(ra) if y), 0)
+    assert pa.valuation() == k
+    assert _coeffs(pa.shift_down(k)) == ra[k:]
+
+
+@given(polys, points)
+@settings(max_examples=200, deadline=None)
+def test_div_root_matches_long_division(a, r):
+    for root in (Fraction(1), r):
+        p = UniPoly(a) * UniPoly([-root, 1])  # vanishes at root
+        ref = _ref_mul(_ref_trim(a), [-root, Fraction(1)])
+        assert _ref_div_linear(ref, root) == (_ref_trim(a), 0)
+        quot = scalars._div_root(p, root)
+        _assert_canonical(quot)
+        assert _coeffs(quot) == _ref_trim(a)
+        # p + 1 leaves remainder 1: a broken invariant, not an input error
+        assert _ref_div_linear(_ref_add(ref, [Fraction(1)]), root)[1] == 1
+        with pytest.raises(ArithmeticError, match="does not vanish") as err:
+            scalars._div_root(p + UniPoly([1]), root)
+        assert not isinstance(err.value, ValueError)
+        # an arbitrary polynomial divides exactly iff the reference remainder is 0
+        ref_quot, rem = _ref_div_linear(_ref_trim(a), root)
+        if rem:
+            with pytest.raises(ArithmeticError):
+                scalars._div_root(UniPoly(a), root)
+        else:
+            assert _coeffs(scalars._div_root(UniPoly(a), root)) == ref_quot
+
+
+def test_div_root_sees_a_remainder_before_the_last_step():
+    # 3q - 1 at q = 1/2: 3 = 2*1 + 1 leaves a remainder, then -1 + 1*1 == 0
+    with pytest.raises(ArithmeticError, match="does not vanish"):
+        scalars._div_root(UniPoly([-1, 3]), Rational(1, 2))
+
+
+@given(polys, polys, st.integers(0, 3), st.integers(0, 3), points)
+@settings(max_examples=200, deadline=None)
+def test_cancel_at_and_limit_match_fraction_reference(a, b, i, j, r):
+    b = b if _ref_trim(b) else [Fraction(1)]
+    for root in (Fraction(1), r):
+        lin = [-root, Fraction(1)]
+        num, den = _ref_trim(a), _ref_trim(b)
+        for _ in range(i):
+            num = _ref_mul(num, lin)
+        for _ in range(j):
+            den = _ref_mul(den, lin)
+        f = RatFuncQ(UniPoly(num), UniPoly(den))
+        _assert_normal(f)
+        assert [_coeffs(f.num), _coeffs(f.den)] == list(_ref_ratfunc(num, den))
+        # reference cancellation: divide both while both vanish at root
+        num, den = _ref_ratfunc(num, den)
+        while _ref_eval(num, root) == 0 and _ref_eval(den, root) == 0:
+            num, den = _ref_div_linear(num, root)[0], _ref_div_linear(den, root)[0]
+        num, den = _ref_ratfunc(num, den)
+        g = f.cancel_at(root)
+        _assert_normal(g)
+        assert [_coeffs(g.num), _coeffs(g.den)] == [num, den]
+        if root != 1:
+            continue
+        d1 = _ref_eval(den, root)
+        if d1 == 0:
+            with pytest.raises(PoleAtOne):
+                limit_at_one(f)
+        else:
+            assert _frac(limit_at_one(f)) == _ref_eval(num, root) / d1
+
+
+@given(polys, polys)
+@settings(max_examples=100, deadline=None)
+def test_ratfunc_arithmetic_keeps_normal_form(a, b):
+    f = RatFuncQ(UniPoly(a), UniPoly([1, 2]))
+    g = RatFuncQ(UniPoly(b), UniPoly([Fraction(1, 3), 0, 5]))
+    results = [f + g, f - g, f * g, f ** 2, -f, f + 0]
+    if not g.is_zero():
+        results += [f / g, g ** -1]
+    for h in results:
+        _assert_normal(h)
+
+
+def test_unipoly_coeffs_is_a_read_only_view():
+    p = UniPoly([Fraction(1, 2), 0, Fraction(-3, 4)])
+    assert (p.ints, p.den) == ((2, 0, -3), 4)
+    assert p.coeffs == (Rational(1, 2), Rational(0), Rational(-3, 4))
+    with pytest.raises(AttributeError):
+        p.coeffs = ()
+
+
+def test_ratfunc_compares_with_zero_without_multiplying(monkeypatch):
+    f = (1 - Q ** 2) / (1 - Q)
+    zero = f - f
+
+    def no_mul(self, other):
+        raise AssertionError("zero test multiplied polynomials")
+
+    monkeypatch.setattr(UniPoly, "__mul__", no_mul)
+    assert not f == 0 and not 0 == f and f != 0
+    assert zero == 0 and 0 == zero and zero == zero
+    assert not f == zero and not zero == f
+    assert zero == RatFuncQ.from_rational(0)
+
+
+def _sympy_poly(p, q):
+    import sympy
+
+    return sum((sympy.Rational(int(c.numerator), int(c.denominator)) * q ** k
+                for k, c in enumerate(p.coeffs)), sympy.Integer(0))
+
+
+def _workload_values():
+    from qtspecials.binomial import qt_binomial
+    from qtspecials.partitions import enumerate_sub
+    from qtspecials.specials import u_coeff, v_coeff
+    from qtspecials.wcore import FormalQ
+
+    reciprocal = FormalQ.reciprocal(Rational(3, 5))
+    for lam in ((2, 1, 1), (2, 2, 1)):  # inner Stirling limits at t0 = 3/5
+        for mu in enumerate_sub(lam):
+            yield u_coeff(lam, mu, reciprocal)
+            yield v_coeff(lam, mu, reciprocal)
+    for alpha in (1, 2):  # alpha-binomials below (2, 2)
+        for lam in enumerate_sub((2, 2)):
+            for mu in enumerate_sub(lam):
+                yield qt_binomial(lam, mu, FormalQ.alpha(alpha))
+
+
+def test_limits_match_sympy_on_workload_values():
+    sympy = pytest.importorskip("sympy")
+    q = sympy.Symbol("q")
+    seen = 0
+    for f in _workload_values():
+        if not isinstance(f, RatFuncQ) or f.is_zero():
+            continue
+        expected = sympy.cancel(_sympy_poly(f.num, q) / _sympy_poly(f.den, q)).subs(q, 1)
+        lim = limit_at_one(f)
+        assert sympy.Rational(int(lim.numerator), int(lim.denominator)) == expected
+        seen += 1
+    assert seen >= 40
