@@ -13,17 +13,12 @@ from .partitions import contains, n_prime_stat, n_stat, weight
 from .wcore import (
     ScalarMode,
     guarded_div,
+    norm_weight,
     pair_ratio,
     poch,
-    poch_norm,
     pochm,
     w_principal,
 )
-
-
-def _t_pair_ratio(mu, mode: ScalarMode):
-    """prod_{i<j} (t^{j-i+1}; q)_{mu_i - mu_j} / (t^{j-i}; q)_{mu_i - mu_j}."""
-    return pair_ratio(mu, mode, 0)
 
 
 def qt_binomial(lam, mu, mode: ScalarMode):
@@ -43,11 +38,9 @@ def qt_binomial(lam, mu, mode: ScalarMode):
         return hit
     n = len(mu)
     w = weight(mu)
-    pref = mode.qpow(w) * mode.tpow(2 * n_stat(mu) + (1 - n) * w)
-    den = poch_norm(mu, mode)
     value = (
-        guarded_div(pref, den, "qt-binomial prefactor")
-        * pair_ratio(mu, mode)
+        mode.qpow(w) * mode.tpow(2 * n_stat(mu) + (1 - n) * w)
+        * norm_weight(mu, mode)
         * w_principal("s_up", mu, lam, mode)
     )
     mode.cache[key] = value
@@ -79,7 +72,7 @@ def binom_rect_upper(k: int, mu, mode: ScalarMode):
         num = pochm(1 + k - mi, i - 1, mi, mode)
         den = pochm(1, n - i, mi, mode)
         acc = acc * guarded_div(num, den, "rectangular upper binomial")
-    return acc * pair_ratio(mu, mode) * _t_pair_ratio(mu, mode)
+    return acc * pair_ratio(mu, mode) * pair_ratio(mu, mode, 0)
 
 
 def binom_e1(lam, mode: ScalarMode):

@@ -123,6 +123,14 @@ def _point_from(args, n: int, max_part: int) -> QtPoint:
                    n=n, max_part=max_part)
 
 
+def _check_sizes(args, least: int, *flags):
+    """Reject a size argument below ``least`` as bad input."""
+    for flag in flags:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+
+
 def _value_mode(args, shape, max_part: int):
     """(mode, meta): the t=q^alpha mode for --alpha, else the mode of the
     --q/--t point validated for len(shape) parts up to max_part."""
@@ -216,6 +224,7 @@ def _cmd_verify(args) -> int:
     bound = parse_partition(args.bound)
     if args.n is not None and args.n != len(bound):
         raise ValueError(f"--n {args.n} does not match bound length {len(bound)}")
+    _check_sizes(args, 1, "--points")
     seed = args.seed if args.seed is not None else _seed_default()
     report = run_identity_suite(bound, points=args.points, seed=seed)
     run_specials_suite(bound, points=min(args.points, 3), seed=seed, report=report)
@@ -232,9 +241,11 @@ def _density_spec(args):
     from .distributions import DensitySpec
 
     z = parse_rational(args.z)
+    _check_sizes(args, 0, "--part-cap", "--trunc")
     if args.kind == "poisson":
         if args.n is None:
             raise ValueError("--n is required for the poisson density")
+        _check_sizes(args, 1, "--n")
         point = _point_from(args, args.n, max(args.part_cap + 1, 4))
         return DensitySpec(kind="poisson", z=z, point=point,
                            part_cap=args.part_cap, trunc=args.trunc)
@@ -268,6 +279,7 @@ def _cmd_density(args) -> int:
 def _cmd_sample(args) -> int:
     from .distributions import sample
 
+    _check_sizes(args, 0, "--count")
     spec = _density_spec(args)
     seed = args.seed if args.seed is not None else _seed_default()
     result = sample(spec, args.count, seed)
@@ -284,6 +296,8 @@ def _cmd_exp(args) -> int:
     from .distributions import exp_E, exp_e
 
     z = parse_rational(args.z)
+    _check_sizes(args, 1, "--n")
+    _check_sizes(args, 0, "--part-cap", "--trunc")
     point = _point_from(args, args.n, max(args.part_cap + 1, 4))
     E = exp_E(z, point, args.n, args.part_cap, args.trunc)
     e = exp_e(z, point, args.n, args.part_cap, args.trunc)

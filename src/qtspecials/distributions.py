@@ -14,11 +14,11 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .binomial import pair_ratio, _t_pair_ratio, qt_binomial
+from .binomial import qt_binomial
 from .errors import ConvergenceViolated, DegenerateParameters, UnsupportedRegime
 from .partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
 from .scalars import Rational, as_rational
-from .wcore import QtPoint, guarded_div, poch_norm, poch_partition
+from .wcore import QtPoint, guarded_div, norm_weight, pair_ratio, poch_partition
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
 
@@ -114,16 +114,15 @@ def _poisson_mass(spec: DensitySpec, mu, mode) -> Rational:
     n = spec.n
     z = spec.z
     wm = weight(mu)
-    den = poch_partition(z, mu, mode) * poch_norm(mu, mode)
     return (
         _truncated(z, n, spec.trunc, mode)
         * guarded_div(
             z ** wm * mode.qpow(2 * n_prime_stat(mu)) * mode.tpow((1 - n) * wm),
-            den,
+            poch_partition(z, mu, mode),
             "poisson mass",
         )
-        * pair_ratio(mu, mode)
-        * _t_pair_ratio(mu, mode)
+        * norm_weight(mu, mode)
+        * pair_ratio(mu, mode, 0)
     )
 
 
@@ -186,8 +185,7 @@ def _exp_series(z, n, part_cap, mode, upper: bool) -> Rational:
             )
         else:
             num = z ** wm * mode.tpow(2 * n_stat(mu) + (1 - n) * wm)
-        term = guarded_div(num, poch_norm(mu, mode), "exponential term")
-        acc = acc + term * pair_ratio(mu, mode) * _t_pair_ratio(mu, mode)
+        acc = acc + num * norm_weight(mu, mode) * pair_ratio(mu, mode, 0)
     return acc
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .binomial import pair_ratio, _t_pair_ratio, qt_binomial
+from .binomial import qt_binomial
 from .errors import ConvergenceViolated, DegenerateParameters
 from .partitions import (
     bump,
@@ -29,8 +29,9 @@ from .wcore import (
     QtPoint,
     ScalarMode,
     guarded_div,
+    norm_weight,
+    pair_ratio,
     poch,
-    poch_norm,
     poch_partition,
     w_principal,
 )
@@ -119,11 +120,10 @@ def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
     s_slot = s ** -1 * mode.tpow(n - 1)
     rhs = mode.zero
     for mu in enumerate_sub(lam):
-        den = poch_norm(mu, mode)
         term = (
-            guarded_div(mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu)), den, "series term")
+            mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu))
+            * norm_weight(mu, mode)
             * poch_partition(x ** -1, mu, mode)
-            * pair_ratio(mu, mode)
             * w_principal("ab", mu, lam, mode, s_slot)
         )
         rhs = rhs + term
@@ -180,14 +180,9 @@ def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
-        den = poch_norm(lam, mode)
         term = (
-            guarded_div(
-                mode.qpow(weight(lam)) * mode.tpow(2 * n_stat(lam)) * s_nu,
-                den,
-                "cocycle term",
-            )
-            * pair_ratio(lam, mode)
+            mode.qpow(weight(lam)) * mode.tpow(2 * n_stat(lam)) * s_nu
+            * norm_weight(lam, mode)
             * w_principal("ab", lam, nu, mode, s ** -1 * tn1)
             * poch_partition(r, lam, mode)
             * w_principal("ab", mu, lam, mode, r ** -1 * tn1)
@@ -287,7 +282,7 @@ def check_geometric(
     if not geometric_convergence_ok(z, point, n):
         raise ConvergenceViolated("parameters violate max_i |q z t^(2i-n-1)| < 1")
     prod = poch_partition(mode.q * z, (trunc,) * n, mode)
-    lhs = guarded_div(z ** weight(mu), prod, "truncated product") * _t_pair_ratio(mu, mode)
+    lhs = guarded_div(z ** weight(mu), prod, "truncated product") * pair_ratio(mu, mode, 0)
     qz = mode.q * z
     rhs = mode.zero
     for lam in enumerate_sub((part_cap,) * n):
@@ -297,12 +292,8 @@ def check_geometric(
         if w == 0:
             continue
         wl = weight(lam)
-        coeff = guarded_div(
-            qz ** wl * mode.tpow(2 * n_stat(lam) + (1 - n) * wl),
-            poch_norm(lam, mode),
-            "series coefficient",
-        )
-        rhs = rhs + coeff * pair_ratio(lam, mode) * _t_pair_ratio(lam, mode) * w
+        coeff = qz ** wl * mode.tpow(2 * n_stat(lam) + (1 - n) * wl)
+        rhs = rhs + coeff * norm_weight(lam, mode) * pair_ratio(lam, mode, 0) * w
     return IdentityCheck(
         "geometric", lhs, rhs, lhs - rhs,
         _params(mu=mu, z=z, part_cap=part_cap, trunc=trunc),

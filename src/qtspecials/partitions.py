@@ -43,7 +43,11 @@ def is_partition(parts) -> bool:
 
 def parse_partition(text: str) -> Parts:
     """Parse a comma-separated literal such as "3,2,0"; length defines n."""
-    return partition(int(x) for x in text.strip().split(","))
+    try:
+        parts = [int(x) for x in text.strip().split(",")]
+    except ValueError:
+        raise NotAPartition(f"not a partition literal: {text!r}") from None
+    return partition(parts)
 
 
 def format_partition(lam) -> str:

@@ -2,10 +2,11 @@
 numbers, plus the integer-alpha ordinary limits (t = q^alpha, q -> 1).
 
 The Stirling formulas contain an inner limit: a change-of-basis
-coefficient evaluated at parameters (1/q, 1/t) as q tends to 1.  That
-limit is taken exactly, by building the coefficient as a rational
-function of a fresh formal variable with t specialized first, and then
-cancelling (q - 1) factors.
+coefficient evaluated at parameters (1/q, 1/t) as q tends to 1.  A limit
+at q = 1 does not change under q -> 1/q, so that limit is taken exactly
+in the plain formal mode ``FormalQ(1/t)``: the coefficient is built as a
+rational function of q with t specialized first, and (q - 1) factors are
+cancelled.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .binomial import pair_ratio, qt_binomial, qt_bracket
+from .binomial import qt_binomial, qt_bracket
 from .errors import DegenerateParameters, UnsupportedRegime
 from .partitions import (
     bump,
@@ -30,7 +31,7 @@ from .wcore import (
     FormalQ,
     ScalarMode,
     guarded_div,
-    poch_norm,
+    norm_weight,
     w_principal,
 )
 
@@ -46,48 +47,42 @@ def u_coeff(lam, mu, mode: ScalarMode):
     w = w_principal("s_down", mu, lam, mode)
     if w == 0:
         return mode.zero
-    den = poch_norm(mu, mode)
-    pref = guarded_div(
-        mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu)), den, "u-coefficient"
-    )
-    return pref * pair_ratio(mu, mode) * w
+    return mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu)) * norm_weight(mu, mode) * w
 
 
 def v_coeff(lam, mu, mode: ScalarMode):
-    """Coefficient of (x; 1/q, 1/t)_mu in the expansion of x^{|lam|}."""
+    """Coefficient of (x; 1/q, 1/t)_mu in the expansion of x^{|lam|}.
+
+    By the qt-binomial theorem this is the binomial of lam over mu times
+    (-1)^{|mu|} q^{n(mu')} t^{-n(mu)}.
+    """
     if not contains(lam, mu):
         return mode.zero
-    n = len(mu)
-    w = w_principal("s_up", mu, lam, mode)
-    if w == 0:
+    b = qt_binomial(lam, mu, mode)
+    if b == 0:
         return mode.zero
-    wm = weight(mu)
-    den = poch_norm(mu, mode)
-    sign = mode.one if wm % 2 == 0 else -mode.one
-    pref = guarded_div(
-        sign * mode.qpow(wm + n_prime_stat(mu)) * mode.tpow(n_stat(mu) + (1 - n) * wm),
-        den,
-        "v-coefficient",
-    )
-    return pref * pair_ratio(mu, mode) * w
+    sign = mode.one if weight(mu) % 2 == 0 else -mode.one
+    return sign * mode.qpow(n_prime_stat(mu)) * mode.tpow(-n_stat(mu)) * b
 
 
 def _uv_reciprocal_limit(which: str, lam, mu, mode: ScalarMode):
     """lim_{q -> 1} of u or v at parameters (1/q, 1/t0), t0 = mode.t0, as an
-    exact Rational; cached in ``mode``, with the one reciprocal mode.
+    exact Rational; cached in ``mode``.
 
-    t0=None is allowed only for single-part partitions, where t never
-    enters the coefficient at all.
+    The limit does not change under q -> 1/q, so it is taken in the one
+    ``FormalQ(1/t0)`` of ``mode``.  t0=None gives ``FormalQ()``, allowed
+    only for single-part partitions, where t never enters the coefficient.
     """
     key = ("uv", which, lam, mu)
     hit = mode.cache.get(key)
     if hit is not None:
         return hit
-    rmode = mode.cache.get(("reciprocal",))
-    if rmode is None:
-        rmode = mode.cache[("reciprocal",)] = FormalQ.reciprocal(mode.t0)
+    inner = mode.cache.get(("inner",))
+    if inner is None:
+        t0 = mode.t0
+        inner = mode.cache[("inner",)] = FormalQ(None if t0 is None else 1 / t0)
     coeff = u_coeff if which == "u" else v_coeff
-    hit = mode.cache[key] = limit_at_one(coeff(lam, mu, rmode))
+    hit = mode.cache[key] = limit_at_one(coeff(lam, mu, inner))
     return hit
 
 

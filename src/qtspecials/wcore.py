@@ -143,25 +143,26 @@ class FormalQ(ScalarMode):
     Variants:
 
     * ``FormalQ(t0)``        -- t specialized to the rational t0;
+    * ``FormalQ()``          -- no value for t: any computation that touches
+      t raises instead of silently using a wrong value;
     * ``FormalQ.alpha(a)``   -- t = q^a for a positive integer a (the
-      specialization used for ordinary-limit computations);
-    * internally, a reciprocal-variable mode where the q slot holds 1/q,
-      used when a formula needs parameters (1/q, 1/t).
+      specialization used for ordinary-limit computations).
+
+    q is the generator in every variant.  A limit at q = 1 does not change
+    under q -> 1/q, so the limit of a formula at parameters (1/q, 1/t0) is
+    taken in ``FormalQ(1/t0)``.
     """
 
     is_point = False
     _alpha_modes: dict = {}  # a -> the one FormalQ.alpha(a) of the process
 
-    def __init__(self, t0=None, *, _q_value=None, _t_value=None, _label=None):
+    def __init__(self, t0=None, *, _t_value=None, _label=None):
         super().__init__()
-        g = RatFuncQ.generator()
-        self._q_value = g if _q_value is None else _q_value
+        self.q = RatFuncQ.generator()
         if t0 is not None:
-            self._t_value = RatFuncQ.from_rational(as_rational(t0))
             self.t0 = as_rational(t0)
-        else:
-            self._t_value = _t_value
-        self.alpha_value = None
+            _t_value = RatFuncQ.from_rational(self.t0)
+        self._t_value = _t_value
         self._label = _label or (f"t0={self.t0}" if t0 is not None else "raw")
         self.one = RatFuncQ.from_rational(1)
         self.zero = RatFuncQ.from_rational(0)
@@ -174,25 +175,9 @@ class FormalQ(ScalarMode):
             raise UnsupportedRegime(f"alpha must be a positive integer, got {a!r}")
         mode = cls._alpha_modes.get(a)
         if mode is None:
-            g = RatFuncQ.generator()
-            mode = cls._alpha_modes[a] = cls(_q_value=g, _t_value=g ** a, _label=f"t=q^{a}")
-            mode.alpha_value = a
+            mode = cls._alpha_modes[a] = cls(
+                _t_value=RatFuncQ.generator() ** a, _label=f"t=q^{a}")
         return mode
-
-    @classmethod
-    def reciprocal(cls, t0=None) -> "FormalQ":
-        """Mode whose parameter slots hold (1/q, 1/t0).
-
-        With t0=None the t slot is unavailable; any n >= 2 computation that
-        touches t will raise instead of silently using a wrong value.
-        """
-        g = RatFuncQ.generator()
-        tv = None if t0 is None else RatFuncQ.from_rational(1 / as_rational(t0))
-        return cls(_q_value=g ** -1, _t_value=tv, _label=f"q->1/q, t={t0}^-1")
-
-    @property
-    def q(self):
-        return self._q_value
 
     @property
     def t(self):
@@ -294,6 +279,17 @@ def pair_ratio(mu, mode: ScalarMode, s: int = 1):
             den = pochm(s, j - i - s, d, mode)
             acc = acc * guarded_div(num, den, "pair ratio")
     return acc
+
+
+def norm_weight(mu, mode: ScalarMode):
+    """pair_ratio(mu) / poch_norm(mu): the mu-dependent weight of the
+    binomial and of every series weighted like it, memoized on the mode."""
+    key = ("weight", mu)
+    hit = mode.cache.get(key)
+    if hit is None:
+        hit = mode.cache[key] = guarded_div(
+            pair_ratio(mu, mode), poch_norm(mu, mode), "binomial weight")
+    return hit
 
 
 # ---------------------------------------------------------------------------

@@ -263,3 +263,48 @@ def test_div_root_fault_is_an_internal_error(capsys, monkeypatch):
     assert record == {"error": {"type": "ArithmeticError",
                                 "message": "polynomial does not vanish at q = 1",
                                 "internal": True}}
+
+
+@pytest.mark.parametrize("argv", [
+    ("binom", "--lambda", "x", "--mu", "1", "--q", "1/2", "--t", "1/3"),
+    ("stirling", "--kind", "first", "--bound", "2,,1", "--q", "1/2", "--t", "1/3"),
+    ("catalan", "--bound", "a", "--alpha", "1"),
+    ("verify", "--bound", "2,x"),
+    ("density", "--kind", "g", "--lambda", "1,q", "--z", "1/5", "--q", "1/2", "--t", "1/3"),
+], ids=lambda argv: argv[0])
+def test_malformed_partition_literal_is_an_input_error(capsys, argv):
+    literal = argv[argv.index("--lambda" if "--lambda" in argv else "--bound") + 1]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "NotAPartition",
+                                         "message": f"not a partition literal: {literal!r}"}}
+
+
+PT = ("--z", "1/5", "--q", "1/2", "--t", "1/3")
+POISSON = ("--kind", "poisson", "--n", "2", *PT)
+G = ("--kind", "g", "--lambda", "2,1", *PT)
+
+
+SIZE_CASES = [  # (argv, the flag out of range, its floor)
+    (("density", "--kind", "poisson", "--n", "0", *PT), "--n", 1),
+    (("density", *POISSON, "--part-cap", "-1"), "--part-cap", 0),
+    (("density", *G, "--trunc", "-1"), "--trunc", 0),
+    (("sample", "--kind", "poisson", "--n", "0", *PT, "--count", "3"), "--n", 1),
+    (("sample", *G, "--part-cap", "-1", "--count", "3"), "--part-cap", 0),
+    (("sample", *POISSON, "--trunc", "-1", "--count", "3"), "--trunc", 0),
+    (("sample", *G, "--count", "-1"), "--count", 0),
+    (("exp", "--n", "0", *PT), "--n", 1),
+    (("exp", "--n", "2", *PT, "--part-cap", "-3"), "--part-cap", 0),
+    (("exp", "--n", "2", *PT, "--trunc", "-2"), "--trunc", 0),
+    (("verify", "--bound", "2,1", "--points", "0"), "--points", 1),
+]
+
+
+@pytest.mark.parametrize("argv,flag,least", [
+    pytest.param(*case, id=f"{case[0][0]}{case[1]}") for case in SIZE_CASES])
+def test_size_below_its_floor_is_an_input_error(capsys, argv, flag, least):
+    value = argv[argv.index(flag) + 1]
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {
+        "type": "ValueError", "message": f"{flag} must be at least {least}, got {value}"}}

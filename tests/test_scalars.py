@@ -447,11 +447,11 @@ def _workload_values():
     from qtspecials.specials import u_coeff, v_coeff
     from qtspecials.wcore import FormalQ
 
-    reciprocal = FormalQ.reciprocal(Rational(3, 5))
+    inner = FormalQ(Rational(5, 3))
     for lam in ((2, 1, 1), (2, 2, 1)):  # inner Stirling limits at t0 = 3/5
         for mu in enumerate_sub(lam):
-            yield u_coeff(lam, mu, reciprocal)
-            yield v_coeff(lam, mu, reciprocal)
+            yield u_coeff(lam, mu, inner)
+            yield v_coeff(lam, mu, inner)
     for alpha in (1, 2):  # alpha-binomials below (2, 2)
         for lam in enumerate_sub((2, 2)):
             for mu in enumerate_sub(lam):

@@ -42,7 +42,14 @@ from qtspecials.specials import (
     u_coeff,
     v_coeff,
 )
-from qtspecials.wcore import AtPoint, FormalQ, QtPoint
+from qtspecials.wcore import (
+    AtPoint,
+    FormalQ,
+    QtPoint,
+    pair_ratio,
+    poch_norm,
+    w_principal,
+)
 
 
 # -- classical oracles, recomputed from scratch -----------------------------
@@ -215,6 +222,57 @@ def test_second_stirling_build_on_one_mode_reuses_every_coefficient(monkeypatch)
     monkeypatch.setattr(specials, "v_coeff", no_recompute)
     for kind in STIRLING_KINDS:
         assert StirlingTable.build(kind, (2, 2, 1), mode).entries == first[kind].entries
+
+
+class _ReciprocalMode(FormalQ):
+    """Formal mode whose slots hold (1/q, 1/t0): the parameters at which the
+    Stirling inner limit is defined, typed out as the reference for the
+    plain FormalQ(1/t0) that computes it.  No t0 leaves t unavailable."""
+
+    def __init__(self, t0=None):
+        super().__init__(None if t0 is None else 1 / t0)
+        self.q = RatFuncQ.generator() ** -1
+
+
+def _inner_limit_cases():
+    for t0 in (Rational(3, 5), Rational(7, 2)):
+        yield FormalQ(t0), _ReciprocalMode(t0), (2, 2, 1)
+    for a in (1, 2):
+        yield FormalQ.alpha(a), _ReciprocalMode(), (4,)
+
+
+def test_inner_limits_match_the_reciprocal_mode():
+    from qtspecials.specials import _uv_reciprocal_limit
+
+    for outer, recip, bound in _inner_limit_cases():
+        for lam in enumerate_sub(bound):
+            for mu in enumerate_sub(lam):
+                for which, coeff in (("u", u_coeff), ("v", v_coeff)):
+                    expect = limit_at_one(coeff(lam, mu, recip))
+                    got = _uv_reciprocal_limit(which, lam, mu, outer)
+                    assert got == expect, (outer, which, lam, mu)
+
+
+def _old_v_coeff(lam, mu, mode):
+    """v as a product of its own factors, without the binomial."""
+    if not contains(lam, mu):
+        return mode.zero
+    n, wm = len(mu), weight(mu)
+    sign = mode.one if wm % 2 == 0 else -mode.one
+    pref = sign * mode.qpow(wm + n_prime_stat(mu)) * mode.tpow(n_stat(mu) + (1 - n) * wm)
+    return pref / poch_norm(mu, mode) * pair_ratio(mu, mode) * \
+        w_principal("s_up", mu, lam, mode)
+
+
+@pytest.mark.parametrize("make_mode", [
+    pytest.param(lambda: AtPoint(QtPoint(Rational(2, 7), Rational(3, 5))), id="point"),
+    pytest.param(lambda: FormalQ(Rational(3, 5)), id="formal-t0"),
+])
+def test_v_coeff_matches_its_product_formula(make_mode):
+    mode = make_mode()
+    for lam in enumerate_sub((3, 2, 1)):
+        for mu in enumerate_sub(lam):
+            assert v_coeff(lam, mu, mode) == _old_v_coeff(lam, mu, mode), (lam, mu)
 
 
 # -- Bernoulli ----------------------------------------------------------------

@@ -5,7 +5,6 @@ import random
 import pytest
 
 from qtspecials import wcore
-from qtspecials.binomial import _t_pair_ratio
 from qtspecials.binomial import pair_ratio as binomial_pair_ratio
 from qtspecials.errors import DegenerateParameters, NotAStrip
 from qtspecials.partitions import (
@@ -191,7 +190,7 @@ def test_weyl_specialization_pins_recurrence_shifts(mode):
                 closed = (
                     poch_partition(x ** -1, mu, mode)
                     / poch_partition(mode.q * s0 / x, mu, mode)
-                    * _t_pair_ratio(mu, mode)
+                    * pair_ratio(mu, mode, 0)
                 )
                 assert ab == closed, (n, k, mu)
                 sup = w_principal("s_up", mu, (k,) * n, mode)
@@ -201,7 +200,7 @@ def test_weyl_specialization_pins_recurrence_shifts(mode):
                     sign * x ** w * mode.tpow(n_stat(mu))
                     * mode.qpow(-w - n_prime_stat(mu))
                     * poch_partition(x ** -1, mu, mode)
-                    * _t_pair_ratio(mu, mode)
+                    * pair_ratio(mu, mode, 0)
                 )
                 assert sup == closed_up, (n, k, mu)
 
@@ -232,13 +231,13 @@ def test_formal_alpha_mode_ties_t_to_q():
         (1 - fmode.qpow(-2)) * (1 - fmode.qpow(-1)))
 
 
-def test_reciprocal_mode_guards_missing_t():
+def test_formal_mode_without_t_guards_t():
     from qtspecials.errors import UnsupportedRegime
 
-    rmode = FormalQ.reciprocal(None)
-    assert rmode.tpow(0) == 1  # never touches t
+    fmode = FormalQ()
+    assert fmode.tpow(0) == 1  # never touches t
     with pytest.raises(UnsupportedRegime):
-        rmode.tpow(1)
+        fmode.tpow(1)
 
 
 def test_strip_vanishing_sweep(mode):
@@ -295,7 +294,6 @@ def test_pair_ratio_both_exponents_against_retyped_loop(make_mode):
         assert pair_ratio(mu, mode, 1) == _pair_oracle(mu, 1, mode), mu
         assert pair_ratio(mu, mode, 0) == _pair_oracle(mu, 0, mode), mu
         assert binomial_pair_ratio(mu, mode) == _pair_oracle(mu, 1, mode), mu
-        assert _t_pair_ratio(mu, mode) == _pair_oracle(mu, 0, mode), mu
 
 
 def test_pochm_repeated_call_returns_cached_value(mode, monkeypatch):
