@@ -12,6 +12,7 @@ residual exactly zero.
 from .errors import (
     ConvergenceViolated,
     DegenerateParameters,
+    InvalidArgument,
     LengthMismatch,
     NotAPartition,
     NotAStrip,

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .binomial import qt_binomial
-from .errors import ConvergenceViolated, DegenerateParameters, UnsupportedRegime
+from .errors import ConvergenceViolated, DegenerateParameters, UnsupportedRegime, check_sizes
 from .partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
 from .scalars import Rational, as_rational
 from .wcore import QtPoint, guarded_div, norm_weight, pair_ratio, poch_partition
@@ -38,6 +38,7 @@ class DensitySpec:
         if self.kind not in DENSITY_KINDS:
             raise ValueError(f"kind must be one of {DENSITY_KINDS}")
         object.__setattr__(self, "z", as_rational(self.z))
+        check_sizes(0, part_cap=self.part_cap, trunc=self.trunc)
         if self.kind == "poisson":
             if self.lam is not None:
                 raise ValueError("poisson density has no lam parameter")
@@ -191,6 +192,7 @@ def _exp_series(z, n, part_cap, mode, upper: bool) -> Rational:
 
 def exp_E(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> ExpResult:
     """Upper exponential: truncated product (-z)_inf and its partition series."""
+    check_sizes(0, part_cap=part_cap, trunc=trunc)
     if not abs(point.q) < 1:
         raise ConvergenceViolated("infinite products require |q| < 1")
     mode = point.mode
@@ -205,6 +207,7 @@ def exp_e(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
 
     Requires the ratio-test condition max_i |z t^(2i-n-1)| < 1.
     """
+    check_sizes(0, part_cap=part_cap, trunc=trunc)
     if not abs(point.q) < 1:
         raise ConvergenceViolated("infinite products require |q| < 1")
     if not all(abs(z * point.t ** (2 * i - n - 1)) < 1 for i in range(1, n + 1)):

@@ -19,6 +19,17 @@ class NotAPartition(QtError, ValueError):
     where none is allowed)."""
 
 
+class InvalidArgument(QtError, ValueError):
+    """An unknown W kind, a missing auxiliary scalar, or a size too small."""
+
+
+def check_sizes(least: int, **sizes: int) -> None:
+    """Raise InvalidArgument unless every keyword size is at least ``least``."""
+    for name, value in sizes.items():
+        if value < least:
+            raise InvalidArgument(f"{name} must be at least {least}, got {value}")
+
+
 class LengthMismatch(QtError, ValueError):
     """Two partitions that must share the same fixed length do not."""
 

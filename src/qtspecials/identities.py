@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .binomial import qt_binomial
-from .errors import ConvergenceViolated, DegenerateParameters
+from .errors import ConvergenceViolated, DegenerateParameters, check_sizes
 from .partitions import (
     bump,
     contains,
@@ -390,6 +390,7 @@ def run_identity_suite(
     One (q, t) point plus fresh auxiliary scalars are drawn per round; the
     same seeded stream makes the whole report reproducible byte for byte.
     """
+    check_sizes(1, points=points)
     bound = tuple(bound)
     n = len(bound)
     rng = random.Random(seed)
@@ -501,6 +502,7 @@ def run_specials_suite(
         v_coeff,
     )
 
+    check_sizes(1, points=points)
     bound = tuple(bound)
     n = len(bound)
     rng = random.Random(seed)

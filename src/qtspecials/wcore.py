@@ -13,15 +13,24 @@ well-poised symmetric rational functions:
 
 Single-variable skew values have closed product forms; multivariable values
 are computed only through the variable-peeling recurrence over horizontal
-strips, with memoization on the active ScalarMode.
+strips.  Each W argument and the scalar s travel as a ``Mono`` c q^a t^b: a
+scalar x is (x, 0, 0), the principal argument is (1, lam_i, n-1-i), and a
+peel shifts b by -ell.  Every factor is then one product (c q^i t^j; q)_m
+from ``pochm``.  The mode's cache memoizes it under ("poch", i, j, m) (with
+c inserted only where c != 1: hashing a rational costs about as much as a
+short product), the strip factor under ("h", lam, mu), each skew value
+under ("skew", kind, lam, mu, c, a, b, s) and each multivariable value
+under ("W", kind, lam, mu, z, s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
-from .errors import DegenerateParameters, NotAStrip, UnsupportedRegime
+from .errors import (DegenerateParameters, InvalidArgument, NotAStrip,
+                     UnsupportedRegime, check_sizes)
 from .partitions import (
     contains,
     enumerate_strips,
@@ -34,6 +43,22 @@ from .partitions import (
 from .scalars import ONE, RatFuncQ, Rational, as_rational
 
 W_KINDS = ("ab", "s_up", "s_down")
+
+
+class Mono(NamedTuple):
+    """A W argument c q^a t^b: c is a scalar (1 for a monomial in q, t)."""
+
+    c: object
+    a: int
+    b: int
+
+    def peeled(self, ell: int) -> "Mono":
+        """The argument times t^{-ell}, as a peel of ell variables leaves it."""
+        return Mono(self.c, self.a, self.b - ell)
+
+
+def _mono(x) -> Mono:
+    return x if isinstance(x, Mono) else Mono(x, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -223,33 +248,20 @@ def poch(a, m: int, mode: ScalarMode):
     return acc
 
 
-def pochm(i: int, j: int, m: int, mode: ScalarMode):
-    """(q^i t^j; q)_m for integer exponents, memoized on the mode."""
-    key = ("poch", i, j, m)
+def pochm(i: int, j: int, m: int, mode: ScalarMode, c=1):
+    """(c q^i t^j; q)_m for integer exponents, memoized on the mode."""
+    key = ("poch", i, j, m) if c == 1 else ("poch", c, i, j, m)
     hit = mode.cache.get(key)
     if hit is None:
-        hit = mode.cache[key] = poch(mode.qpow(i) * mode.tpow(j), m, mode)
+        hit = mode.cache[key] = poch(c * mode.qpow(i) * mode.tpow(j), m, mode)
     return hit
 
 
 def poch_partition(a, lam, mode: ScalarMode):
     """Partition product (a; q, t)_lam = prod_i (a t^{1-i}; q)_{lam_i}."""
     acc = mode.one
-    for i, m in enumerate(lam, start=1):
-        acc = acc * poch(a * mode.tpow(1 - i), m, mode)
-    return acc
-
-
-def poch_ratio(a, lam, mu, mode: ScalarMode):
-    """Telescoped ratio (a)_lam / (a)_mu for mu contained in lam.
-
-    Expanding both partition products factor by factor leaves
-    prod_i prod_{k=mu_i}^{lam_i - 1} (1 - a t^{1-i} q^k), a plain product
-    with no division, which stays finite even where (a)_mu itself vanishes.
-    """
-    acc = mode.one
-    for i in range(len(lam)):
-        acc = acc * poch(a * mode.tpow(-i) * mode.qpow(mu[i]), lam[i] - mu[i], mode)
+    for i, m in enumerate(lam):
+        acc = acc * pochm(0, -i, m, mode, a)
     return acc
 
 
@@ -302,6 +314,10 @@ def h_factor(lam, mu, mode: ScalarMode):
     For each pair the order is mu_{j-1} - lam_j, which is nonnegative
     exactly because lam/mu is a horizontal strip.
     """
+    key = ("h", lam, mu)
+    hit = mode.cache.get(key)
+    if hit is not None:
+        return hit
     if not is_horizontal_strip(lam, mu):
         raise NotAStrip(f"{lam}/{mu} is not a horizontal strip")
     n = len(lam)
@@ -318,47 +334,66 @@ def h_factor(lam, mu, mode: ScalarMode):
             num = num * pochm(li - mu[j - 2] + 1, j - i - 1, m, mode)
             den = den * pochm(mi - mu[j - 2] + 1, j - i - 1, m, mode)
             den = den * pochm(li - mu[j - 2], j - i, m, mode)
-    return guarded_div(num, den, "strip factor")
+    hit = mode.cache[key] = guarded_div(num, den, "strip factor")
+    return hit
 
 
-def _check_kind(kind: str):
+def _check_kind(kind: str, s):
     if kind not in W_KINDS:
-        raise ValueError(f"unknown W kind {kind!r}; expected one of {W_KINDS}")
+        raise InvalidArgument(f"unknown W kind {kind!r}; expected one of {W_KINDS}")
+    if kind == "ab" and s is None:
+        raise InvalidArgument("kind 'ab' requires the auxiliary scalar s")
 
 
 def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
-    """Single-variable skew value W_{lam/mu}(x); zero off horizontal strips."""
-    _check_kind(kind)
+    """Single-variable skew value W_{lam/mu}(x) at a scalar or Mono x (and s);
+    zero off horizontal strips."""
+    _check_kind(kind, s)
     if not is_horizontal_strip(lam, mu):
         return mode.zero
-    if x == 0:
-        raise DegenerateParameters("W argument x must be nonzero")
-    xinv = x ** -1
-    ratio = poch_ratio(xinv, lam, mu, mode)
-    h = h_factor(lam, mu, mode)
+    c, a, b = _mono(x)
+    s = _mono(s) if kind == "ab" else None
+    key = ("skew", kind, lam, mu, c, a, b, s)
+    hit = mode.cache.get(key)
+    if hit is not None:
+        return hit
+    cinv = 1 if c == 1 else guarded_div(mode.one, c, "W argument")
+    # (1/x)_lam / (1/x)_mu, telescoped to prod_i (x^{-1} t^{-i} q^{mu_i}; q)_{lam_i - mu_i}
+    val = h_factor(lam, mu, mode)
+    for i, (li, mi) in enumerate(zip(lam, mu)):
+        if li != mi:
+            val = val * pochm(mi - a, -b - i, li - mi, mode, cinv)
     if kind == "s_up":
-        e = weight(mu) - weight(lam)
-        sign = (-(mode.q / x)) ** e if e else mode.one
-        return sign * mode.qpow(n_prime_stat(mu) - n_prime_stat(lam)) * h * ratio
-    tpref = mode.tpow(-n_stat(lam) + weight(mu) + n_stat(mu))
-    if kind == "s_down":
-        return tpref * h * ratio
-    if s is None:
-        raise ValueError("kind 'ab' requires the auxiliary scalar s")
-    num = poch_partition(mode.q * s * guarded_div(mode.one, x * mode.t, "W argument"), mu, mode)
-    den = poch_partition(mode.q * s * guarded_div(mode.one, x, "W argument"), lam, mode)
-    return tpref * h * ratio * guarded_div(num, den, "auxiliary product of W^ab")
+        e = weight(mu) - weight(lam)  # (-q/x)^e = (-1)^e c^{-e} q^{e(1-a)} t^{-eb}
+        val = val * mode.qpow(e * (1 - a) + n_prime_stat(mu) - n_prime_stat(lam))
+        val = val * mode.tpow(-e * b)
+        val = val * c ** -e if cinv != 1 else val
+        val = -val if e % 2 else val
+    else:
+        val = val * mode.tpow(-n_stat(lam) + weight(mu) + n_stat(mu))
+    if kind == "ab":
+        # (s q / (x t))_mu / (s q / x)_lam, row i scaled by t^{1-i}
+        sc = s.c if cinv == 1 else s.c * cinv
+        i0, j0 = s.a + 1 - a, s.b - b
+        num = den = mode.one
+        for i, m in enumerate(mu, start=1):
+            num = num * pochm(i0, j0 - i, m, mode, sc)
+        for i, m in enumerate(lam, start=1):
+            den = den * pochm(i0, j0 + 1 - i, m, mode, sc)
+        val = val * guarded_div(num, den, "auxiliary product of W^ab")
+    mode.cache[key] = val
+    return val
 
 
 def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     """Multivariable W_{lam/mu}(z_1, ..., z_m) via variable peeling.
 
     Each step removes the first variable and sums over horizontal strips
-    nu below lam; the s slot of the peeled factor is shifted by t^{-ell}
-    for the "ab" kind and the "s_up" kind gains t^{ell(|lam|-|nu|)}.
+    nu below lam; the peeled argument and the s slot of the "ab" kind are
+    shifted by t^{-ell}, and the "s_up" kind gains t^{ell(|lam|-|nu|)}.
     Vanishes for mu not contained in lam (every strip chain dies).
     """
-    _check_kind(kind)
+    _check_kind(kind, s)
     if not contains(lam, mu):
         return mode.zero
     if len(z) == 1:
@@ -368,9 +403,8 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     if hit is not None:
         return hit
     ell = len(z) - 1
-    tshift = mode.tpow(-ell)
-    y = z[0] * tshift
-    s_peel = s * tshift if kind == "ab" else None
+    y = _mono(z[0]).peeled(ell)
+    s_peel = _mono(s).peeled(ell) if kind == "ab" else None
     rest = z[1:]
     total = mode.zero
     wl = weight(lam)
@@ -391,27 +425,16 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     return total
 
 
-def principal_spec(lam, mode: ScalarMode) -> tuple:
-    """The principal argument vector (q^{lam_1} t^{n-1}, ..., q^{lam_n})."""
-    key = ("z", lam)
-    hit = mode.cache.get(key)
-    if hit is None:
-        n = len(lam)
-        hit = tuple(mode.qpow(lam[i]) * mode.tpow(n - 1 - i) for i in range(n))
-        mode.cache[key] = hit
-    return hit
-
-
 def w_principal(kind: str, mu, lam, mode: ScalarMode, s=None):
     """W_{mu}(q^lam t^delta); vanishes whenever mu is not contained in lam."""
-    return w_multi(kind, mu, zeros(len(mu)), principal_spec(lam, mode), mode, s)
+    z = tuple(Mono(1, part, len(lam) - i) for i, part in enumerate(lam, start=1))
+    return w_multi(kind, mu, zeros(len(mu)), z, mode, s)
 
 
 def w_rectangular(kind: str, k: int, z, mode: ScalarMode, s=None):
     """Closed product form of W_{k^n}(z) for a rectangular index."""
-    _check_kind(kind)
-    if k < 0:
-        raise ValueError("rectangular index requires k >= 0")
+    _check_kind(kind, s)
+    check_sizes(0, k=k)
     if k == 0:
         return mode.one
     acc = mode.one

@@ -15,7 +15,7 @@ from qtspecials.distributions import (
     poisson_normalization,
     sample,
 )
-from qtspecials.errors import ConvergenceViolated, UnsupportedRegime
+from qtspecials.errors import ConvergenceViolated, InvalidArgument, UnsupportedRegime
 from qtspecials.identities import random_unit
 from qtspecials.partitions import contains, enumerate_sub, weight
 from qtspecials.scalars import Rational
@@ -37,6 +37,25 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         DensitySpec(kind="poisson", z=FIFTH, lam=(1, 0),
                     point=QtPoint(HALF, THIRD))
+
+
+def test_negative_sizes_are_invalid_arguments():
+    """A negative truncation or part cap used to invert a Pochhammer product
+    or empty the support instead of failing."""
+    pt = QtPoint(HALF, THIRD, n=2, max_part=4)
+    with pytest.raises(InvalidArgument, match="trunc must be at least 0"):
+        exp_E(FIFTH, pt, 2, trunc=-2)
+    with pytest.raises(InvalidArgument, match="trunc must be at least 0"):
+        exp_e(FIFTH, pt, 2, trunc=-2)
+    with pytest.raises(InvalidArgument, match="part_cap must be at least 0"):
+        exp_E(FIFTH, pt, 2, part_cap=-1)
+    with pytest.raises(InvalidArgument, match="part_cap must be at least 0"):
+        DensitySpec(kind="poisson", z=FIFTH, point=pt, part_cap=-1)
+    with pytest.raises(InvalidArgument, match="trunc must be at least 0"):
+        DensitySpec(kind="poisson", z=FIFTH, point=pt, trunc=-1)
+    # the least sizes still work
+    assert exp_E(FIFTH, pt, 2, part_cap=0, trunc=0).product == 1
+    assert DensitySpec(kind="poisson", z=FIFTH, point=pt, part_cap=0).support() == [(0, 0)]
 
 
 def test_g_diagonal_mass():

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from qtspecials.binomial import gaussian_binomial
-from qtspecials.errors import ConvergenceViolated, DegenerateParameters
+from qtspecials.errors import ConvergenceViolated, DegenerateParameters, InvalidArgument
 from qtspecials.identities import (
     check_2phi1,
     check_binomial_theorem,
@@ -17,6 +17,7 @@ from qtspecials.identities import (
     check_weak_cocycle,
     random_qt_point,
     run_identity_suite,
+    run_specials_suite,
 )
 from qtspecials.partitions import enumerate_sub, n_prime_stat, n_stat, weight, zeros
 from qtspecials.scalars import Rational
@@ -26,6 +27,14 @@ from qtspecials.wcore import AtPoint, QtPoint, poch
 @pytest.fixture
 def rng():
     return random.Random(11)
+
+
+@pytest.mark.parametrize("suite", [run_identity_suite, run_specials_suite])
+@pytest.mark.parametrize("points", [0, -1])
+def test_suites_reject_fewer_than_one_point(suite, points):
+    """Zero points used to report all_pass over zero checks."""
+    with pytest.raises(InvalidArgument, match="points must be at least 1"):
+        suite((1, 0), points=points)
 
 
 def test_binomial_theorem_collapses(mode):

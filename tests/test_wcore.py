@@ -6,10 +6,13 @@ import pytest
 
 from qtspecials import wcore
 from qtspecials.binomial import pair_ratio as binomial_pair_ratio
-from qtspecials.errors import DegenerateParameters, NotAStrip
+from qtspecials.errors import DegenerateParameters, InvalidArgument, NotAStrip, QtError
 from qtspecials.partitions import (
+    contains,
     e1,
+    enumerate_strips,
     enumerate_sub,
+    is_horizontal_strip,
     n_prime_stat,
     n_stat,
     staircase,
@@ -26,7 +29,6 @@ from qtspecials.wcore import (
     poch,
     poch_partition,
     pochm,
-    principal_spec,
     w_multi,
     w_principal,
     w_rectangular,
@@ -93,6 +95,68 @@ def _h_oracle(lam, mu, mode):
             val = val * pp(q ** (lam[i - 1] - mu[j - 2] + 1) * t ** (j - i - 1), m)
             val = val / pp(q ** (lam[i - 1] - mu[j - 2]) * t ** (j - i), m)
     return val
+
+
+def _pp(a, m, mode):
+    out = mode.one
+    for k in range(m):
+        out = out * (1 - a * mode.q ** k)
+    return out
+
+
+def _pp_partition(a, lam, mode):
+    out = mode.one
+    for i, m in enumerate(lam):
+        out = out * _pp(a * mode.t ** -i, m, mode)
+    return out
+
+
+def _skew_oracle(kind, lam, mu, x, mode, s):
+    """The rational-argument skew value, retyped with plain products."""
+    if not is_horizontal_strip(lam, mu):
+        return mode.zero
+    q, t = mode.q, mode.t
+    val = _h_oracle(lam, mu, mode)
+    for i in range(len(lam)):
+        val = val * _pp(x ** -1 * t ** -i * q ** mu[i], lam[i] - mu[i], mode)
+    if kind == "s_up":
+        e = weight(mu) - weight(lam)
+        return val * (-(q / x)) ** e * q ** (n_prime_stat(mu) - n_prime_stat(lam))
+    val = val * t ** (-n_stat(lam) + weight(mu) + n_stat(mu))
+    if kind == "s_down":
+        return val
+    return val * _pp_partition(q * s / (x * t), mu, mode) / _pp_partition(q * s / x, lam, mode)
+
+
+def _multi_oracle(kind, lam, mu, z, mode, s, memo):
+    """The rational-argument peeling recurrence, retyped (memo: a dict)."""
+    if not contains(lam, mu):
+        return mode.zero
+    key = (kind, lam, mu, z, s)
+    if key in memo:
+        return memo[key]
+    if len(z) == 1:
+        memo[key] = _skew_oracle(kind, lam, mu, z[0], mode, s)
+    else:
+        ell = len(z) - 1
+        y = z[0] * mode.t ** -ell
+        s_peel = s * mode.t ** -ell if kind == "ab" else None
+        total = mode.zero
+        for nu in enumerate_strips(lam):
+            if contains(nu, mu):
+                skew = _multi_oracle(kind, lam, nu, (y,), mode, s_peel, memo)
+                term = skew * _multi_oracle(kind, nu, mu, z[1:], mode, s, memo)
+                if kind == "s_up":
+                    term = term * mode.t ** (ell * (weight(lam) - weight(nu)))
+                total = total + term
+        memo[key] = total
+    return memo[key]
+
+
+def _principal_oracle(kind, mu, lam, mode, s, memo):
+    n = len(lam)
+    z = tuple(mode.q ** lam[i] * mode.t ** (n - 1 - i) for i in range(n))
+    return _multi_oracle(kind, mu, zeros(n), z, mode, s, memo)
 
 
 def test_h_factor_against_retyped_oracle(mode):
@@ -205,8 +269,81 @@ def test_weyl_specialization_pins_recurrence_shifts(mode):
                 assert sup == closed_up, (n, k, mu)
 
 
-def test_principal_spec(mode):
-    assert principal_spec((2, 1), mode) == (mode.qpow(2) * mode.t, mode.q)
+ORACLE_MODES = [
+    pytest.param(lambda: AtPoint(QtPoint(Rational(2, 7), Rational(3, 5))), id="point"),
+    pytest.param(lambda: FormalQ(Rational(3, 5)), id="formal-t0"),
+    pytest.param(lambda: FormalQ.alpha(1), id="formal-alpha1"),
+    pytest.param(lambda: FormalQ.alpha(2), id="formal-alpha2"),
+]
+W_CASES = (("s_up", None), ("s_down", None), ("ab", Rational(7, 13)))
+
+
+@pytest.mark.parametrize("make_mode", ORACLE_MODES)
+def test_w_principal_matches_rational_argument_oracle(make_mode):
+    """The exponent-keyed principal path against the retyped rational one,
+    for every mu inside every lam below (3,3,3)."""
+    mode = make_mode()
+    for kind, s in W_CASES:
+        memo = {}
+        for lam in enumerate_sub((3, 3, 3)):
+            for mu in enumerate_sub(lam):
+                assert w_principal(kind, mu, lam, mode, s) == \
+                    _principal_oracle(kind, mu, lam, mode, s, memo), (kind, lam, mu)
+
+
+@pytest.mark.parametrize("make_mode, bound", [
+    pytest.param(lambda: AtPoint(QtPoint(Rational(2, 7), Rational(3, 5))), (3, 2, 2),
+                 id="point"),
+    pytest.param(lambda: FormalQ(Rational(3, 5)), (2, 1, 1), id="formal-t0"),
+])
+def test_w_multi_at_scalar_arguments_matches_oracle(make_mode, bound):
+    """Random non-monomial z (c != 1), and the principal vector passed as
+    plain scalars, give the oracle's values and the principal path's."""
+    mode = make_mode()
+    rng = random.Random(11)
+    for lam in enumerate_sub(bound):
+        n = len(lam)
+        z = tuple(Rational(rng.randint(1, 30), rng.randint(31, 60)) for _ in range(n))
+        spec = tuple(mode.qpow(lam[i]) * mode.tpow(n - 1 - i) for i in range(n))
+        memo = {}
+        for mu in enumerate_sub(lam):
+            for kind, s in W_CASES:
+                assert w_multi(kind, lam, mu, z, mode, s) == \
+                    _multi_oracle(kind, lam, mu, z, mode, s, memo), (kind, lam, mu)
+                assert w_multi(kind, mu, zeros(n), spec, mode, s) == \
+                    w_principal(kind, mu, lam, mode, s), (kind, lam, mu)
+
+
+def test_ab_values_for_two_scalars_in_one_mode_do_not_collide():
+    mode = AtPoint(QtPoint(Rational(2, 7), Rational(3, 5)))
+    s1, s2 = Rational(7, 13), Rational(5, 11)
+    memo1, memo2 = {}, {}
+    differ = 0
+    for lam in enumerate_sub((2, 2, 1)):
+        for mu in enumerate_sub(lam):
+            v1 = w_principal("ab", mu, lam, mode, s1)
+            v2 = w_principal("ab", mu, lam, mode, s2)
+            assert v1 == _principal_oracle("ab", mu, lam, mode, s1, memo1), (lam, mu)
+            assert v2 == _principal_oracle("ab", mu, lam, mode, s2, memo2), (lam, mu)
+            differ += v1 != v2
+    assert differ > 0
+
+
+def test_w_layer_argument_errors_are_qt_value_errors(mode):
+    assert issubclass(InvalidArgument, QtError) and issubclass(InvalidArgument, ValueError)
+    x = Rational(4, 9)
+    with pytest.raises(InvalidArgument, match="unknown W kind"):
+        w_skew("up", (1,), (0,), x, mode)
+    with pytest.raises(InvalidArgument, match="unknown W kind"):
+        w_multi("down", (1, 0), (0, 0), (x, x), mode)
+    with pytest.raises(InvalidArgument, match="requires the auxiliary scalar"):
+        w_skew("ab", (1,), (0,), x, mode)
+    with pytest.raises(InvalidArgument, match="requires the auxiliary scalar"):
+        w_multi("ab", (1, 0), (0, 0), (x, x), mode)
+    with pytest.raises(InvalidArgument, match="requires the auxiliary scalar"):
+        w_rectangular("ab", 1, (x,), mode)
+    with pytest.raises(InvalidArgument, match="k must be at least 0"):
+        w_rectangular("s_up", -1, (x,), mode)
 
 
 def test_formal_mode_coheres_with_points():
