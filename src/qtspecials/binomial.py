@@ -9,10 +9,12 @@ componentwise order.
 
 from __future__ import annotations
 
+from .errors import LengthMismatch, check_sizes
 from .partitions import contains, n_prime_stat, n_stat, weight
 from .wcore import (
     ScalarMode,
     guarded_div,
+    memo,
     norm_weight,
     pair_ratio,
     poch,
@@ -21,6 +23,7 @@ from .wcore import (
 )
 
 
+@memo("binom", 2)
 def qt_binomial(lam, mu, mode: ScalarMode):
     """The qt-binomial coefficient of lam over mu.
 
@@ -29,28 +32,21 @@ def qt_binomial(lam, mu, mode: ScalarMode):
     mu not contained in lam.
     """
     if len(lam) != len(mu):
-        raise ValueError("lam and mu must have the same length")
+        raise LengthMismatch("lam and mu must have the same length")
     if mu[-1] < 0 or not contains(lam, mu):
         return mode.zero
-    key = ("binom", lam, mu)
-    hit = mode.cache.get(key)
-    if hit is not None:
-        return hit
     n = len(mu)
     w = weight(mu)
-    value = (
+    return (
         mode.qpow(w) * mode.tpow(2 * n_stat(mu) + (1 - n) * w)
         * norm_weight(mu, mode)
         * w_principal("s_up", mu, lam, mode)
     )
-    mode.cache[key] = value
-    return value
 
 
 def binom_rect_lower(lam, k: int, mode: ScalarMode):
     """Closed form of the binomial with lower index the rectangle k^n."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    check_sizes(0, k=k)
     n = len(lam)
     acc = mode.one
     for i in range(1, n + 1):
@@ -62,8 +58,7 @@ def binom_rect_lower(lam, k: int, mode: ScalarMode):
 
 def binom_rect_upper(k: int, mu, mode: ScalarMode):
     """Closed form of the binomial with upper index the rectangle k^n."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
+    check_sizes(0, k=k)
     n = len(mu)
     w = weight(mu)
     acc = mode.tpow(2 * n_stat(mu) + (1 - n) * w)

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .binomial import qt_binomial
-from .errors import ConvergenceViolated, DegenerateParameters, UnsupportedRegime, check_sizes
+from .errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
+                     UnsupportedRegime, check_sizes)
 from .partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
 from .scalars import Rational, as_rational
-from .wcore import QtPoint, guarded_div, norm_weight, pair_ratio, poch_partition
+from .wcore import QtPoint, guarded_div, memo, norm_weight, pair_ratio, poch_partition
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
 
@@ -36,14 +37,14 @@ class DensitySpec:
 
     def __post_init__(self):
         if self.kind not in DENSITY_KINDS:
-            raise ValueError(f"kind must be one of {DENSITY_KINDS}")
+            raise InvalidArgument(f"kind must be one of {DENSITY_KINDS}")
         object.__setattr__(self, "z", as_rational(self.z))
         check_sizes(0, part_cap=self.part_cap, trunc=self.trunc)
         if self.kind == "poisson":
             if self.lam is not None:
-                raise ValueError("poisson density has no lam parameter")
+                raise InvalidArgument("poisson density has no lam parameter")
         elif self.lam is None:
-            raise ValueError(f"{self.kind} density requires lam")
+            raise InvalidArgument(f"{self.kind} density requires lam")
 
     @property
     def n(self) -> int:
@@ -68,22 +69,18 @@ def poisson_convergence_ok(spec: DensitySpec) -> bool:
     )
 
 
-def density(spec: DensitySpec, mu) -> Rational:
-    """Exact mass of one support point (the poisson mass uses the truncated
-    product prefactor and is approximate to that extent)."""
-    mode = spec.point.mode
-    z = spec.z
-    if spec.kind == "poisson":
-        return _poisson_mass(spec, mu, mode)
-    lam = spec.lam
-    if not contains(lam, mu):
-        raise ValueError(f"{mu} outside the support poset of {lam}")
-    if spec.kind == "binomial_g":
-        return (
-            qt_binomial(lam, mu, mode)
-            * z ** (weight(lam) - weight(mu))
-            * poch_partition(z, mu, mode)
-        )
+def g_mass(lam, mu, z, mode):
+    """g-density mass of mu below lam: [lam, mu] z^{|lam|-|mu|} (z)_mu."""
+    return (
+        qt_binomial(lam, mu, mode)
+        * z ** (weight(lam) - weight(mu))
+        * poch_partition(z, mu, mode)
+    )
+
+
+def f_mass(lam, mu, z, mode):
+    """f-density mass of mu below lam:
+    t^{-2n(mu)} q^{2n(mu')} [lam, mu] (z)_lam / (z)_mu z^{|mu|}."""
     return (
         mode.tpow(-2 * n_stat(mu))
         * mode.qpow(2 * n_prime_stat(mu))
@@ -97,14 +94,23 @@ def density(spec: DensitySpec, mu) -> Rational:
     )
 
 
+def density(spec: DensitySpec, mu) -> Rational:
+    """Exact mass of one support point (the poisson mass uses the truncated
+    product prefactor and is approximate to that extent)."""
+    mode = spec.point.mode
+    if spec.kind == "poisson":
+        return _poisson_mass(spec, mu, mode)
+    if not contains(spec.lam, mu):
+        raise InvalidArgument(f"{mu} outside the support poset of {spec.lam}")
+    mass = g_mass if spec.kind == "binomial_g" else f_mass
+    return mass(spec.lam, mu, spec.z, mode)
+
+
+@memo("trunc", 3)
 def _truncated(a, n: int, trunc: int, mode) -> Rational:
     """Truncation of (a)_inf over n rows, prod_i (a t^{1-i}; q)_trunc,
     memoized on the mode."""
-    key = ("trunc", a, n, trunc)
-    hit = mode.cache.get(key)
-    if hit is None:
-        hit = mode.cache[key] = poch_partition(a, (trunc,) * n, mode)
-    return hit
+    return poch_partition(a, (trunc,) * n, mode)
 
 
 def _poisson_mass(spec: DensitySpec, mu, mode) -> Rational:
@@ -152,17 +158,12 @@ def _poisson_tail(spec: DensitySpec, total) -> Rational:
 def distribution_F(nu, lam, z, point: QtPoint) -> Rational:
     """Cumulative mass of the g-density below lam inside the poset of nu."""
     if not contains(nu, lam):
-        raise ValueError("lam must be contained in nu")
+        raise InvalidArgument("lam must be contained in nu")
     mode = point.mode
     z = as_rational(z)
     acc = mode.zero
-    wn = weight(nu)
     for mu in enumerate_sub(lam):
-        acc = acc + (
-            qt_binomial(nu, mu, mode)
-            * z ** (wn - weight(mu))
-            * poch_partition(z, mu, mode)
-        )
+        acc = acc + g_mass(nu, mu, z, mode)
     return acc
 
 

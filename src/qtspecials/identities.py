@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .binomial import qt_binomial
-from .errors import ConvergenceViolated, DegenerateParameters, check_sizes
+from .errors import ConvergenceViolated, DegenerateParameters, InvalidArgument, check_sizes
 from .partitions import (
     bump,
     contains,
@@ -35,6 +35,9 @@ from .wcore import (
     poch_partition,
     w_principal,
 )
+
+ATTEMPTS = 100  # draws before a sampler gives up
+GEOMETRIC_PART_CAP, GEOMETRIC_TRUNC = 6, 30  # sizes of the suite's geometric checks
 
 
 @dataclass
@@ -222,27 +225,13 @@ def check_double_binomial(nu, mu, mode: ScalarMode) -> IdentityCheck:
 def check_density_normalization(lam, z, which: str, mode: ScalarMode) -> IdentityCheck:
     """Total mass of the g or f density over the poset below lam equals 1."""
     if which not in ("g", "f"):
-        raise ValueError("which must be 'g' or 'f'")
+        raise InvalidArgument("which must be 'g' or 'f'")
+    from .distributions import f_mass, g_mass  # lazily: the CLI imports this module
+    mass = g_mass if which == "g" else f_mass
     z = mode.lift(z)
     total = mode.zero
-    if which == "g":
-        wl = weight(lam)
-        for mu in enumerate_sub(lam):
-            total = total + (
-                qt_binomial(lam, mu, mode)
-                * z ** (wl - weight(mu))
-                * poch_partition(z, mu, mode)
-            )
-    else:
-        z_lam = poch_partition(z, lam, mode)
-        for mu in enumerate_sub(lam):
-            total = total + (
-                mode.tpow(-2 * n_stat(mu))
-                * mode.qpow(2 * n_prime_stat(mu))
-                * qt_binomial(lam, mu, mode)
-                * guarded_div(z_lam, poch_partition(z, mu, mode), "f-density term")
-                * z ** weight(mu)
-            )
+    for mu in enumerate_sub(lam):
+        total = total + mass(lam, mu, z, mode)
     return IdentityCheck(
         f"density_normalization_{which}", total, mode.one, total - mode.one,
         _params(lam=lam, z=z),
@@ -274,6 +263,7 @@ def check_geometric(
     factors; the right side sums over partitions containing mu with parts
     at most ``part_cap``.  Requires |q| < 1 and the ratio-test condition.
     """
+    check_sizes(0, part_cap=part_cap, trunc=trunc)
     n = len(mu)
     z = as_rational(z)
     mode = point.mode
@@ -317,27 +307,25 @@ def random_unit(rng: random.Random) -> Rational:
     return Rational(a, b)
 
 
-def random_qt_point(
-    rng: random.Random, n: int, max_part: int, unit: bool = False, attempts: int = 100
-) -> QtPoint:
-    """Draw a non-degenerate (q, t); with unit=True both lie in (0, 1)."""
-    for _ in range(attempts):
-        q = random_unit(rng) if unit else random_rational(rng)
-        t = random_unit(rng) if unit else random_rational(rng)
+def random_qt_point(rng: random.Random, n: int, max_part: int) -> QtPoint:
+    """Draw a non-degenerate (q, t)."""
+    for _ in range(ATTEMPTS):
+        q = random_rational(rng)
+        t = random_rational(rng)
         try:
             return QtPoint(q, t, n=n, max_part=max_part)
         except DegenerateParameters:
             continue
-    raise DegenerateParameters(f"no valid point found in {attempts} attempts")
+    raise DegenerateParameters(f"no valid point found in {ATTEMPTS} attempts")
 
 
-def sample_until(rng: random.Random, draw, accept, attempts: int = 100):
+def sample_until(rng: random.Random, draw, accept):
     """Resample ``draw(rng)`` until ``accept`` does not reject it."""
-    for _ in range(attempts):
+    for _ in range(ATTEMPTS):
         value = draw(rng)
         if accept(value):
             return value
-    raise DegenerateParameters(f"rejected {attempts} consecutive samples")
+    raise DegenerateParameters(f"rejected {ATTEMPTS} consecutive samples")
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +370,6 @@ def run_identity_suite(
     bound,
     points: int = 5,
     seed: int = 0,
-    geometric_caps: tuple = (6, 30),
     report: VerificationReport | None = None,
 ) -> VerificationReport:
     """Run every identity check over all partitions below ``bound``.
@@ -424,12 +411,11 @@ def run_identity_suite(
                 report.add(check_double_binomial(nu, mu, mode))
                 report.add(check_weak_cocycle(nu, mu, s, r, mode))
         # truncated geometric series at a deliberately small |q| point
-        part_cap, trunc = geometric_caps
         gpoint = None
-        for _ in range(100):
+        for _ in range(ATTEMPTS):
             try:
                 gpoint = QtPoint(random_unit(rng) / 2, random_unit(rng),
-                                 n=n, max_part=part_cap)
+                                 n=n, max_part=GEOMETRIC_PART_CAP)
                 break
             except DegenerateParameters:
                 continue
@@ -441,7 +427,7 @@ def run_identity_suite(
         zgeo = Rational(1, 100 * (1 + bnd.numerator // bnd.denominator))
         for mu in (zeros(n), bump(zeros(n), 1)):
             report.add(
-                check_geometric(mu, zgeo, part_cap, trunc, gpoint,
+                check_geometric(mu, zgeo, GEOMETRIC_PART_CAP, GEOMETRIC_TRUNC, gpoint,
                                 tolerance=Rational(1, 10 ** 6))
             )
     return report

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .binomial import qt_binomial, qt_bracket
-from .errors import DegenerateParameters, UnsupportedRegime
+from .errors import DegenerateParameters, InvalidArgument, LengthMismatch, UnsupportedRegime
 from .partitions import (
     bump,
     contains,
@@ -31,6 +31,7 @@ from .wcore import (
     FormalQ,
     ScalarMode,
     guarded_div,
+    memo,
     norm_weight,
     w_principal,
 )
@@ -65,6 +66,13 @@ def v_coeff(lam, mu, mode: ScalarMode):
     return sign * mode.qpow(n_prime_stat(mu)) * mode.tpow(-n_stat(mu)) * b
 
 
+@memo("inner", 0)
+def _inner_mode(mode: ScalarMode) -> FormalQ:
+    """The one FormalQ(1/t0) of ``mode`` (FormalQ() when t0 is None)."""
+    return FormalQ(None if mode.t0 is None else 1 / mode.t0)
+
+
+@memo("uv", 3)
 def _uv_reciprocal_limit(which: str, lam, mu, mode: ScalarMode):
     """lim_{q -> 1} of u or v at parameters (1/q, 1/t0), t0 = mode.t0, as an
     exact Rational; cached in ``mode``.
@@ -73,34 +81,22 @@ def _uv_reciprocal_limit(which: str, lam, mu, mode: ScalarMode):
     ``FormalQ(1/t0)`` of ``mode``.  t0=None gives ``FormalQ()``, allowed
     only for single-part partitions, where t never enters the coefficient.
     """
-    key = ("uv", which, lam, mu)
-    hit = mode.cache.get(key)
-    if hit is not None:
-        return hit
-    inner = mode.cache.get(("inner",))
-    if inner is None:
-        t0 = mode.t0
-        inner = mode.cache[("inner",)] = FormalQ(None if t0 is None else 1 / t0)
     coeff = u_coeff if which == "u" else v_coeff
-    hit = mode.cache[key] = limit_at_one(coeff(lam, mu, inner))
-    return hit
+    return limit_at_one(coeff(lam, mu, _inner_mode(mode)))
 
 
 STIRLING_KINDS = ("first", "second")
 
 
+@memo("stirling", 3)
 def stirling(kind: str, nu, mu, mode: ScalarMode):
     """qt-Stirling number of the first or second kind at (nu, mu)."""
     if kind not in STIRLING_KINDS:
-        raise ValueError(f"kind must be one of {STIRLING_KINDS}")
+        raise InvalidArgument(f"kind must be one of {STIRLING_KINDS}")
     if len(nu) != len(mu):
-        raise ValueError("nu and mu must have the same length")
+        raise LengthMismatch("nu and mu must have the same length")
     if not contains(nu, mu):
         return mode.zero
-    key = ("stirling", kind, nu, mu)
-    hit = mode.cache.get(key)
-    if hit is not None:
-        return hit
     n = len(nu)
     if n > 1 and mode.t0 is None:
         raise UnsupportedRegime(
@@ -145,9 +141,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
             if vl == 0:
                 continue
             total = total + mode.lift(lim) * mode.tpow((n - 1) * weight(lam)) * vl
-    value = pref * total
-    mode.cache[key] = value
-    return value
+    return pref * total
 
 
 def stirling_expansion_residual(lam, Q, mode: ScalarMode):
@@ -199,6 +193,7 @@ class StirlingTable:
 # Bernoulli, Bell, Catalan, Fibonacci
 # ---------------------------------------------------------------------------
 
+@memo("bernoulli", 1)
 def bernoulli(lam, mode: ScalarMode):
     """qt-Bernoulli number, from the triangular recurrence with value 1 at 0^n.
 
@@ -207,34 +202,27 @@ def bernoulli(lam, mode: ScalarMode):
     beta_lam = -t^{n(lam)} q^{-n(lam')} B(lam+e_1, lam)^{-1}
                * sum_{mu strictly below lam} t^{-n(mu)} q^{n(mu')} B(lam+e_1, mu) beta_mu.
     """
-    key = ("bernoulli", lam)
-    hit = mode.cache.get(key)
-    if hit is not None:
-        return hit
     if weight(lam) == 0:
-        value = mode.one
-    else:
-        lam1 = bump(lam, 1)
-        lead = qt_binomial(lam1, lam, mode)
-        if lead == 0:
-            raise DegenerateParameters(
-                f"leading binomial of the recurrence vanishes at {lam}"
-            )
-        acc = mode.zero
-        for mu in enumerate_sub(lam):
-            if mu == lam:
-                continue
-            b = qt_binomial(lam1, mu, mode)
-            if b == 0:
-                continue
-            acc = acc + (
-                mode.tpow(-n_stat(mu)) * mode.qpow(n_prime_stat(mu)) * b
-                * bernoulli(mu, mode)
-            )
-        value = -(mode.tpow(n_stat(lam)) * mode.qpow(-n_prime_stat(lam))
-                  * guarded_div(acc, lead, "Bernoulli recurrence"))
-    mode.cache[key] = value
-    return value
+        return mode.one
+    lam1 = bump(lam, 1)
+    lead = qt_binomial(lam1, lam, mode)
+    if lead == 0:
+        raise DegenerateParameters(
+            f"leading binomial of the recurrence vanishes at {lam}"
+        )
+    acc = mode.zero
+    for mu in enumerate_sub(lam):
+        if mu == lam:
+            continue
+        b = qt_binomial(lam1, mu, mode)
+        if b == 0:
+            continue
+        acc = acc + (
+            mode.tpow(-n_stat(mu)) * mode.qpow(n_prime_stat(mu)) * b
+            * bernoulli(mu, mode)
+        )
+    return -(mode.tpow(n_stat(lam)) * mode.qpow(-n_prime_stat(lam))
+             * guarded_div(acc, lead, "Bernoulli recurrence"))
 
 
 def bernoulli_recurrence_residual(lam, mode: ScalarMode):

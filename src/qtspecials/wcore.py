@@ -16,17 +16,17 @@ are computed only through the variable-peeling recurrence over horizontal
 strips.  Each W argument and the scalar s travel as a ``Mono`` c q^a t^b: a
 scalar x is (x, 0, 0), the principal argument is (1, lam_i, n-1-i), and a
 peel shifts b by -ell.  Every factor is then one product (c q^i t^j; q)_m
-from ``pochm``.  The mode's cache memoizes it under ("poch", i, j, m) (with
-c inserted only where c != 1: hashing a rational costs about as much as a
-short product), the strip factor under ("h", lam, mu), each skew value
-under ("skew", kind, lam, mu, c, a, b, s) and each multivariable value
-under ("W", kind, lam, mu, z, s).
+from ``pochm``.  One decorator, ``memo(kind, at)``, memoizes values in the
+cache of the mode at argument ``at``, keyed by kind and the other arguments:
+("poch", i, j, m) (c only where passed, as hashing a rational costs about
+as much as a short product), ("weight", mu), ("h", lam, mu),
+("skew", kind, lam, mu, x, s) and ("W", kind, lam, mu, z, s).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 from .errors import (DegenerateParameters, InvalidArgument, NotAStrip,
@@ -114,9 +114,9 @@ class QtPoint:
 class ScalarMode:
     """How scalars are carried: at an exact point, or formally in q.
 
-    Each mode owns a cache shared by the W recursions and the binomial
-    layer; all cached values are immutable, so concurrent reads/inserts
-    under one mode are safe.
+    Each mode owns a cache, which every layer fills only through ``memo``;
+    all cached values are immutable, so concurrent reads/inserts under one
+    mode are safe.
     """
 
     def __init__(self):
@@ -219,6 +219,24 @@ class FormalQ(ScalarMode):
         return f"FormalQ({self._label})"
 
 
+def memo(kind: str, at: int):
+    """Memoize a function of positional arguments in the cache of its mode
+    ``args[at]``, under (kind, *the other arguments).  The mode stays out of
+    the key, which would otherwise keep a dropped point's mode alive in a
+    cycle; a call that raises stores nothing."""
+    def decorate(fn):
+        @wraps(fn)
+        def cached(*args):
+            key = (kind,) + args[:at] + args[at + 1:]
+            cache = args[at].cache
+            hit = cache.get(key)
+            if hit is None:
+                hit = cache[key] = fn(*args)
+            return hit
+        return cached
+    return decorate
+
+
 def guarded_div(num, den, what: str):
     """Exact division that reports a vanishing denominator as degeneracy."""
     if den == 0:
@@ -238,23 +256,18 @@ def poch(a, m: int, mode: ScalarMode):
     if m == 0:
         return mode.one
     if m < 0:
-        den = poch(a * mode.qpow(m), -m, mode)
-        if den == 0:
-            raise ZeroDivisionError("vanishing factor in negative-order product")
-        return mode.one / den
+        return guarded_div(mode.one, poch(a * mode.qpow(m), -m, mode),
+                           "negative-order product")
     acc = mode.one
     for k in range(m):
         acc = acc * (mode.one - a * mode.qpow(k))
     return acc
 
 
+@memo("poch", 3)
 def pochm(i: int, j: int, m: int, mode: ScalarMode, c=1):
     """(c q^i t^j; q)_m for integer exponents, memoized on the mode."""
-    key = ("poch", i, j, m) if c == 1 else ("poch", c, i, j, m)
-    hit = mode.cache.get(key)
-    if hit is None:
-        hit = mode.cache[key] = poch(c * mode.qpow(i) * mode.tpow(j), m, mode)
-    return hit
+    return poch(c * mode.qpow(i) * mode.tpow(j), m, mode)
 
 
 def poch_partition(a, lam, mode: ScalarMode):
@@ -293,31 +306,24 @@ def pair_ratio(mu, mode: ScalarMode, s: int = 1):
     return acc
 
 
+@memo("weight", 1)
 def norm_weight(mu, mode: ScalarMode):
     """pair_ratio(mu) / poch_norm(mu): the mu-dependent weight of the
     binomial and of every series weighted like it, memoized on the mode."""
-    key = ("weight", mu)
-    hit = mode.cache.get(key)
-    if hit is None:
-        hit = mode.cache[key] = guarded_div(
-            pair_ratio(mu, mode), poch_norm(mu, mode), "binomial weight")
-    return hit
+    return guarded_div(pair_ratio(mu, mode), poch_norm(mu, mode), "binomial weight")
 
 
 # ---------------------------------------------------------------------------
 # The H factor and single-variable skew W values
 # ---------------------------------------------------------------------------
 
+@memo("h", 2)
 def h_factor(lam, mu, mode: ScalarMode):
     """The two-ratio product over pairs i < j entering every skew W value.
 
     For each pair the order is mu_{j-1} - lam_j, which is nonnegative
     exactly because lam/mu is a horizontal strip.
     """
-    key = ("h", lam, mu)
-    hit = mode.cache.get(key)
-    if hit is not None:
-        return hit
     if not is_horizontal_strip(lam, mu):
         raise NotAStrip(f"{lam}/{mu} is not a horizontal strip")
     n = len(lam)
@@ -334,8 +340,7 @@ def h_factor(lam, mu, mode: ScalarMode):
             num = num * pochm(li - mu[j - 2] + 1, j - i - 1, m, mode)
             den = den * pochm(mi - mu[j - 2] + 1, j - i - 1, m, mode)
             den = den * pochm(li - mu[j - 2], j - i, m, mode)
-    hit = mode.cache[key] = guarded_div(num, den, "strip factor")
-    return hit
+    return guarded_div(num, den, "strip factor")
 
 
 def _check_kind(kind: str, s):
@@ -345,6 +350,7 @@ def _check_kind(kind: str, s):
         raise InvalidArgument("kind 'ab' requires the auxiliary scalar s")
 
 
+@memo("skew", 4)
 def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
     """Single-variable skew value W_{lam/mu}(x) at a scalar or Mono x (and s);
     zero off horizontal strips."""
@@ -353,10 +359,6 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
         return mode.zero
     c, a, b = _mono(x)
     s = _mono(s) if kind == "ab" else None
-    key = ("skew", kind, lam, mu, c, a, b, s)
-    hit = mode.cache.get(key)
-    if hit is not None:
-        return hit
     cinv = 1 if c == 1 else guarded_div(mode.one, c, "W argument")
     # (1/x)_lam / (1/x)_mu, telescoped to prod_i (x^{-1} t^{-i} q^{mu_i}; q)_{lam_i - mu_i}
     val = h_factor(lam, mu, mode)
@@ -381,10 +383,10 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
         for i, m in enumerate(lam, start=1):
             den = den * pochm(i0, j0 + 1 - i, m, mode, sc)
         val = val * guarded_div(num, den, "auxiliary product of W^ab")
-    mode.cache[key] = val
     return val
 
 
+@memo("W", 4)
 def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     """Multivariable W_{lam/mu}(z_1, ..., z_m) via variable peeling.
 
@@ -398,10 +400,6 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
         return mode.zero
     if len(z) == 1:
         return w_skew(kind, lam, mu, z[0], mode, s)
-    key = ("W", kind, lam, mu, z, s)
-    hit = mode.cache.get(key)
-    if hit is not None:
-        return hit
     ell = len(z) - 1
     y = _mono(z[0]).peeled(ell)
     s_peel = _mono(s).peeled(ell) if kind == "ab" else None
@@ -421,7 +419,6 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
         if kind == "s_up":
             term = term * mode.tpow(ell * (wl - weight(nu)))
         total = total + term
-    mode.cache[key] = total
     return total
 
 

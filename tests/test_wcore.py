@@ -1,6 +1,7 @@
 """Pochhammer products, the strip factor and the W family."""
 
 import random
+import weakref
 
 import pytest
 
@@ -472,3 +473,117 @@ def test_one_alpha_mode_per_alpha():
     assert FormalQ.alpha(1) is not FormalQ.alpha(2)
     assert FormalQ.alpha(2).t0 is None
     assert FormalQ(Rational(3, 5)).t0 == Rational(3, 5)
+
+
+# ---------------------------------------------------------------------------
+# One memo protocol: wcore.memo
+# ---------------------------------------------------------------------------
+
+def _memo_cases():
+    """(id, module, dependency, call): ``call(mode)`` runs a memoized
+    function whose body calls ``module.dependency``."""
+    from qtspecials import binomial, distributions, specials
+
+    x, y = Rational(4, 9), Rational(-5, 3)
+    return [
+        ("pochm", wcore, "poch", lambda m: pochm(1, -2, 3, m, Rational(2, 9))),
+        ("norm_weight", wcore, "pair_ratio", lambda m: wcore.norm_weight((3, 1, 0), m)),
+        ("h_factor", wcore, "pochm", lambda m: h_factor((3, 1), (2, 0), m)),
+        ("w_skew", wcore, "h_factor", lambda m: w_skew("s_up", (3, 1), (2, 0), x, m)),
+        ("w_multi", wcore, "w_skew", lambda m: w_multi("ab", (2, 1), (0, 0), (x, y), m, y)),
+        ("qt_binomial", binomial, "w_principal",
+         lambda m: binomial.qt_binomial((3, 2), (1, 1), m)),
+        ("stirling", specials, "_uv_reciprocal_limit",
+         lambda m: specials.stirling("second", (2, 1), (1, 0), m)),
+        ("bernoulli", specials, "qt_binomial", lambda m: specials.bernoulli((2, 1), m)),
+        ("_uv_reciprocal_limit", specials, "limit_at_one",
+         lambda m: specials._uv_reciprocal_limit("u", (2, 1), (1, 0), m)),
+        ("_inner_mode", specials, "FormalQ", lambda m: specials._inner_mode(m)),
+        ("_truncated", distributions, "poch_partition",
+         lambda m: distributions._truncated(x, 2, 5, m)),
+    ]
+
+
+@pytest.mark.parametrize("case", _memo_cases(), ids=lambda c: c[0])
+def test_memoized_function_second_call_returns_the_cached_object(case, monkeypatch):
+    _, module, dependency, call = case
+    mode = AtPoint(QtPoint(Rational(2, 7), Rational(3, 5)))
+    first = call(mode)
+
+    def no_recompute(*args, **kwargs):
+        raise AssertionError("cached value recomputed")
+
+    monkeypatch.setattr(module, dependency, no_recompute)
+    assert call(mode) is first
+    # the mode never enters a key: keys holding it would keep it alive
+    for key in mode.cache:
+        assert not any(isinstance(part, wcore.ScalarMode) for part in key), key
+
+
+def test_errors_are_raised_again_not_cached(mode):
+    x = Rational(4, 9)
+    for _ in range(2):
+        with pytest.raises(InvalidArgument, match="unknown W kind"):
+            w_skew("up", (1,), (0,), x, mode)
+        with pytest.raises(InvalidArgument, match="unknown W kind"):
+            w_multi("down", (1, 0), (0, 0), (x, x), mode)
+        with pytest.raises(NotAStrip):
+            h_factor((2, 1), (0, 0), mode)
+    assert not any(key[0] == "h" for key in mode.cache)
+
+
+def _use_every_memo_layer(point):
+    from qtspecials.binomial import qt_binomial
+    from qtspecials.distributions import exp_e
+    from qtspecials.specials import _inner_mode, bernoulli, stirling
+
+    mode = point.mode
+    qt_binomial((2, 1), (1, 0), mode)
+    stirling("first", (2, 1), (1, 0), mode)
+    bernoulli((2, 1), mode)
+    exp_e(Rational(1, 100), point, 2, part_cap=3, trunc=4)
+    return weakref.ref(mode), weakref.ref(_inner_mode(mode))
+
+
+def test_dropped_point_frees_its_mode_after_every_memo_layer():
+    import gc
+
+    point = QtPoint(Rational(1, 2), Rational(1, 3), n=2, max_part=5)
+    ref, inner_ref = _use_every_memo_layer(point)
+    assert ref() is not None and inner_ref() is not None
+    gc.disable()
+    try:
+        del point
+        assert ref() is None
+        assert inner_ref() is None
+    finally:
+        gc.enable()
+
+
+def test_only_memo_and_the_mode_constructor_touch_a_cache():
+    """Keep one memo protocol: every `.cache` in the package source sits in
+    wcore.memo or ScalarMode.__init__."""
+    import ast
+    import pathlib
+    import re
+
+    allowed = {("wcore.py", "memo"), ("wcore.py", "ScalarMode.__init__")}
+    src = pathlib.Path(wcore.__file__).parent
+    offenders = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        spans = []
+
+        def visit(node, prefix):
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                    name = prefix + child.name
+                    if (path.name, name) in allowed:
+                        spans.append(range(child.lineno, child.end_lineno + 1))
+                    visit(child, name + ".")
+
+        visit(ast.parse(text), "")
+        for lineno, line in enumerate(text.splitlines(), start=1):
+            if re.search(r"\.cache\b", line) and not any(lineno in s for s in spans):
+                offenders.append(f"{path.name}:{lineno}: {line.strip()}")
+    assert not offenders, "\n".join(offenders)
