@@ -9,16 +9,13 @@ README.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
 
 from .errors import DegenerateParameters, QtError
-from .identities import run_identity_suite, run_specials_suite
 from .partitions import enumerate_sub, format_partition, parse_partition
-from .scalars import as_rational, format_rational, limit_at_one, parse_rational
+from .scalars import format_rational, limit_at_one, parse_rational, sum_rationals
 from .wcore import FormalQ, QtPoint
 
 ALPHA_HELP = "positive integer: report the t=q^alpha, q->1 limit"
@@ -146,6 +143,9 @@ def _emit(args, payload: dict, csv_rows):
     if args.format == "json":
         text = json.dumps(payload, indent=2) + "\n"
     else:
+        import csv
+        import io
+
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         header, rows = csv_rows
@@ -215,12 +215,13 @@ def _cmd_sequence(args, name: str) -> int:
     payload = {"command": name, **meta, "values": table}
     if undefined:
         payload["undefined"] = undefined
-    rows = [(format_partition(l), format_rational(v)) for l, v in values.items()]
-    _emit(args, payload, (("lambda", "value"), rows))
+    _emit(args, payload, (("lambda", "value"), list(table.items())))
     return 0
 
 
 def _cmd_verify(args) -> int:
+    from .identities import run_identity_suite, run_specials_suite
+
     bound = parse_partition(args.bound)
     if args.n is not None and args.n != len(bound):
         raise ValueError(f"--n {args.n} does not match bound length {len(bound)}")
@@ -258,20 +259,18 @@ def _density_spec(args):
 
 
 def _cmd_density(args) -> int:
-    from .distributions import _poisson_tail, density
+    from .distributions import _poisson_tail, support_masses
 
     spec = _density_spec(args)
-    masses = {mu: density(spec, mu) for mu in spec.support()}
-    total = sum(masses.values(), as_rational(0))
+    masses = support_masses(spec)
+    total = sum_rationals(masses.values())
+    shown = {format_partition(m): format_rational(v) for m, v in masses.items()}
+    shown_total = format_rational(total)
     payload = {"command": "density", "kind": args.kind, "z": args.z,
-               "q": args.q, "t": args.t,
-               "masses": {format_partition(m): format_rational(v)
-                          for m, v in masses.items()},
-               "total": format_rational(total)}
+               "q": args.q, "t": args.t, "masses": shown, "total": shown_total}
     if args.kind == "poisson":
         payload["tail_bound"] = format_rational(_poisson_tail(spec, total))
-    rows = [(format_partition(m), format_rational(v)) for m, v in masses.items()]
-    rows.append(("total", format_rational(total)))
+    rows = [*shown.items(), ("total", shown_total)]
     _emit(args, payload, (("partition", "mass"), rows))
     return 0
 
@@ -302,23 +301,17 @@ def _cmd_exp(args) -> int:
     E = exp_E(z, point, args.n, args.part_cap, args.trunc)
     e = exp_e(z, point, args.n, args.part_cap, args.trunc)
     Eneg = exp_E(-z, point, args.n, args.part_cap, args.trunc)
-    recip = e.series * Eneg.series - 1
+    recip = format_rational(e.series * Eneg.series - 1)
+    upper = {k: format_rational(v) for k, v in E._asdict().items()}
+    lower = {k: format_rational(v) for k, v in e._asdict().items()}
     payload = {
         "command": "exp", "z": args.z, "q": args.q, "t": args.t, "n": args.n,
         "part_cap": args.part_cap, "trunc": args.trunc,
-        "upper": {"product": format_rational(E.product),
-                  "series": format_rational(E.series),
-                  "difference": format_rational(E.difference)},
-        "lower": {"product": format_rational(e.product),
-                  "series": format_rational(e.series),
-                  "difference": format_rational(e.difference)},
-        "reciprocal_residual": format_rational(recip),
+        "upper": upper, "lower": lower, "reciprocal_residual": recip,
     }
-    rows = [("upper_product", format_rational(E.product)),
-            ("upper_series", format_rational(E.series)),
-            ("lower_product", format_rational(e.product)),
-            ("lower_series", format_rational(e.series)),
-            ("reciprocal_residual", format_rational(recip))]
+    rows = [("upper_product", upper["product"]), ("upper_series", upper["series"]),
+            ("lower_product", lower["product"]), ("lower_series", lower["series"]),
+            ("reciprocal_residual", recip)]
     _emit(args, payload, (("quantity", "value"), rows))
     return 0
 

@@ -6,19 +6,34 @@ partitions of length at most n, with a prefactor that truncates two
 infinite products.  The sampler inverts exact rational cumulative masses
 against a documented 64-bit generator, so identical seeds reproduce
 identical draws on any platform.
+
+The partition series of the exponentials and the batched Poisson masses
+are computed by term ratios.  Every partition mu != 0 has the parent
+mu - e_k, k its last nonzero row, and term(mu) / term(parent) is the
+family's monomial step times the change of norm_weight * pair_ratio(., 0)
+(and of 1 / (z; q, t)_mu for the Poisson masses) when one box is added at
+part m of row k: one factor 1 - q^{1+m} t^{n-k} of the normalizing product,
+and per pair of rows two factors of each pair ratio.  Each factor
+1 - c q^a t^b is carried as a pair of ints, the factors of one step are
+multiplied as ints, and each step costs one Rational.  A factor of a
+denominator of the direct formula that vanishes raises
+DegenerateParameters, as the direct formula does; a vanishing numerator
+factor is counted, so a term is zero exactly while its count is positive.
+``density`` keeps the direct formula for a single mass.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cache
 from typing import NamedTuple
 
 from .binomial import qt_binomial
 from .errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
                      UnsupportedRegime, check_sizes)
 from .partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
-from .scalars import Rational, as_rational
+from .scalars import Rational, as_rational, sum_rationals
 from .wcore import QtPoint, guarded_div, memo, norm_weight, pair_ratio, poch_partition
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
@@ -133,6 +148,30 @@ def _poisson_mass(spec: DensitySpec, mu, mode) -> Rational:
     )
 
 
+def poisson_masses(spec: DensitySpec) -> dict:
+    """The mass of every poisson support point, in support order, each from
+    its parent's by a term ratio; equal to ``density(spec, mu)``."""
+    if spec.kind != "poisson":
+        raise InvalidArgument("poisson_masses needs a poisson density")
+    if not poisson_convergence_ok(spec):
+        raise ConvergenceViolated(
+            "poisson density requires |q| < 1 and max_i |z t^(2i-n-1)| < 1"
+        )
+    n, mode = spec.n, spec.point.mode
+    terms = _term_walk(mode, n, spec.part_cap, spec.z,
+                       _truncated(spec.z, n, spec.trunc, mode),
+                       lambda k, m: (2 * m, 1 - n), z_rows=True)
+    return {mu: terms[mu] for mu in spec.support()}
+
+
+def support_masses(spec: DensitySpec) -> dict:
+    """Raw mass of every support point, in support order (the poisson
+    masses truncated, not renormalized)."""
+    if spec.kind == "poisson":
+        return poisson_masses(spec)
+    return {mu: density(spec, mu) for mu in spec.support()}
+
+
 def poisson_normalization(spec: DensitySpec):
     """(total truncated mass, crude tail bound from the step ratio).
 
@@ -141,10 +180,7 @@ def poisson_normalization(spec: DensitySpec):
     series itself carries no closed error bound, so this is the documented
     estimate, not a guarantee.
     """
-    mode = spec.point.mode
-    total = mode.zero
-    for mu in spec.support():
-        total = total + _poisson_mass(spec, mu, mode)
+    total = sum_rationals(poisson_masses(spec).values())
     return total, _poisson_tail(spec, total)
 
 
@@ -177,18 +213,104 @@ class ExpResult(NamedTuple):
     difference: Rational
 
 
+def _int_power(x, e: int) -> tuple:
+    """x^e of a nonzero rational x as an unreduced pair of ints."""
+    if e >= 0:
+        return x.numerator ** e, x.denominator ** e
+    return x.denominator ** -e, x.numerator ** -e
+
+
+def _term_walk(mode, n: int, part_cap: int, z, root, step, z_rows: bool) -> dict:
+    """{mu: term(mu)} for every mu with at most n parts, each at most part_cap,
+    where term(0) = root and
+
+        term(mu) / root = z^|mu| q^A(mu) t^B(mu) norm_weight(mu) pair_ratio(mu, 0)
+                          [/ (z; q, t)_mu when z_rows],
+
+    the monomial given by its step: adding a box at part m of row k (from 0)
+    multiplies it by z q^a t^b, (a, b) = step(k, m).  mode is an AtPoint;
+    the int pairs below are memoized for this walk only.
+    """
+    q, t = mode.q, mode.t
+
+    @cache
+    def mono(a: int, b: int, times_z=False) -> tuple:
+        """q^a t^b, or z q^a t^b, as an unreduced pair of ints (a flag, not
+        z, in the key: hashing a rational costs more than the lookup)."""
+        (qa, qd), (tb, td) = _int_power(q, a), _int_power(t, b)
+        if times_z:
+            return z.numerator * qa * tb, z.denominator * qd * td
+        return qa * tb, qd * td
+
+    @cache
+    def factor(a: int, b: int, times_z=False) -> tuple:
+        """1 - q^a t^b, or 1 - z q^a t^b, as an unreduced pair of ints."""
+        num, den = mono(a, b, times_z)
+        return den - num, den
+
+    @cache
+    def pair_step(d: int, b: int) -> tuple:
+        """(num, den, zeros): the factor of norm_weight * pair_ratio(., 0) when
+        the gap of two rows b apart grows from d to d + 1, over its nonzero
+        factors, and how many of its numerator factors vanish."""
+        num, den, zeros = 1, 1, 0
+        for a, b_top, b_bottom in ((1 + d, b, b - 1), (d, b + 1, b)):
+            top, bottom = factor(a, b_top), factor(a, b_bottom)
+            if bottom[0] == 0:
+                raise DegenerateParameters(
+                    f"vanishing factor 1 - q^{a} t^{b_bottom} of a pair ratio")
+            if top[0] == 0:
+                zeros += 1
+            else:
+                num, den = num * top[0], den * top[1]
+            num, den = num * bottom[1], den * bottom[0]
+        return num, den, zeros
+
+    def divide(num, den, f, what: str) -> tuple:
+        if f[0] == 0:
+            raise DegenerateParameters(f"vanishing factor of {what}")
+        return num * f[1], den * f[0]
+
+    def ratio(mu, k: int, m: int) -> tuple:
+        """(num, den, zeros) of term(mu + e_k) / term(mu), where mu_k = m."""
+        num, den = mono(*step(k, m), True)
+        num, den = divide(num, den, factor(1 + m, n - 1 - k), "the normalizing product")
+        if z_rows:
+            num, den = divide(num, den, factor(m, -k, True), "(z; q, t)_mu")
+        zeros = 0
+        for j in range(k + 1, n):
+            pn, pd, pz = pair_step(m - mu[j], j - k)
+            num, den, zeros = num * pn, den * pd, zeros + pz
+        for h in range(k):
+            pn, pd, pz = pair_step(mu[h] - m - 1, k - h)
+            num, den, zeros = num * pd, den * pn, zeros - pz
+        return num, den, zeros
+
+    # (mu, row k to add boxes to, term(mu) over its nonzero factors, the
+    # count of its vanishing numerator factors); rows from k on are zero
+    origin = (0,) * n
+    terms = {origin: root}
+    stack = [(origin, 0, root, 0)] if n else []
+    while stack:
+        mu, k, term, zeros = stack.pop()
+        for m in range(part_cap if k == 0 else mu[k - 1]):
+            num, den, dz = ratio(mu, k, m)
+            mu = mu[:k] + (m + 1,) + mu[k + 1:]
+            term, zeros = term * Rational(num, den), zeros + dz
+            terms[mu] = mode.zero if zeros else term
+            if k + 1 < n:
+                stack.append((mu, k + 1, term, zeros))
+    return terms
+
+
+def _exp_terms(z, n, part_cap, mode, upper: bool) -> dict:
+    """The terms of the upper (E) or lower (e) exponential series by mu."""
+    step = (lambda k, m: (m, k + 1 - n)) if upper else (lambda k, m: (0, 2 * k + 1 - n))
+    return _term_walk(mode, n, part_cap, z, mode.one, step, z_rows=False)
+
+
 def _exp_series(z, n, part_cap, mode, upper: bool) -> Rational:
-    acc = mode.zero
-    for mu in enumerate_sub((part_cap,) * n):
-        wm = weight(mu)
-        if upper:
-            num = z ** wm * mode.qpow(n_prime_stat(mu)) * mode.tpow(
-                n_stat(mu) + (1 - n) * wm
-            )
-        else:
-            num = z ** wm * mode.tpow(2 * n_stat(mu) + (1 - n) * wm)
-        acc = acc + num * norm_weight(mu, mode) * pair_ratio(mu, mode, 0)
-    return acc
+    return sum_rationals(_exp_terms(z, n, part_cap, mode, upper).values())
 
 
 def exp_E(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> ExpResult:
@@ -283,9 +405,9 @@ class PartitionSample:
 
 def exact_masses(spec: DensitySpec) -> dict:
     """Support-point masses; the poisson masses are renormalized to total 1."""
-    masses = {mu: density(spec, mu) for mu in spec.support()}
+    masses = support_masses(spec)
     if spec.kind == "poisson":
-        total = sum(masses.values(), Rational(0))
+        total = sum_rationals(masses.values())
         if total <= 0:
             raise UnsupportedRegime("truncated poisson mass is not positive")
         masses = {mu: m / total for mu, m in masses.items()}

@@ -137,6 +137,15 @@ def format_rational(x) -> str:
     return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
 
 
+def sum_rationals(values) -> Rational:
+    """Exact sum of Rationals over their least common denominator: one
+    integer division per term and one reduction in all, where adding one
+    term at a time reduces after every addition."""
+    values = list(values)
+    den = lcm(*(v.denominator for v in values))
+    return Rational(sum(v.numerator * (den // v.denominator) for v in values), den)
+
+
 class UniPoly:
     """Dense univariate polynomial in q with Rational coefficients.
 

@@ -360,11 +360,13 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
     c, a, b = _mono(x)
     s = _mono(s) if kind == "ab" else None
     cinv = 1 if c == 1 else guarded_div(mode.one, c, "W argument")
+    # c goes to pochm only where it is not 1, so each factor has one key
+    cargs = () if cinv == 1 else (cinv,)
     # (1/x)_lam / (1/x)_mu, telescoped to prod_i (x^{-1} t^{-i} q^{mu_i}; q)_{lam_i - mu_i}
     val = h_factor(lam, mu, mode)
     for i, (li, mi) in enumerate(zip(lam, mu)):
         if li != mi:
-            val = val * pochm(mi - a, -b - i, li - mi, mode, cinv)
+            val = val * pochm(mi - a, -b - i, li - mi, mode, *cargs)
     if kind == "s_up":
         e = weight(mu) - weight(lam)  # (-q/x)^e = (-1)^e c^{-e} q^{e(1-a)} t^{-eb}
         val = val * mode.qpow(e * (1 - a) + n_prime_stat(mu) - n_prime_stat(lam))
@@ -376,12 +378,13 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
     if kind == "ab":
         # (s q / (x t))_mu / (s q / x)_lam, row i scaled by t^{1-i}
         sc = s.c if cinv == 1 else s.c * cinv
+        scargs = () if sc == 1 else (sc,)
         i0, j0 = s.a + 1 - a, s.b - b
         num = den = mode.one
         for i, m in enumerate(mu, start=1):
-            num = num * pochm(i0, j0 - i, m, mode, sc)
+            num = num * pochm(i0, j0 - i, m, mode, *scargs)
         for i, m in enumerate(lam, start=1):
-            den = den * pochm(i0, j0 + 1 - i, m, mode, sc)
+            den = den * pochm(i0, j0 + 1 - i, m, mode, *scargs)
         val = val * guarded_div(num, den, "auxiliary product of W^ab")
     return val
 

@@ -308,3 +308,25 @@ def test_size_below_its_floor_is_an_input_error(capsys, argv, flag, least):
     assert code == 1
     assert json.loads(out) == {"error": {
         "type": "ValueError", "message": f"{flag} must be at least {least}, got {value}"}}
+
+
+def test_importing_the_cli_leaves_the_command_modules_unloaded():
+    """Every command pays for the import of the CLI; the identity suite, the
+    densities and the special numbers load only in the commands that use
+    them.  Checked in a fresh interpreter, where nothing is loaded yet."""
+    import os
+    import subprocess
+    import sys
+
+    import qtspecials
+
+    script = (
+        "import sys\n"
+        "import qtspecials.cli\n"
+        "print(sorted(m for m in sys.modules if m in ('qtspecials.identities',"
+        " 'qtspecials.distributions', 'qtspecials.specials')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtspecials.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

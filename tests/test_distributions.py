@@ -7,19 +7,22 @@ import pytest
 from qtspecials.distributions import (
     DensitySpec,
     SplitMix64,
+    _exp_terms,
     density,
     distribution_F,
     exact_masses,
     exp_E,
     exp_e,
+    poisson_masses,
     poisson_normalization,
     sample,
 )
-from qtspecials.errors import ConvergenceViolated, InvalidArgument, UnsupportedRegime
+from qtspecials.errors import (ConvergenceViolated, DegenerateParameters,
+                               InvalidArgument, UnsupportedRegime)
 from qtspecials.identities import random_unit
-from qtspecials.partitions import contains, enumerate_sub, weight
+from qtspecials.partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
 from qtspecials.scalars import Rational
-from qtspecials.wcore import AtPoint, QtPoint, poch_partition
+from qtspecials.wcore import AtPoint, QtPoint, norm_weight, pair_ratio, poch_partition
 
 HALF, THIRD, FIFTH = Rational(1, 2), Rational(1, 3), Rational(1, 5)
 
@@ -283,3 +286,86 @@ def test_exponentials_share_one_mode_and_each_truncated_product(monkeypatch):
     assert built == {"AtPoint": 1, -z: 1, z: 1}
     assert e.product == 1 / Eneg.product
     assert E.product == poch_partition(-z, (25, 25), AtPoint(pt))
+
+
+def _direct_exp_term(mu, z, mode, upper):
+    """A term of the exponential series by its direct formula:
+    the monomial times norm_weight(mu) times pair_ratio(mu, 0)."""
+    n, w = len(mu), weight(mu)
+    if upper:
+        mono = z ** w * mode.qpow(n_prime_stat(mu)) * mode.tpow(n_stat(mu) + (1 - n) * w)
+    else:
+        mono = z ** w * mode.tpow(2 * n_stat(mu) + (1 - n) * w)
+    return mono * norm_weight(mu, mode) * pair_ratio(mu, mode, 0)
+
+
+# q < 0 and t > 1 included: no sign or size of q, t is special to the ratios
+SERIES_POINTS = [(HALF, THIRD), (Rational(-2, 7), Rational(5, 3)),
+                 (Rational(3, 5), Rational(-4, 9))]
+
+
+@pytest.mark.parametrize("q, t", SERIES_POINTS)
+def test_exp_terms_by_ratio_equal_the_direct_terms(q, t):
+    z = Rational(1, 10)
+    for n in (1, 2, 3):
+        point = QtPoint(q, t, n=n, max_part=7)
+        mode = point.mode
+        support = enumerate_sub((6,) * n)
+        for upper, exp in ((True, exp_E), (False, exp_e)):
+            terms = _exp_terms(z, n, 6, mode, upper)
+            assert sorted(terms) == sorted(support)
+            direct = {mu: _direct_exp_term(mu, z, mode, upper) for mu in support}
+            assert terms == direct, (n, upper)
+            series = exp(z, point, n, part_cap=6, trunc=3).series
+            assert series == sum(direct.values(), Rational(0)), (n, upper)
+
+
+@pytest.mark.parametrize("q, t", SERIES_POINTS)
+def test_poisson_masses_equal_the_single_masses(q, t):
+    for n in (2, 3):
+        spec = DensitySpec(kind="poisson", z=Rational(1, 20),
+                           point=QtPoint(q, t, n=n, max_part=5), part_cap=4, trunc=6)
+        masses = poisson_masses(spec)
+        assert list(masses) == spec.support()
+        assert masses == {mu: density(spec, mu) for mu in spec.support()}
+        total, _ = poisson_normalization(spec)
+        assert total == sum(masses.values(), Rational(0))
+
+
+def test_poisson_masses_guard_their_kind_and_convergence():
+    with pytest.raises(InvalidArgument):
+        poisson_masses(g_spec())
+    spec = DensitySpec(kind="poisson", z=Rational(4), point=QtPoint(HALF, THIRD, n=2),
+                       part_cap=2)
+    with pytest.raises(ConvergenceViolated):
+        poisson_masses(spec)
+
+
+def test_vanishing_denominator_factor_raises_as_the_direct_formula_does():
+    # q^3 t = 1 lies outside the window of max_part 0, and 1 - q^3 t is a
+    # factor of the normalizing product from mu = (3, 0) on
+    point = QtPoint(HALF, Rational(8), n=2, max_part=0)
+    z = Rational(1, 100)
+    for exp in (exp_E, exp_e):
+        with pytest.raises(DegenerateParameters):
+            exp(z, point, 2, part_cap=3, trunc=3)
+    assert exp_E(z, point, 2, part_cap=2, trunc=3).series == sum(
+        (_direct_exp_term(mu, z, point.mode, True) for mu in enumerate_sub((2, 2))),
+        Rational(0))
+    spec = DensitySpec(kind="poisson", z=z, point=point, part_cap=3, trunc=3)
+    with pytest.raises(DegenerateParameters):
+        density(spec, (3, 0))
+    with pytest.raises(DegenerateParameters):
+        poisson_masses(spec)
+
+
+def test_vanishing_numerator_factor_zeroes_only_the_terms_it_divides():
+    # q^3 t^2 = 1: the factor 1 - q^3 t^2 of pair_ratio(mu, 0) is in the
+    # numerator from gap mu_1 - mu_2 = 4 on, so (4, 0) has term 0 and its
+    # child (4, 1), at gap 3, does not
+    mode = QtPoint(Rational(1, 4), Rational(8), n=2, max_part=0).mode
+    z = Rational(1, 100)
+    for upper in (True, False):
+        terms = _exp_terms(z, 2, 5, mode, upper)
+        assert terms[(4, 0)] == 0 and terms[(4, 1)] != 0
+        assert terms == {mu: _direct_exp_term(mu, z, mode, upper) for mu in terms}

@@ -587,3 +587,18 @@ def test_only_memo_and_the_mode_constructor_touch_a_cache():
             if re.search(r"\.cache\b", line) and not any(lineno in s for s in spans):
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not offenders, "\n".join(offenders)
+
+
+def test_principal_values_key_each_factor_without_a_unit_scalar(mode):
+    """A principal argument has c = 1, and pochm is then called without c, so
+    no factor is stored twice, under (..., m) and under (..., m, 1)."""
+    from qtspecials.binomial import qt_binomial
+
+    lam = (3, 2, 1)
+    for kind, s in (("s_up", None), ("s_down", None), ("ab", wcore.Mono(1, 7, 3)),
+                    ("ab", Rational(3, 7))):
+        w_principal(kind, (2, 1, 0), lam, mode, s)
+    qt_binomial(lam, (2, 1, 1), mode)
+    poch_keys = [key for key in mode.cache if key[0] == "poch"]
+    assert poch_keys
+    assert [key for key in poch_keys if len(key) == 5 and key[4] == 1] == []
