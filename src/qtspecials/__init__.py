@@ -12,9 +12,12 @@ residual exactly zero.
 from .errors import (
     ConvergenceViolated,
     DegenerateParameters,
+    DivisionByZero,
     InvalidArgument,
+    InvalidLiteral,
     LengthMismatch,
     NotAPartition,
+    NotARational,
     NotAStrip,
     PoleAtOne,
     QtError,

@@ -328,8 +328,8 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     """Run one command.  Bad input (a QtError, or a ValueError or
-    ZeroDivisionError raised here or by parse_rational) exits 1 with an error
-    record; any other exception is a fault: ``"internal": true``, exit 2."""
+    ZeroDivisionError raised here) exits 1 with an error record; any other
+    exception is a fault: ``"internal": true``, exit 2."""
     args = build_parser().parse_args(argv)
     try:
         if args.command in ("bernoulli", "bell", "catalan", "fibonacci"):
@@ -340,7 +340,7 @@ def main(argv=None) -> int:
         where = traceback.extract_tb(exc.__traceback__)[-1]
         internal = not isinstance(exc, QtError) and not (
             isinstance(exc, (ValueError, ZeroDivisionError))
-            and (where.filename == __file__ or where.name == "parse_rational"))
+            and where.filename == __file__)
         record = {"type": type(exc).__name__, "message": str(exc)}
         if internal:
             traceback.print_exc()

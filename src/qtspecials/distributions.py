@@ -236,7 +236,7 @@ def _term_walk(mode, n: int, part_cap: int, z, root, step, z_rows: bool) -> dict
     @cache
     def mono(a: int, b: int, times_z=False) -> tuple:
         """q^a t^b, or z q^a t^b, as an unreduced pair of ints (a flag, not
-        z, in the key: hashing a rational costs more than the lookup)."""
+        z, in the key: hashing a Fraction costs about two products)."""
         (qa, qd), (tb, td) = _int_power(q, a), _int_power(t, b)
         if times_z:
             return z.numerator * qa * tb, z.denominator * qd * td

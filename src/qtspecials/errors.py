@@ -34,6 +34,19 @@ class LengthMismatch(QtError, ValueError):
     """Two partitions that must share the same fixed length do not."""
 
 
+class NotARational(QtError, TypeError):
+    """A value that cannot be read as an exact rational (a float, say)."""
+
+
+class InvalidLiteral(QtError, ValueError):
+    """A string that is not a "p" or "p/q" rational literal."""
+
+
+class DivisionByZero(QtError, ZeroDivisionError):
+    """An exact division by zero: a zero denominator in a rational literal or
+    a rational function, a pole hit by evaluation, or 0 to a negative power."""
+
+
 class NotAStrip(QtError):
     """A skew pair lambda/mu is not a horizontal strip where one is required."""
 

@@ -37,7 +37,7 @@ elif _BACKEND == "fractions":
 else:  # pragma: no cover
     raise ImportError(f"unknown QTSPECIALS_BACKEND {_BACKEND!r}")
 
-from .errors import PoleAtOne
+from .errors import DivisionByZero, InvalidLiteral, NotARational, PoleAtOne
 
 ONE = Rational(1)
 
@@ -59,7 +59,7 @@ def as_rational(x) -> Rational:
         return parse_rational(x)
     if hasattr(x, "numerator") and hasattr(x, "denominator"):
         return Rational(int(x.numerator), int(x.denominator))
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+    raise NotARational(f"cannot interpret {x!r} as an exact rational")
 
 
 # Python's int <-> str conversions refuse more digits than a per-process
@@ -117,12 +117,12 @@ def parse_rational(text: str) -> Rational:
     """
     s = text.strip()
     if not _RATIONAL_RE.match(s):
-        raise ValueError(f"not a rational literal: {text!r}")
+        raise InvalidLiteral(f"not a rational literal: {text!r}")
     if "/" in s:
         p, q = s.split("/")
         den = _parse_int(q)
         if den == 0:
-            raise ZeroDivisionError(f"zero denominator in literal {text!r}")
+            raise DivisionByZero(f"zero denominator in literal {text!r}")
         return Rational(_parse_int(p), den)
     return Rational(_parse_int(s))
 
@@ -293,7 +293,7 @@ class RatFuncQ:
 
     def __init__(self, num: UniPoly, den: UniPoly = _POLY_ONE):
         if den.is_zero():
-            raise ZeroDivisionError("zero denominator polynomial")
+            raise DivisionByZero("zero denominator polynomial")
         if num.is_zero():
             num, den = UniPoly(), _POLY_ONE
         else:
@@ -378,7 +378,7 @@ class RatFuncQ:
         if o is None:
             return NotImplemented
         if o.is_zero():
-            raise ZeroDivisionError("division by zero rational function")
+            raise DivisionByZero("division by zero rational function")
         return RatFuncQ(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
@@ -395,7 +395,7 @@ class RatFuncQ:
         base = self
         if k < 0:
             if base.is_zero():
-                raise ZeroDivisionError("0 raised to a negative power")
+                raise DivisionByZero("0 raised to a negative power")
             base = RatFuncQ(base.den, base.num)
             k = -k
         if all(len(p.ints) - p.ints.count(0) == 1 for p in (base.num, base.den)):
@@ -432,7 +432,7 @@ class RatFuncQ:
             if n == 0:
                 # Remove the common root and retry.
                 return self.cancel_at(q0)(q0)
-            raise ZeroDivisionError(f"pole at q = {q0}")
+            raise DivisionByZero(f"pole at q = {q0}")
         return self.num(q0) / d
 
     def cancel_at(self, q0) -> "RatFuncQ":

@@ -18,9 +18,16 @@ scalar x is (x, 0, 0), the principal argument is (1, lam_i, n-1-i), and a
 peel shifts b by -ell.  Every factor is then one product (c q^i t^j; q)_m
 from ``pochm``.  One decorator, ``memo(kind, at)``, memoizes values in the
 cache of the mode at argument ``at``, keyed by kind and the other arguments:
-("poch", i, j, m) (c only where passed, as hashing a rational costs about
-as much as a short product), ("weight", mu), ("h", lam, mu),
+("poch", i, j, m) (and c unless c = 1), ("weight", mu), ("h", lam, mu),
 ("skew", kind, lam, mu, x, s) and ("W", kind, lam, mu, z, s).
+
+No key of this module holds a Rational.  Hashing a ``fractions.Fraction``
+takes a modular inverse, which costs about two products of rationals of the
+same size (``timeit``, 57-bit operands).  So a scalar changes form once,
+where it enters the W layer (``w_skew``, ``w_multi``, ``w_principal``,
+``poch_partition``): ``coef`` makes it a ``Coef``, which keeps the value for
+the arithmetic and stands in the keys by its (numerator, denominator), or
+by the ints of a ``RatFuncQ``, hashed once.
 """
 
 from __future__ import annotations
@@ -45,8 +52,50 @@ from .scalars import ONE, RatFuncQ, Rational, as_rational
 W_KINDS = ("ab", "s_up", "s_down")
 
 
+class Coef:
+    """A scalar as the W layer carries it: ``value`` for the arithmetic, and
+    ``key`` for equality and the hash.  The key holds ints: (numerator,
+    denominator) of a Rational, or the normal form of a RatFuncQ (which,
+    like ``RatFuncQ.__hash__``, follows the representation)."""
+
+    __slots__ = ("value", "key", "_hash")
+
+    def __init__(self, value, key):
+        self.value, self.key, self._hash = value, key, hash(key)
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        return isinstance(other, Coef) and self.key == other.key
+
+    def __repr__(self):
+        return f"Coef({self.value})"
+
+
+UNIT = Coef(ONE, 1)  # c = 1: every scalar equal to 1 becomes this one
+
+
+def coef(c, mode: "ScalarMode") -> Coef:
+    """The scalar c of ``mode`` as a Coef; a Coef is returned unchanged."""
+    if isinstance(c, Coef):
+        return c
+    v = mode.lift(c)
+    if mode.is_point:
+        return UNIT if v == 1 else Coef(v, (v.numerator, v.denominator))
+    num, den = v.num, v.den
+    # num == den is value 1, as both are canonical and den is monic
+    return UNIT if num == den else Coef(v, (num.ints, num.den, den.ints, den.den))
+
+
+def _cargs(c: Coef) -> tuple:
+    """The c argument of ``pochm``: none for 1, so each factor has one key."""
+    return () if c is UNIT else (c,)
+
+
 class Mono(NamedTuple):
-    """A W argument c q^a t^b: c is a scalar (1 for a monomial in q, t)."""
+    """A W argument c q^a t^b: c is a scalar (1 for a monomial in q, t), a
+    ``Coef`` once the argument has entered the W layer."""
 
     c: object
     a: int
@@ -57,8 +106,23 @@ class Mono(NamedTuple):
         return Mono(self.c, self.a, self.b - ell)
 
 
-def _mono(x) -> Mono:
-    return x if isinstance(x, Mono) else Mono(x, 0, 0)
+def _mono(x, mode: "ScalarMode") -> Mono:
+    """x, a scalar or a Mono, as a Mono whose c is a Coef."""
+    if isinstance(x, Mono):
+        return x if isinstance(x.c, Coef) else Mono(coef(x.c, mode), x.a, x.b)
+    return Mono(coef(x, mode), 0, 0)
+
+
+def _monos(z, mode: "ScalarMode") -> tuple:
+    """The arguments z as a tuple of Monos with Coef c; such a tuple, as the
+    peeling recursion passes it, is returned unchanged."""
+    if isinstance(z, tuple):
+        for x in z:
+            if not (isinstance(x, Mono) and isinstance(x.c, Coef)):
+                break
+        else:
+            return z
+    return tuple(_mono(x, mode) for x in z)
 
 
 @dataclass(frozen=True)
@@ -265,16 +329,20 @@ def poch(a, m: int, mode: ScalarMode):
 
 
 @memo("poch", 3)
-def pochm(i: int, j: int, m: int, mode: ScalarMode, c=1):
-    """(c q^i t^j; q)_m for integer exponents, memoized on the mode."""
-    return poch(c * mode.qpow(i) * mode.tpow(j), m, mode)
+def pochm(i: int, j: int, m: int, mode: ScalarMode, c: Coef = UNIT):
+    """(c q^i t^j; q)_m for integer exponents and a Coef c, memoized on the
+    mode; c = 1 is left out, never passed, so that it has one key."""
+    if not isinstance(c, Coef):  # a raw scalar would key the cache by itself
+        raise InvalidArgument(f"pochm takes c as a Coef (wcore.coef), got {c!r}")
+    return poch(c.value * mode.qpow(i) * mode.tpow(j), m, mode)
 
 
 def poch_partition(a, lam, mode: ScalarMode):
     """Partition product (a; q, t)_lam = prod_i (a t^{1-i}; q)_{lam_i}."""
+    cargs = _cargs(coef(a, mode))
     acc = mode.one
     for i, m in enumerate(lam):
-        acc = acc * pochm(0, -i, m, mode, a)
+        acc = acc * pochm(0, -i, m, mode, *cargs)
     return acc
 
 
@@ -350,18 +418,21 @@ def _check_kind(kind: str, s):
         raise InvalidArgument("kind 'ab' requires the auxiliary scalar s")
 
 
-@memo("skew", 4)
 def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
     """Single-variable skew value W_{lam/mu}(x) at a scalar or Mono x (and s);
     zero off horizontal strips."""
     _check_kind(kind, s)
+    return _w_skew(kind, lam, mu, _mono(x, mode), mode,
+                   _mono(s, mode) if kind == "ab" else None)
+
+
+@memo("skew", 4)
+def _w_skew(kind: str, lam, mu, x: Mono, mode: ScalarMode, s):
     if not is_horizontal_strip(lam, mu):
         return mode.zero
-    c, a, b = _mono(x)
-    s = _mono(s) if kind == "ab" else None
-    cinv = 1 if c == 1 else guarded_div(mode.one, c, "W argument")
-    # c goes to pochm only where it is not 1, so each factor has one key
-    cargs = () if cinv == 1 else (cinv,)
+    c, a, b = x
+    cinv = UNIT if c is UNIT else coef(guarded_div(mode.one, c.value, "W argument"), mode)
+    cargs = _cargs(cinv)
     # (1/x)_lam / (1/x)_mu, telescoped to prod_i (x^{-1} t^{-i} q^{mu_i}; q)_{lam_i - mu_i}
     val = h_factor(lam, mu, mode)
     for i, (li, mi) in enumerate(zip(lam, mu)):
@@ -371,14 +442,14 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
         e = weight(mu) - weight(lam)  # (-q/x)^e = (-1)^e c^{-e} q^{e(1-a)} t^{-eb}
         val = val * mode.qpow(e * (1 - a) + n_prime_stat(mu) - n_prime_stat(lam))
         val = val * mode.tpow(-e * b)
-        val = val * c ** -e if cinv != 1 else val
+        val = val if c is UNIT else val * c.value ** -e
         val = -val if e % 2 else val
     else:
         val = val * mode.tpow(-n_stat(lam) + weight(mu) + n_stat(mu))
     if kind == "ab":
         # (s q / (x t))_mu / (s q / x)_lam, row i scaled by t^{1-i}
-        sc = s.c if cinv == 1 else s.c * cinv
-        scargs = () if sc == 1 else (sc,)
+        sc = s.c if cinv is UNIT else coef(s.c.value * cinv.value, mode)
+        scargs = _cargs(sc)
         i0, j0 = s.a + 1 - a, s.b - b
         num = den = mode.one
         for i, m in enumerate(mu, start=1):
@@ -389,7 +460,6 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
     return val
 
 
-@memo("W", 4)
 def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     """Multivariable W_{lam/mu}(z_1, ..., z_m) via variable peeling.
 
@@ -399,13 +469,19 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     Vanishes for mu not contained in lam (every strip chain dies).
     """
     _check_kind(kind, s)
+    return _w_multi(kind, lam, mu, _monos(z, mode), mode,
+                    _mono(s, mode) if kind == "ab" else None)
+
+
+@memo("W", 4)
+def _w_multi(kind: str, lam, mu, z: tuple, mode: ScalarMode, s):
     if not contains(lam, mu):
         return mode.zero
     if len(z) == 1:
         return w_skew(kind, lam, mu, z[0], mode, s)
     ell = len(z) - 1
-    y = _mono(z[0]).peeled(ell)
-    s_peel = _mono(s).peeled(ell) if kind == "ab" else None
+    y = z[0].peeled(ell)
+    s_peel = s.peeled(ell) if kind == "ab" else None
     rest = z[1:]
     total = mode.zero
     wl = weight(lam)
@@ -427,7 +503,7 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
 
 def w_principal(kind: str, mu, lam, mode: ScalarMode, s=None):
     """W_{mu}(q^lam t^delta); vanishes whenever mu is not contained in lam."""
-    z = tuple(Mono(1, part, len(lam) - i) for i, part in enumerate(lam, start=1))
+    z = tuple(Mono(UNIT, part, len(lam) - i) for i, part in enumerate(lam, start=1))
     return w_multi(kind, mu, zeros(len(mu)), z, mode, s)
 
 
@@ -451,29 +527,3 @@ def w_rectangular(kind: str, k: int, z, mode: ScalarMode, s=None):
             acc = guarded_div(acc, poch(mode.q * s * zi ** -1, k, mode), "rectangular W^ab")
     return acc
 
-
-# ---------------------------------------------------------------------------
-# Closed self-evaluations at the principal argument
-# ---------------------------------------------------------------------------
-
-def wsup_self(lam, mode: ScalarMode):
-    """Closed form of the s_up value at its own principal argument."""
-    n = len(lam)
-    w = weight(lam)
-    return guarded_div(
-        poch_norm(lam, mode) * mode.tpow((n - 1) * w - 2 * n_stat(lam)) * mode.qpow(-w),
-        pair_ratio(lam, mode),
-        "self-evaluation pair ratio",
-    )
-
-
-def wsdown_self(lam, mode: ScalarMode):
-    """Closed form of the s_down value at its own principal argument."""
-    n = len(lam)
-    w = weight(lam)
-    sign = mode.one if w % 2 == 0 else -mode.one
-    return guarded_div(
-        sign * mode.tpow(-n_stat(lam)) * mode.qpow(-w - n_prime_stat(lam)) * poch_norm(lam, mode),
-        pair_ratio(lam, mode),
-        "self-evaluation pair ratio",
-    )

@@ -51,9 +51,9 @@ from qtspecials.wcore import (
     w_multi,
     w_principal,
     w_rectangular,
-    wsdown_self,
-    wsup_self,
 )
+
+from self_values import wsdown_self, wsup_self
 
 RANGES = [(4,), (4, 4), (3, 3, 3)]  # n = 1, 2, 3 sweeps
 POINTS = 5

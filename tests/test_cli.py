@@ -96,7 +96,13 @@ def test_parse_error_record(capsys):
     code, out = run_cli(capsys, "binom", "--lambda", "2,1", "--mu", "1,0",
                         "--q", "1/2", "--t", "x")
     assert code == 1
-    assert json.loads(out)["error"]["type"] == "ValueError"
+    assert json.loads(out) == {"error": {"type": "InvalidLiteral",
+                                         "message": "not a rational literal: 'x'"}}
+    code, out = run_cli(capsys, "binom", "--lambda", "2,1", "--mu", "1,0",
+                        "--q", "1/2", "--t", "1/0")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "DivisionByZero",
+                                         "message": "zero denominator in literal '1/0'"}}
 
 
 def test_density_command(capsys):

@@ -5,12 +5,12 @@ import pytest
 
 from qtspecials.binomial import binom_rect_lower, binom_rect_upper, qt_binomial
 from qtspecials.distributions import DensitySpec, density, distribution_F
-from qtspecials.errors import (DegenerateParameters, InvalidArgument, LengthMismatch,
-                               QtError)
+from qtspecials.errors import (DegenerateParameters, DivisionByZero, InvalidArgument,
+                               InvalidLiteral, LengthMismatch, NotARational, QtError)
 from qtspecials.identities import check_density_normalization, check_geometric
-from qtspecials.scalars import Rational
+from qtspecials.scalars import RatFuncQ, Rational, UniPoly, as_rational, parse_rational
 from qtspecials.specials import stirling
-from qtspecials.wcore import QtPoint, poch
+from qtspecials.wcore import QtPoint, poch, pochm
 
 POINT = QtPoint(Rational(1, 3), Rational(1, 2), n=2, max_part=6)
 Z = Rational(1, 100)
@@ -40,6 +40,7 @@ CASES = [
      lambda m: check_geometric((0,), Z, -1, 10, QtPoint(Rational(1, 3), Rational(1, 2)))),
     ("poch negative order, vanishing factor", DegenerateParameters,
      lambda m: poch(m.q, -1, m)),
+    ("pochm raw scalar", InvalidArgument, lambda m: pochm(1, 0, 2, m, Rational(2, 9))),
 ]
 
 
@@ -50,3 +51,29 @@ def test_bad_argument_raises_a_qt_error(error, call):
     assert isinstance(info.value, QtError)
     # argument errors stay ValueErrors for callers that catch those
     assert error is DegenerateParameters or isinstance(info.value, ValueError)
+
+
+Q = RatFuncQ.generator()
+
+SCALAR_CASES = [
+    ("as_rational float", NotARational, TypeError, lambda: as_rational(1.5)),
+    ("literal", InvalidLiteral, ValueError, lambda: parse_rational("1.5")),
+    ("literal zero denominator", DivisionByZero, ZeroDivisionError,
+     lambda: parse_rational("3/0")),
+    ("zero denominator polynomial", DivisionByZero, ZeroDivisionError,
+     lambda: RatFuncQ(UniPoly([1]), UniPoly())),
+    ("division by zero", DivisionByZero, ZeroDivisionError, lambda: Q / 0),
+    ("zero to a negative power", DivisionByZero, ZeroDivisionError,
+     lambda: (Q - Q) ** -1),
+    ("evaluation at a pole", DivisionByZero, ZeroDivisionError, lambda: (1 / (Q - 1))(1)),
+]
+
+
+@pytest.mark.parametrize("error, builtin, call", [c[1:] for c in SCALAR_CASES],
+                         ids=[c[0] for c in SCALAR_CASES])
+def test_scalar_error_is_a_qt_error_and_its_builtin(error, builtin, call):
+    with pytest.raises(error) as info:
+        call()
+    assert isinstance(info.value, QtError)
+    # callers that catch the builtin still catch it
+    assert isinstance(info.value, builtin)

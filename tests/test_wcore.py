@@ -1,7 +1,9 @@
 """Pochhammer products, the strip factor and the W family."""
 
 import random
+import sys
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -20,7 +22,7 @@ from qtspecials.partitions import (
     weight,
     zeros,
 )
-from qtspecials.scalars import RatFuncQ, Rational, limit_at_one
+from qtspecials.scalars import RatFuncQ, Rational, backend_name, limit_at_one
 from qtspecials.wcore import (
     AtPoint,
     FormalQ,
@@ -34,9 +36,9 @@ from qtspecials.wcore import (
     w_principal,
     w_rectangular,
     w_skew,
-    wsdown_self,
-    wsup_self,
 )
+
+from self_values import wsdown_self, wsup_self
 
 
 def test_qtpoint_rejects_degenerate():
@@ -486,7 +488,8 @@ def _memo_cases():
 
     x, y = Rational(4, 9), Rational(-5, 3)
     return [
-        ("pochm", wcore, "poch", lambda m: pochm(1, -2, 3, m, Rational(2, 9))),
+        ("pochm", wcore, "poch",
+         lambda m: pochm(1, -2, 3, m, wcore.coef(Rational(2, 9), m))),
         ("norm_weight", wcore, "pair_ratio", lambda m: wcore.norm_weight((3, 1, 0), m)),
         ("h_factor", wcore, "pochm", lambda m: h_factor((3, 1), (2, 0), m)),
         ("w_skew", wcore, "h_factor", lambda m: w_skew("s_up", (3, 1), (2, 0), x, m)),
@@ -602,3 +605,101 @@ def test_principal_values_key_each_factor_without_a_unit_scalar(mode):
     poch_keys = [key for key in mode.cache if key[0] == "poch"]
     assert poch_keys
     assert [key for key in poch_keys if len(key) == 5 and key[4] == 1] == []
+
+
+# ---------------------------------------------------------------------------
+# Memo keys carry each scalar as a Coef, never as a Rational
+# ---------------------------------------------------------------------------
+
+SAME_SCALAR = [
+    pytest.param(Fraction(2, 6), Fraction(1, 3), id="unreduced-vs-reduced"),
+    pytest.param(2, Fraction(2), id="int-vs-rational"),
+]
+EQUAL_FORM_MODES = [
+    pytest.param(lambda: AtPoint(QtPoint(Rational(2, 7), Rational(3, 5))), id="point"),
+    pytest.param(lambda: FormalQ(Rational(3, 5)), id="formal-t0"),
+]
+
+
+def _w_calls(c, mode):
+    """(value, oracle) for the scalar c sent through every entry point of the
+    W layer: w_skew, w_multi, w_principal("ab", ...) and poch_partition."""
+    x, s0 = Rational(4, 9), Rational(7, 13)
+    v = mode.lift(c)
+    memo = {}
+    return [
+        (w_skew("ab", (3, 1), (1, 0), c, mode, s0),
+         _multi_oracle("ab", (3, 1), (1, 0), (v,), mode, s0, memo)),
+        (w_skew("s_up", (3, 1), (2, 1), x, mode, c),  # s is no part of s_up
+         _multi_oracle("s_up", (3, 1), (2, 1), (x,), mode, None, memo)),
+        (w_multi("ab", (2, 1), (1, 0), (c, x), mode, c),
+         _multi_oracle("ab", (2, 1), (1, 0), (v, x), mode, v, memo)),
+        (w_multi("s_down", (2, 2, 1), (1, 0, 0), (x, c, x), mode),
+         _multi_oracle("s_down", (2, 2, 1), (1, 0, 0), (x, v, x), mode, None, memo)),
+        (w_principal("ab", (2, 1, 0), (2, 2, 1), mode, c),
+         _principal_oracle("ab", (2, 1, 0), (2, 2, 1), mode, v, memo)),
+        (poch_partition(c, (3, 2, 1), mode), _pp_partition(v, (3, 2, 1), mode)),
+    ]
+
+
+@pytest.mark.parametrize("make_mode", EQUAL_FORM_MODES)
+@pytest.mark.parametrize("first, second", SAME_SCALAR)
+def test_equal_scalars_give_the_oracle_value_from_one_entry(make_mode, first, second):
+    mode = make_mode()
+    for got, expect in _w_calls(first, mode):
+        assert got == expect
+    entries = len(mode.cache)
+    for got, expect in _w_calls(second, mode):
+        assert got == expect
+    assert len(mode.cache) == entries
+
+
+@pytest.mark.parametrize("make_mode", EQUAL_FORM_MODES)
+def test_mono_with_unit_rational_shares_the_monomial_entries(make_mode):
+    mode = make_mode()
+    lam, mu = (3, 2, 1), (2, 1, 0)
+    s0 = Rational(7, 13)
+
+    def values(one):
+        z = (wcore.Mono(one, 2, 1), wcore.Mono(one, 0, 0))
+        return [w_skew("s_up", lam, mu, z[0], mode),
+                w_multi("ab", (2, 1), (1, 0), z, mode, wcore.Mono(one, 1, -1)),
+                w_principal("ab", (2, 1, 0), lam, mode, wcore.Mono(one, 7, 3))]
+
+    first = values(1)
+    entries = len(mode.cache)
+    assert values(Fraction(1)) == first
+    assert len(mode.cache) == entries
+    q, t = mode.q, mode.t
+    memo = {}
+    assert first == [
+        _multi_oracle("s_up", lam, mu, (q ** 2 * t,), mode, None, memo),
+        _multi_oracle("ab", (2, 1), (1, 0), (q ** 2 * t, mode.one), mode, q / t, memo),
+        _principal_oracle("ab", (2, 1, 0), lam, mode, q ** 7 * t ** 3, memo),
+    ]
+
+
+@pytest.mark.skipif(backend_name() != "fractions",
+                    reason="counts hashes of fractions.Fraction")
+def test_memo_hashes_no_fraction_in_the_identities(monkeypatch):
+    """One weak-cocycle and one 2phi1 check at a point: the memo keys hash
+    ints and Coefs only, never a Fraction."""
+    from qtspecials.identities import check_2phi1, check_weak_cocycle
+
+    memo_code = pochm.__code__  # the wrapper that every memoized function runs
+    calls = {"memo": 0, "all": 0}
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        calls["all"] += 1
+        calls["memo"] += sys._getframe(1).f_code is memo_code
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    mode = QtPoint(Rational(2, 7), Rational(3, 5)).mode
+    s, r, x = Rational(5, 11), Rational(7, 13), Rational(4, 9)
+    assert check_weak_cocycle((2, 2, 1), (1, 0, 0), s, r, mode).residual == 0
+    assert check_2phi1((2, 2, 1), s, x, mode).residual == 0
+    assert calls["memo"] == 0
+    hash(Rational(1, 3))
+    assert calls["all"] > 0  # the counter is live
