@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=40)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--seed", type=int, default=None)
-    _add_common(p)
+    p.add_argument("--out", help="write the JSONL output to this path instead of stdout")
 
     p = sub.add_parser("exp", help="both exponentials: product vs series")
     p.add_argument("--z", required=True)
@@ -243,16 +243,17 @@ def _density_spec(args):
 
     z = parse_rational(args.z)
     _check_sizes(args, 0, "--part-cap", "--trunc")
+    lam = parse_partition(args.lam) if args.lam else None
     if args.kind == "poisson":
         if args.n is None:
             raise ValueError("--n is required for the poisson density")
         _check_sizes(args, 1, "--n")
         point = _point_from(args, args.n, max(args.part_cap + 1, 4))
-        return DensitySpec(kind="poisson", z=z, point=point,
+        # a --lambda given here is refused by DensitySpec
+        return DensitySpec(kind="poisson", z=z, point=point, lam=lam,
                            part_cap=args.part_cap, trunc=args.trunc)
-    if not args.lam:
+    if lam is None:
         raise ValueError("--lambda is required for g and f")
-    lam = parse_partition(args.lam)
     point = _point_from(args, len(lam), max(lam[0] + 2, 4))
     kind = {"g": "binomial_g", "f": "binomial_f"}[args.kind]
     return DensitySpec(kind=kind, z=z, point=point, lam=lam)

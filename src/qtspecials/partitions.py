@@ -11,7 +11,7 @@ from __future__ import annotations
 from itertools import product
 from math import comb
 
-from .errors import LengthMismatch, NotAPartition
+from .errors import InvalidArgument, LengthMismatch, NotAPartition
 
 Parts = tuple  # tuple[int, ...]; kept loose for 3.10 ergonomics
 
@@ -24,15 +24,6 @@ def partition(parts) -> Parts:
             raise NotAPartition(f"parts not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise NotAPartition(f"negative part in partition: {p}")
-    return p
-
-
-def generalized(parts) -> Parts:
-    """Validate a weakly decreasing integer tuple (negative parts allowed)."""
-    p = tuple(int(x) for x in parts)
-    for a, b in zip(p, p[1:]):
-        if a < b:
-            raise NotAPartition(f"parts not weakly decreasing: {p}")
     return p
 
 
@@ -61,11 +52,6 @@ def zeros(n: int) -> Parts:
 def e1(n: int) -> Parts:
     """The vector (1, 0, ..., 0) of length n."""
     return (1,) + (0,) * (n - 1)
-
-
-def staircase(n: int) -> Parts:
-    """delta(n) = (n-1, n-2, ..., 0)."""
-    return tuple(range(n - 1, -1, -1))
 
 
 def weight(lam) -> int:
@@ -164,7 +150,7 @@ def sum_decompositions(lam) -> list:
 def bump(lam, i: int) -> Parts:
     """lam + e_i (i counted from 1); error when the result is not a partition."""
     if not (1 <= i <= len(lam)):
-        raise IndexError(f"bump index {i} out of range for length {len(lam)}")
+        raise InvalidArgument(f"bump index {i} out of range for length {len(lam)}")
     parts = list(lam)
     parts[i - 1] += 1
     if i >= 2 and parts[i - 1] > parts[i - 2]:

@@ -7,12 +7,17 @@ at q = 1 does not change under q -> 1/q, so that limit is taken exactly
 in the plain formal mode ``FormalQ(1/t)``: the coefficient is built as a
 rational function of q with t specialized first, and (q - 1) factors are
 cancelled.
+
+Every cached q -> 1 limit goes through ``_limit``, which keeps it in the
+cache of the formal mode it was taken in: the Stirling inner limits in the
+one ``FormalQ(1/t)`` of the outer mode (itself kept in the outer mode's
+cache), the alpha-binomials and alpha-Bernoulli numbers in
+``FormalQ.alpha(a)``, which lives as long as the process.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .binomial import qt_binomial, qt_bracket
 from .errors import DegenerateParameters, InvalidArgument, LengthMismatch, UnsupportedRegime
@@ -72,17 +77,11 @@ def _inner_mode(mode: ScalarMode) -> FormalQ:
     return FormalQ(None if mode.t0 is None else 1 / mode.t0)
 
 
-@memo("uv", 3)
-def _uv_reciprocal_limit(which: str, lam, mu, mode: ScalarMode):
-    """lim_{q -> 1} of u or v at parameters (1/q, 1/t0), t0 = mode.t0, as an
-    exact Rational; cached in ``mode``.
-
-    The limit does not change under q -> 1/q, so it is taken in the one
-    ``FormalQ(1/t0)`` of ``mode``.  t0=None gives ``FormalQ()``, allowed
-    only for single-part partitions, where t never enters the coefficient.
-    """
-    coeff = u_coeff if which == "u" else v_coeff
-    return limit_at_one(coeff(lam, mu, _inner_mode(mode)))
+@memo("limit", 2)
+def _limit(fn, args, mode: FormalQ):
+    """lim_{q -> 1} of fn(*args, mode) as an exact Rational; cached in the
+    formal ``mode``."""
+    return limit_at_one(fn(*args, mode))
 
 
 STIRLING_KINDS = ("first", "second")
@@ -103,6 +102,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
             "Stirling limits with n >= 2 need a rational t "
             "(a point mode or a formal mode with fixed t)"
         )
+    inner = _inner_mode(mode)  # the limits at (1/q, 1/t0) are taken here
     den = mode.one
     for i in range(1, n + 1):
         den = den * (mode.one - mode.q * mode.tpow(n - i)) ** (nu[i - 1] - mu[i - 1])
@@ -120,7 +120,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
             ul = u_coeff(nu, lam, mode)
             if ul == 0:
                 continue
-            lim = _uv_reciprocal_limit("v", lam, mu, mode)
+            lim = _limit(v_coeff, (lam, mu), inner)
             if lim == 0:
                 continue
             total = total + ul * mode.tpow((1 - n) * weight(lam)) * mode.lift(lim)
@@ -134,7 +134,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
         for lam in enumerate_sub(nu):
             if not contains(lam, mu):
                 continue
-            lim = _uv_reciprocal_limit("u", nu, lam, mode)
+            lim = _limit(u_coeff, (nu, lam), inner)
             if lim == 0:
                 continue
             vl = v_coeff(lam, mu, mode)
@@ -193,36 +193,45 @@ class StirlingTable:
 # Bernoulli, Bell, Catalan, Fibonacci
 # ---------------------------------------------------------------------------
 
+def _solve_recurrence(lam, coeff, value, zero):
+    """The unknown at lam of sum_{mu <= lam} coeff(mu) * value(mu) = 0, given
+    value(mu) for every mu strictly below lam."""
+    lead = coeff(lam)
+    if lead == 0:
+        raise DegenerateParameters(
+            f"leading binomial of the recurrence vanishes at {lam}"
+        )
+    acc = zero
+    for mu in enumerate_sub(lam):
+        if mu == lam:
+            continue
+        c = coeff(mu)
+        if c != 0:
+            acc = acc + c * value(mu)
+    return -acc / lead
+
+
+def _bernoulli_weight(lam1, mu, mode: ScalarMode):
+    """t^{-n(mu)} q^{n(mu')} B(lam1, mu), the weight of beta_mu in the
+    recurrence at lam = lam1 - e_1."""
+    b = qt_binomial(lam1, mu, mode)
+    return mode.tpow(-n_stat(mu)) * mode.qpow(n_prime_stat(mu)) * b
+
+
 @memo("bernoulli", 1)
 def bernoulli(lam, mode: ScalarMode):
     """qt-Bernoulli number, from the triangular recurrence with value 1 at 0^n.
 
     Each partition of positive weight introduces exactly one new unknown,
-    so the defining relation solves uniquely:
-    beta_lam = -t^{n(lam)} q^{-n(lam')} B(lam+e_1, lam)^{-1}
-               * sum_{mu strictly below lam} t^{-n(mu)} q^{n(mu')} B(lam+e_1, mu) beta_mu.
+    so the defining relation
+    sum_{mu <= lam} t^{-n(mu)} q^{n(mu')} B(lam+e_1, mu) beta_mu = 0
+    solves uniquely for beta_lam.
     """
     if weight(lam) == 0:
         return mode.one
     lam1 = bump(lam, 1)
-    lead = qt_binomial(lam1, lam, mode)
-    if lead == 0:
-        raise DegenerateParameters(
-            f"leading binomial of the recurrence vanishes at {lam}"
-        )
-    acc = mode.zero
-    for mu in enumerate_sub(lam):
-        if mu == lam:
-            continue
-        b = qt_binomial(lam1, mu, mode)
-        if b == 0:
-            continue
-        acc = acc + (
-            mode.tpow(-n_stat(mu)) * mode.qpow(n_prime_stat(mu)) * b
-            * bernoulli(mu, mode)
-        )
-    return -(mode.tpow(n_stat(lam)) * mode.qpow(-n_prime_stat(lam))
-             * guarded_div(acc, lead, "Bernoulli recurrence"))
+    return _solve_recurrence(lam, lambda mu: _bernoulli_weight(lam1, mu, mode),
+                             lambda mu: bernoulli(mu, mode), mode.zero)
 
 
 def bernoulli_recurrence_residual(lam, mode: ScalarMode):
@@ -231,12 +240,7 @@ def bernoulli_recurrence_residual(lam, mode: ScalarMode):
     lam1 = bump(lam, 1)
     acc = mode.zero
     for mu in enumerate_sub(lam):
-        acc = acc + (
-            mode.tpow(-n_stat(mu))
-            * mode.qpow(n_prime_stat(mu))
-            * qt_binomial(lam1, mu, mode)
-            * bernoulli(mu, mode)
-        )
+        acc = acc + _bernoulli_weight(lam1, mu, mode) * bernoulli(mu, mode)
     return acc
 
 
@@ -279,23 +283,6 @@ def fibonacci(lam, mode: ScalarMode):
     return acc
 
 
-@dataclass
-class SpecialSequence:
-    """Values of one special-number family over a partition poset."""
-
-    kind: str
-    n: int
-    values: dict  # partition -> scalar
-
-    @classmethod
-    def build(cls, kind: str, bound, mode: ScalarMode) -> "SpecialSequence":
-        fn = {"bernoulli": bernoulli, "bell": bell,
-              "catalan": catalan, "fibonacci": fibonacci}[kind]
-        bound = tuple(bound)
-        values = {lam: fn(lam, mode) for lam in enumerate_sub(bound)}
-        return cls(kind=kind, n=len(bound), values=values)
-
-
 # ---------------------------------------------------------------------------
 # Ordinary alpha-limits
 # ---------------------------------------------------------------------------
@@ -311,33 +298,29 @@ def alpha_limit(quantity, alpha: int):
     return limit_at_one(quantity(FormalQ.alpha(alpha)))
 
 
-@lru_cache(maxsize=None)
 def binomial_alpha(lam, mu, alpha: int) -> Rational:
     """alpha-binomial coefficient: the t = q^alpha, q -> 1 limit."""
-    return alpha_limit(lambda m: qt_binomial(lam, mu, m), alpha)
+    return _limit(qt_binomial, (lam, mu), FormalQ.alpha(alpha))
 
 
-@lru_cache(maxsize=None)
 def bernoulli_alpha(lam, alpha: int) -> Rational:
     """alpha-Bernoulli number via the recurrence over alpha-binomials.
 
     The recurrence is triangular and its leading binomial has a nonzero
     limit, so the limit of the solution satisfies the recurrence of the
-    limits; solving over exact rationals avoids any large formal
-    denominators.
+    limits (the monomial weights tend to 1); solving over exact rationals
+    avoids any large formal denominators.
     """
+    return _bernoulli_limit(lam, FormalQ.alpha(alpha))
+
+
+@memo("bernoulli_limit", 1)
+def _bernoulli_limit(lam, mode: FormalQ) -> Rational:
     if weight(lam) == 0:
         return Rational(1)
     lam1 = bump(lam, 1)
-    lead = binomial_alpha(lam1, lam, alpha)
-    if lead == 0:
-        raise DegenerateParameters(f"leading alpha-binomial vanishes at {lam}")
-    acc = Rational(0)
-    for mu in enumerate_sub(lam):
-        if mu == lam:
-            continue
-        acc += binomial_alpha(lam1, mu, alpha) * bernoulli_alpha(mu, alpha)
-    return -acc / lead
+    return _solve_recurrence(lam, lambda mu: _limit(qt_binomial, (lam1, mu), mode),
+                             lambda mu: _bernoulli_limit(mu, mode), Rational(0))
 
 
 def bracket_alpha(z, alpha: int) -> Rational:

@@ -133,6 +133,23 @@ def test_sample_jsonl(capsys):
     assert json.loads(lines[-1])["summary"]["count"] == 10
 
 
+def test_poisson_density_refuses_a_lambda(capsys):
+    for command in (("density",), ("sample", "--count", "3")):
+        code, out = run_cli(capsys, *command, "--kind", "poisson", "--lambda", "5",
+                            "--n", "1", "--z", "1/20", "--q", "1/2", "--t", "1/3")
+        assert code == 1
+        assert json.loads(out) == {"error": {
+            "type": "InvalidArgument", "message": "poisson density has no lam parameter"}}
+
+
+def test_sample_has_no_format_flag(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["sample", "--kind", "g", "--lambda", "2,1", "--z", "1/5", "--q", "1/2",
+              "--t", "1/3", "--count", "3", "--format", "csv"])
+    assert info.value.code == 2  # an argparse usage error
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
 def test_exp_command(capsys):
     code, out = run_cli(capsys, "exp", "--z", "1/10", "--q", "1/2", "--t", "1/3",
                         "--n", "2", "--part-cap", "10", "--trunc", "25")

@@ -7,9 +7,9 @@ from qtspecials.binomial import binom_rect_lower, binom_rect_upper, qt_binomial
 from qtspecials.distributions import DensitySpec, density, distribution_F
 from qtspecials.errors import (DegenerateParameters, DivisionByZero, InvalidArgument,
                                InvalidLiteral, LengthMismatch, NotARational, QtError)
-from qtspecials.identities import check_density_normalization, check_geometric
+from qtspecials.identities import check_density_normalization, check_geometric, check_pascal
 from qtspecials.scalars import RatFuncQ, Rational, UniPoly, as_rational, parse_rational
-from qtspecials.specials import stirling
+from qtspecials.specials import catalan, stirling
 from qtspecials.wcore import QtPoint, poch, pochm
 
 POINT = QtPoint(Rational(1, 3), Rational(1, 2), n=2, max_part=6)
@@ -41,6 +41,8 @@ CASES = [
     ("poch negative order, vanishing factor", DegenerateParameters,
      lambda m: poch(m.q, -1, m)),
     ("pochm raw scalar", InvalidArgument, lambda m: pochm(1, 0, 2, m, Rational(2, 9))),
+    ("catalan of the empty partition", InvalidArgument, lambda m: catalan((), m)),
+    ("pascal bump index", InvalidArgument, lambda m: check_pascal((2, 1), 5, 0, m)),
 ]
 
 

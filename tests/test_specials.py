@@ -26,7 +26,6 @@ from qtspecials.partitions import (
 from qtspecials.scalars import RatFuncQ, Rational, limit_at_one
 from qtspecials.specials import (
     STIRLING_KINDS,
-    SpecialSequence,
     StirlingTable,
     alpha_limit,
     bell,
@@ -242,15 +241,16 @@ def _inner_limit_cases():
 
 
 def test_inner_limits_match_the_reciprocal_mode():
-    from qtspecials.specials import _uv_reciprocal_limit
+    from qtspecials.specials import _inner_mode, _limit
 
     for outer, recip, bound in _inner_limit_cases():
+        inner = _inner_mode(outer)
         for lam in enumerate_sub(bound):
             for mu in enumerate_sub(lam):
-                for which, coeff in (("u", u_coeff), ("v", v_coeff)):
+                for coeff in (u_coeff, v_coeff):
                     expect = limit_at_one(coeff(lam, mu, recip))
-                    got = _uv_reciprocal_limit(which, lam, mu, outer)
-                    assert got == expect, (outer, which, lam, mu)
+                    got = _limit(coeff, (lam, mu), inner)
+                    assert got == expect, (outer, coeff.__name__, lam, mu)
 
 
 def _old_v_coeff(lam, mu, mode):
@@ -298,12 +298,18 @@ def test_bernoulli_classical_limits():
 
 
 def test_bernoulli_alpha_matches_formal_route():
-    for m in range(1, 5):
-        assert bernoulli_alpha((m,), 1) == \
-            limit_at_one(bernoulli((m,), FormalQ.alpha(1)))
-    # and at n = 2 against the formal recurrence for a small case
-    formal = limit_at_one(bernoulli((1, 0), FormalQ.alpha(2)))
-    assert bernoulli_alpha((1, 0), 2) == formal
+    """The rational solve over alpha-binomials against the limit of the
+    formal qt-Bernoulli number, on every lam below (6,) and below (3, 2)."""
+    for alpha, bound in product((1, 2), ((6,), (3, 2))):
+        for lam in enumerate_sub(bound):
+            formal = limit_at_one(bernoulli(lam, FormalQ.alpha(alpha)))
+            assert bernoulli_alpha(lam, alpha) == formal, (alpha, lam)
+
+
+def test_bernoulli_alpha_rejects_alpha_zero_at_every_weight():
+    for lam in ((0, 0), (1, 0)):
+        with pytest.raises(UnsupportedRegime):
+            bernoulli_alpha(lam, 0)
 
 
 # -- Bell ---------------------------------------------------------------------
@@ -410,8 +416,3 @@ def test_alpha_bracket_formula():
                 expect *= Rational(z[i - 1] + alpha * (n - i), 1 + alpha * (n - i))
             assert bracket_alpha(z, alpha) == expect
 
-
-def test_special_sequence_table(mode):
-    seq = SpecialSequence.build("fibonacci", (2, 1), mode)
-    assert seq.kind == "fibonacci"
-    assert set(seq.values) == set(enumerate_sub((2, 1)))
