@@ -43,36 +43,34 @@ def _add_point(p: argparse.ArgumentParser, alpha_help=ALPHA_HELP):
 STIRLING_ALPHA_HELP = ALPHA_HELP + "; single-part partitions only"
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qtspecials",
-        description="Exact partition-indexed qt-special numbers: tables, "
-                    "identity verification, densities and sampling.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("binom", help="one qt-binomial coefficient")
+def _args_binom(p):
     p.add_argument("--lambda", dest="lam", required=True, help='partition, e.g. "2,1"')
     p.add_argument("--mu", required=True, help="partition (same length)")
     _add_point(p)
     _add_common(p)
 
-    p = sub.add_parser("stirling", help="table of qt-Stirling numbers")
+
+def _args_stirling(p):
     p.add_argument("--kind", choices=("first", "second"), required=True)
     p.add_argument("--bound", required=True, help="top partition of the table")
     _add_point(p, STIRLING_ALPHA_HELP)
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
 
-    for name in ("bernoulli", "bell", "catalan", "fibonacci"):
-        p = sub.add_parser(name, help=f"qt-{name} number(s)")
-        g = p.add_mutually_exclusive_group(required=True)
-        g.add_argument("--lambda", dest="lam", help="single partition")
-        g.add_argument("--bound", help="emit the whole table below this partition")
-        _add_point(p, STIRLING_ALPHA_HELP if name == "bell" else ALPHA_HELP)
-        _add_common(p)
 
-    p = sub.add_parser("verify", help="run the full identity suite")
+def _args_sequence(p, alpha_help=ALPHA_HELP):
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--lambda", dest="lam", help="single partition")
+    g.add_argument("--bound", help="emit the whole table below this partition")
+    _add_point(p, alpha_help)
+    _add_common(p)
+
+
+def _args_bell(p):
+    _args_sequence(p, STIRLING_ALPHA_HELP)
+
+
+def _args_verify(p):
     p.add_argument("--bound", required=True, help='e.g. "3,3" (length sets n)')
     p.add_argument("--n", type=int, default=None,
                    help="optional sanity check against the bound length")
@@ -80,7 +78,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     _add_common(p)
 
-    p = sub.add_parser("density", help="exact masses of one density")
+
+def _args_density(p):
     p.add_argument("--kind", choices=("g", "f", "poisson"), required=True)
     p.add_argument("--lambda", dest="lam", help="required for g and f")
     p.add_argument("--z", required=True)
@@ -90,7 +89,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=40)
     _add_common(p)
 
-    p = sub.add_parser("sample", help="seeded draws from a density")
+
+def _args_sample(p):
     p.add_argument("--kind", choices=("g", "f", "poisson"), required=True)
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--z", required=True)
@@ -102,7 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", help="write the JSONL output to this path instead of stdout")
 
-    p = sub.add_parser("exp", help="both exponentials: product vs series")
+
+def _args_exp(p):
     p.add_argument("--z", required=True)
     _add_point(p, alpha_help=None)
     p.add_argument("--n", type=int, required=True)
@@ -110,6 +111,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trunc", type=int, default=40)
     _add_common(p)
 
+
+SEQUENCES = ("bernoulli", "bell", "catalan", "fibonacci")
+
+# name -> (help, adds the arguments), in the order that --help lists them
+COMMANDS = {
+    "binom": ("one qt-binomial coefficient", _args_binom),
+    "stirling": ("table of qt-Stirling numbers", _args_stirling),
+    "bernoulli": ("qt-bernoulli number(s)", _args_sequence),
+    "bell": ("qt-bell number(s)", _args_bell),
+    "catalan": ("qt-catalan number(s)", _args_sequence),
+    "fibonacci": ("qt-fibonacci number(s)", _args_sequence),
+    "verify": ("run the full identity suite", _args_verify),
+    "density": ("exact masses of one density", _args_density),
+    "sample": ("seeded draws from a density", _args_sample),
+    "exp": ("both exponentials: product vs series", _args_exp),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The CLI's parser.  Every subparser is listed; given a command name,
+    only that subparser gets its arguments, which is all that parsing a
+    command line naming it reads."""
+    parser = argparse.ArgumentParser(
+        prog="qtspecials",
+        description="Exact partition-indexed qt-special numbers: tables, "
+                    "identity verification, densities and sampling.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if command is None or command == name:
+            add_arguments(p)
     return parser
 
 
@@ -152,6 +185,11 @@ def _emit(args, payload: dict, csv_rows):
         w.writerow(header)
         w.writerows(rows)
         text = buf.getvalue()
+    _write(args, text)
+
+
+def _write(args, text: str):
+    """text to the --out path, or to stdout."""
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
@@ -283,12 +321,7 @@ def _cmd_sample(args) -> int:
     spec = _density_spec(args)
     seed = args.seed if args.seed is not None else _seed_default()
     result = sample(spec, args.count, seed)
-    text = "\n".join(result.to_jsonl_lines()) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(args, "\n".join(result.to_jsonl_lines()) + "\n")
     return 0
 
 
@@ -328,19 +361,24 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    """Run one command.  Bad input (a QtError, or a ValueError or
-    ZeroDivisionError raised here) exits 1 with an error record; any other
-    exception is a fault: ``"internal": true``, exit 2."""
-    args = build_parser().parse_args(argv)
+    """Run one command.  Bad input (a QtError, or a ValueError,
+    ZeroDivisionError or OSError raised here, such as an --out path that
+    cannot be opened) exits 1 with an error record; any other exception is a
+    fault: ``"internal": true``, exit 2."""
+    if argv is None:
+        argv = sys.argv[1:]
+    # only the named command's arguments are built (the others cost start-up)
+    command = argv[0] if argv and argv[0] in COMMANDS else None
+    args = build_parser(command).parse_args(argv)
     try:
-        if args.command in ("bernoulli", "bell", "catalan", "fibonacci"):
+        if args.command in SEQUENCES:
             return _cmd_sequence(args, args.command)
         return _DISPATCH[args.command](args)
     except Exception as exc:
         import traceback  # here, so that commands that succeed never load it
         where = traceback.extract_tb(exc.__traceback__)[-1]
         internal = not isinstance(exc, QtError) and not (
-            isinstance(exc, (ValueError, ZeroDivisionError))
+            isinstance(exc, (ValueError, ZeroDivisionError, OSError))
             and where.filename == __file__)
         record = {"type": type(exc).__name__, "message": str(exc)}
         if internal:

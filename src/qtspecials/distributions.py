@@ -25,7 +25,6 @@ factor is counted, so a term is zero exactly while its count is positive.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from functools import cache
 from typing import NamedTuple
 
@@ -39,27 +38,39 @@ from .wcore import QtPoint, guarded_div, memo, norm_weight, pair_ratio, poch_par
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
 
 
-@dataclass(frozen=True)
 class DensitySpec:
-    """Parameters selecting one density on a partition poset."""
+    """Parameters selecting one density on a partition poset (immutable).
 
-    kind: str
-    z: Rational
-    point: QtPoint
-    lam: tuple | None = None  # required for the binomial kinds
-    part_cap: int = 20        # poisson support bound
-    trunc: int = 40           # factors kept per infinite product
+    lam is required for the binomial kinds; part_cap bounds the poisson
+    support, and trunc is the number of factors kept per infinite product.
+    """
 
-    def __post_init__(self):
-        if self.kind not in DENSITY_KINDS:
+    __slots__ = ("kind", "z", "point", "lam", "part_cap", "trunc")
+
+    def __init__(self, kind: str, z: Rational, point: QtPoint, lam: tuple | None = None,
+                 part_cap: int = 20, trunc: int = 40):
+        if kind not in DENSITY_KINDS:
             raise InvalidArgument(f"kind must be one of {DENSITY_KINDS}")
-        object.__setattr__(self, "z", as_rational(self.z))
-        check_sizes(0, part_cap=self.part_cap, trunc=self.trunc)
-        if self.kind == "poisson":
-            if self.lam is not None:
+        z = as_rational(z)
+        check_sizes(0, part_cap=part_cap, trunc=trunc)
+        if kind == "poisson":
+            if lam is not None:
                 raise InvalidArgument("poisson density has no lam parameter")
-        elif self.lam is None:
-            raise InvalidArgument(f"{self.kind} density requires lam")
+        elif lam is None:
+            raise InvalidArgument(f"{kind} density requires lam")
+        init = object.__setattr__
+        init(self, "kind", kind)
+        init(self, "z", z)
+        init(self, "point", point)
+        init(self, "lam", lam)
+        init(self, "part_cap", part_cap)
+        init(self, "trunc", trunc)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     @property
     def n(self) -> int:
@@ -372,14 +383,18 @@ class SplitMix64:
         return Rational(self.next_word(), 1 << 64)
 
 
-@dataclass
 class PartitionSample:
-    """Seeded draws from a density, with exact empirical frequencies."""
+    """Seeded draws from a density, with exact empirical frequencies:
+    empirical_mass and exact_mass map a partition to a Rational (exact_mass
+    renormalized for poisson)."""
 
-    draws: tuple
-    seed: int
-    empirical_mass: dict  # partition -> Rational
-    exact_mass: dict      # partition -> Rational (renormalized for poisson)
+    __slots__ = ("draws", "seed", "empirical_mass", "exact_mass")
+
+    def __init__(self, draws: tuple, seed: int, empirical_mass: dict, exact_mass: dict):
+        self.draws = draws
+        self.seed = seed
+        self.empirical_mass = empirical_mass
+        self.exact_mass = exact_mass
 
     def to_jsonl_lines(self) -> list:
         import json

@@ -9,7 +9,6 @@ checks carry a rational tolerance and are flagged approximate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 
 from .binomial import qt_binomial
 from .errors import ConvergenceViolated, DegenerateParameters, InvalidArgument, check_sizes
@@ -40,17 +39,21 @@ ATTEMPTS = 100  # draws before a sampler gives up
 GEOMETRIC_PART_CAP, GEOMETRIC_TRUNC = 6, 30  # sizes of the suite's geometric checks
 
 
-@dataclass
 class IdentityCheck:
-    """Record of one verified identity: name, both sides, exact residual."""
+    """Record of one verified identity: name, both sides, exact residual.
+    An approximate check passes when |residual| < tolerance."""
 
-    name: str
-    lhs: object
-    rhs: object
-    residual: object
-    params: dict
-    approximate: bool = False
-    tolerance: object = None
+    __slots__ = ("name", "lhs", "rhs", "residual", "params", "approximate", "tolerance")
+
+    def __init__(self, name: str, lhs, rhs, residual, params: dict,
+                 approximate: bool = False, tolerance=None):
+        self.name = name
+        self.lhs = lhs
+        self.rhs = rhs
+        self.residual = residual
+        self.params = params
+        self.approximate = approximate
+        self.tolerance = tolerance
 
     @property
     def passed(self) -> bool:
@@ -332,16 +335,19 @@ def sample_until(rng: random.Random, draw, accept):
 # The suite
 # ---------------------------------------------------------------------------
 
-@dataclass
 class VerificationReport:
-    """Aggregated per-identity residual records for one suite run."""
+    """Aggregated per-identity residual records for one suite run; notes are
+    report-only and never fail."""
 
-    n: int
-    bound: tuple
-    points: int
-    seed: int
-    checks: list = field(default_factory=list)
-    notes: list = field(default_factory=list)  # report-only, never fail
+    __slots__ = ("n", "bound", "points", "seed", "checks", "notes")
+
+    def __init__(self, n: int, bound: tuple, points: int, seed: int):
+        self.n = n
+        self.bound = bound
+        self.points = points
+        self.seed = seed
+        self.checks = []
+        self.notes = []
 
     @property
     def all_pass(self) -> bool:

@@ -17,8 +17,6 @@ cache), the alpha-binomials and alpha-Bernoulli numbers in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .binomial import qt_binomial, qt_bracket
 from .errors import DegenerateParameters, InvalidArgument, LengthMismatch, UnsupportedRegime
 from .partitions import (
@@ -170,14 +168,17 @@ def stirling_expansion_residual(lam, Q, mode: ScalarMode):
     return lhs - rhs
 
 
-@dataclass
 class StirlingTable:
-    """All Stirling numbers of one kind on the poset below a bound."""
+    """All Stirling numbers of one kind on the poset below a bound; entries
+    maps (nu, mu) to the scalar, only for mu <= nu."""
 
-    kind: str
-    n: int
-    bound: tuple
-    entries: dict  # (nu, mu) -> scalar, only for mu <= nu
+    __slots__ = ("kind", "n", "bound", "entries")
+
+    def __init__(self, kind: str, n: int, bound: tuple, entries: dict):
+        self.kind = kind
+        self.n = n
+        self.bound = bound
+        self.entries = entries
 
     @classmethod
     def build(cls, kind: str, bound, mode: ScalarMode) -> "StirlingTable":

@@ -32,8 +32,7 @@ by the ints of a ``RatFuncQ``, hashed once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, wraps
+from functools import wraps
 from typing import NamedTuple
 
 from .errors import (DegenerateParameters, InvalidArgument, NotAStrip,
@@ -125,25 +124,46 @@ def _monos(z, mode: "ScalarMode") -> tuple:
     return tuple(_mono(x, mode) for x in z)
 
 
-@dataclass(frozen=True)
 class QtPoint:
     """A validated exact rational parameter pair (q, t).
 
     Construction rejects points where any factor (1 - q^a t^b) with
     0 <= a <= 2*max_part + 2 and |b| <= 2*n vanishes, so that every
     denominator arising for partitions of at most n parts bounded by
-    max_part is safely nonzero.
+    max_part is safely nonzero.  A point is immutable, and equal points
+    (same q, t, n, max_part) hash alike.
     """
 
-    q: Rational
-    t: Rational
-    n: int = 4
-    max_part: int = 8
+    __slots__ = ("q", "t", "n", "max_part", "_mode")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", as_rational(self.q))
-        object.__setattr__(self, "t", as_rational(self.t))
-        self.validate(self.n, self.max_part)
+    def __init__(self, q: Rational, t: Rational, n: int = 4, max_part: int = 8):
+        init = object.__setattr__
+        init(self, "q", as_rational(q))
+        init(self, "t", as_rational(t))
+        init(self, "n", n)
+        init(self, "max_part", max_part)
+        init(self, "_mode", None)
+        self.validate(n, max_part)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _key(self) -> tuple:
+        return self.q, self.t, self.n, self.max_part
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"QtPoint(q={self.q}, t={self.t}, n={self.n}, max_part={self.max_part})"
 
     def validate(self, n: int, max_part: int) -> "QtPoint":
         """Check the degeneracy window for the given bounds; returns self."""
@@ -169,10 +189,12 @@ class QtPoint:
                     )
         return self
 
-    @cached_property
+    @property
     def mode(self) -> "AtPoint":
         """The one AtPoint of this point, shared by every layer."""
-        return AtPoint(self)
+        if self._mode is None:
+            object.__setattr__(self, "_mode", AtPoint(self))
+        return self._mode
 
 
 class ScalarMode:

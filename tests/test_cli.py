@@ -179,6 +179,23 @@ def test_out_flag(tmp_path, capsys):
     assert json.loads(target.read_text())["value"] == "1/1"
 
 
+@pytest.mark.parametrize("command", [
+    ("density", "--kind", "g"), ("sample", "--kind", "g", "--count", "3")],
+    ids=["density", "sample"])
+@pytest.mark.parametrize("where,error", [
+    ((), "IsADirectoryError"), (("missing", "x.json"), "FileNotFoundError")],
+    ids=["directory", "missing-directory"])
+def test_out_path_that_cannot_be_opened_is_an_input_error(tmp_path, capsys, command,
+                                                          where, error):
+    target = tmp_path.joinpath(*where)
+    code, out = run_cli(capsys, *command, "--lambda", "2,1", "--z", "1/5",
+                        "--q", "1/2", "--t", "1/3", "--out", str(target))
+    record = json.loads(out)["error"]
+    assert code == 1 and "internal" not in record
+    assert record["type"] == error and str(target) in record["message"]
+    assert capsys.readouterr().err == ""  # no traceback
+
+
 @pytest.mark.parametrize("where", [("--q", "1/2", "--t", "1/3"), ("--alpha", "1")],
                          ids=["point", "alpha"])
 def test_catalan_table_lists_undefined_entries(capsys, where):
@@ -348,6 +365,27 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
         "import qtspecials.cli\n"
         "print(sorted(m for m in sys.modules if m in ('qtspecials.identities',"
         " 'qtspecials.distributions', 'qtspecials.specials')))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtspecials.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
+def test_the_library_imports_no_dataclasses():
+    """dataclasses (with inspect behind it) costs every CLI command several
+    milliseconds of start-up; no module of the package needs it."""
+    import os
+    import subprocess
+    import sys
+
+    import qtspecials
+
+    script = (
+        "import sys\n"
+        "import qtspecials.cli, qtspecials.identities, qtspecials.specials, "
+        "qtspecials.distributions\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtspecials.__file__)))
     out = subprocess.run([sys.executable, "-c", script], env=env,

@@ -4,11 +4,21 @@ Each command line below is pinned to the SHA-256 of its stdout, recorded
 before the Pochhammer products were routed through `wcore.pochm`.  A change
 that only restructures the arithmetic must leave every digest as it is; a
 change that is meant to alter output has to update the digest and say why.
+
+The argparse surface (every help text and usage error) is pinned the same
+way, run in a fresh interpreter at a fixed terminal width: the digests were
+recorded before the parser started to give arguments only to the subparser
+that the command line names.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
 
 import pytest
+
+import qtspecials
 
 from qtspecials.cli import main
 
@@ -72,3 +82,39 @@ def test_golden_stdout(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+ARGPARSE_GOLDEN = [
+    (("--help",), "aa3cfcc4d98d2660d83027dae8aa53116f7fc65ce2fc5de77c0f2c76d7e84cfe"),
+    (("binom", "--help"), "6f3bae990e1ba696560d4264258e7c815a2725d79982ba98c18ba8f7e1d66942"),
+    (("stirling", "--help"), "4729e91a38630809dd7f6b8ecc7f4560b303d1942e779fa2bea9952fba768533"),
+    (("bernoulli", "--help"), "8bd35f3ca242282291e4b191be6fa45f3673c8306d2cf88886ce2710fc656a44"),
+    (("bell", "--help"), "5079347274aa1be3d890039e25f767404cb4cce8053804963f3bfe309c24ad09"),
+    (("catalan", "--help"), "e455fa6ca94c6f767971a6fdb363f0a752094f5eb7776fef83e1c6e3153d8b20"),
+    (("fibonacci", "--help"), "a4407a497e0285af11d5c11fdf95472d6ecfa9beeeb906f49e500070ba71af78"),
+    (("verify", "--help"), "7f273b6b2060f837b344c6de5ad717ff26c99cca38bf665665126d41f8dbb894"),
+    (("density", "--help"), "622895e3033f2c2dbdf299a1989f8b43c970339bb0ec75bb18705d14b78717cd"),
+    (("sample", "--help"), "eac8760728d43b358a577a8411e8c603c1e3ecc115830bfaabfe4fcdf5bf0c43"),
+    (("exp", "--help"), "320258e8a55af283284c38a9eaa925509e6e97cd7e80e14ecc97ccbe6897d6ba"),
+    ((), "03b47661158ca4c3743d9c0456ddf5b43ded44383ff45c6e4a82c30a1b097cc3"),
+    (("foo",), "9ff9ae7c609fd1ddc0e79b2a2aec579427bef2aada8d1fbbe5ecbdea032c41be"),
+    (("bin", "--lambda", "2", "--mu", "1"),
+     "839dfbeab66d1cf555d2454a528ea5fd4351df6bfc57faf32a970dd13bbda1d1"),
+    (("binom", "--lambda", "2"),
+     "30e3eac83900c7350b28e957b5e6be2a7b9c386bc5c793bda14a31601a253b75"),
+    (("stirling", "--kind", "third", "--bound", "2"),
+     "b0ef58133c7c1f94acfa1c81e235e6f4745da8ee33c9581e6a2012d28d416597"),
+]
+
+
+@pytest.mark.parametrize("argv,digest", ARGPARSE_GOLDEN,
+                         ids=[" ".join(a) or "(no arguments)" for a, _ in ARGPARSE_GOLDEN])
+def test_golden_argparse_output(argv, digest):
+    """SHA-256 of the exit code, stdout and stderr of the console entry point."""
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=os.path.dirname(os.path.dirname(qtspecials.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from qtspecials.cli import main; sys.exit(main())",
+         *argv], env=env, capture_output=True)
+    seen = b"%d\n" % proc.returncode + proc.stdout + b"\0" + proc.stderr
+    assert hashlib.sha256(seen).hexdigest() == digest

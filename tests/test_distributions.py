@@ -42,6 +42,16 @@ def test_spec_validation():
                     point=QtPoint(HALF, THIRD))
 
 
+def test_spec_is_immutable():
+    spec = g_spec()
+    assert (spec.kind, spec.z, spec.lam, spec.part_cap, spec.trunc) == \
+        ("binomial_g", FIFTH, (2, 1), 20, 40)
+    for name, value in (("z", HALF), ("kind", "poisson"), ("lam", (1, 0))):
+        with pytest.raises(AttributeError):
+            setattr(spec, name, value)
+    assert (spec.kind, spec.z, spec.lam) == ("binomial_g", FIFTH, (2, 1))
+
+
 def test_negative_sizes_are_invalid_arguments():
     """A negative truncation or part cap used to invert a Pochhammer product
     or empty the support instead of failing."""

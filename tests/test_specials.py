@@ -182,6 +182,16 @@ def test_stirling_table():
             assert val == 1
 
 
+@pytest.mark.parametrize("kind", STIRLING_KINDS)
+def test_stirling_table_fields(kind):
+    m = AtPoint(QtPoint(Rational(2, 7), Rational(3, 5)))
+    table = StirlingTable.build(kind, [2, 1], m)
+    assert (table.kind, table.n, table.bound) == (kind, 2, (2, 1))
+    pairs = [(nu, mu) for nu in enumerate_sub((2, 1)) for mu in enumerate_sub(nu)]
+    assert list(table.entries) == pairs
+    assert all(table.entries[nu, mu] == stirling(kind, nu, mu, m) for nu, mu in pairs)
+
+
 def test_stirling_alpha_mode_guard():
     fmode = FormalQ.alpha(1)
     with pytest.raises(UnsupportedRegime):

@@ -50,6 +50,25 @@ def test_qtpoint_rejects_degenerate():
         QtPoint(Rational(1, 2), Rational(4), n=2, max_part=2)
 
 
+def test_qtpoint_is_an_immutable_value():
+    """QtPoint is a plain class: it keeps the construction, equality, hash and
+    immutability of the frozen record it replaced."""
+    point = QtPoint(Rational(2, 7), Rational(3, 5))
+    assert (point.q, point.t, point.n, point.max_part) == (Rational(2, 7), Rational(3, 5), 4, 8)
+    same = QtPoint(q=Rational(2, 7), t=Rational(3, 5), n=4, max_part=8)
+    assert same == point and hash(same) == hash(point)
+    assert QtPoint(Rational(2, 7), Rational(3, 5), 3, 8) != point
+    assert QtPoint(2, "3/5").t == Rational(3, 5)  # scalars pass through as_rational
+    with pytest.raises(AttributeError):
+        point.q = Rational(1, 2)
+    with pytest.raises(AttributeError):
+        del point.t
+    assert point.q == Rational(2, 7)
+    assert point.mode is point.mode
+    with pytest.raises(DegenerateParameters):
+        QtPoint(q=Rational(1, 2), t=Rational(4), n=2, max_part=2)
+
+
 def test_e1():
     assert e1(3) == (1, 0, 0)
 
