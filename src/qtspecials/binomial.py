@@ -33,7 +33,7 @@ def qt_binomial(lam, mu, mode: ScalarMode):
     """
     if len(lam) != len(mu):
         raise LengthMismatch("lam and mu must have the same length")
-    if mu[-1] < 0 or not contains(lam, mu):
+    if (mu and mu[-1] < 0) or not contains(lam, mu):
         return mode.zero
     n = len(mu)
     w = weight(mu)

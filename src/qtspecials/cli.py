@@ -66,10 +66,6 @@ def _args_sequence(p, alpha_help=ALPHA_HELP):
     _add_common(p)
 
 
-def _args_bell(p):
-    _args_sequence(p, STIRLING_ALPHA_HELP)
-
-
 def _args_verify(p):
     p.add_argument("--bound", required=True, help='e.g. "3,3" (length sets n)')
     p.add_argument("--n", type=int, default=None,
@@ -112,23 +108,6 @@ def _args_exp(p):
     _add_common(p)
 
 
-SEQUENCES = ("bernoulli", "bell", "catalan", "fibonacci")
-
-# name -> (help, adds the arguments), in the order that --help lists them
-COMMANDS = {
-    "binom": ("one qt-binomial coefficient", _args_binom),
-    "stirling": ("table of qt-Stirling numbers", _args_stirling),
-    "bernoulli": ("qt-bernoulli number(s)", _args_sequence),
-    "bell": ("qt-bell number(s)", _args_bell),
-    "catalan": ("qt-catalan number(s)", _args_sequence),
-    "fibonacci": ("qt-fibonacci number(s)", _args_sequence),
-    "verify": ("run the full identity suite", _args_verify),
-    "density": ("exact masses of one density", _args_density),
-    "sample": ("seeded draws from a density", _args_sample),
-    "exp": ("both exponentials: product vs series", _args_exp),
-}
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The CLI's parser.  Every subparser is listed; given a command name,
     only that subparser gets its arguments, which is all that parsing a
@@ -139,7 +118,7 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
                     "identity verification, densities and sampling.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in COMMANDS.items():
+    for name, (help_text, add_arguments, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         if command is None or command == name:
             add_arguments(p)
@@ -232,9 +211,10 @@ def _cmd_stirling(args) -> int:
     return 0
 
 
-def _cmd_sequence(args, name: str) -> int:
+def _cmd_sequence(args) -> int:
     from . import specials
 
+    name = args.command
     fn = getattr(specials, name)
     shape = parse_partition(args.lam if args.lam else args.bound)
     lams = [shape] if args.lam else enumerate_sub(shape)
@@ -350,13 +330,20 @@ def _cmd_exp(args) -> int:
     return 0
 
 
-_DISPATCH = {
-    "binom": _cmd_binom,
-    "stirling": _cmd_stirling,
-    "verify": _cmd_verify,
-    "density": _cmd_density,
-    "sample": _cmd_sample,
-    "exp": _cmd_exp,
+# name -> (help, adds the arguments, runs the command), in the order that
+# --help lists them
+COMMANDS = {
+    "binom": ("one qt-binomial coefficient", _args_binom, _cmd_binom),
+    "stirling": ("table of qt-Stirling numbers", _args_stirling, _cmd_stirling),
+    "bernoulli": ("qt-bernoulli number(s)", _args_sequence, _cmd_sequence),
+    "bell": ("qt-bell number(s)", lambda p: _args_sequence(p, STIRLING_ALPHA_HELP),
+             _cmd_sequence),
+    "catalan": ("qt-catalan number(s)", _args_sequence, _cmd_sequence),
+    "fibonacci": ("qt-fibonacci number(s)", _args_sequence, _cmd_sequence),
+    "verify": ("run the full identity suite", _args_verify, _cmd_verify),
+    "density": ("exact masses of one density", _args_density, _cmd_density),
+    "sample": ("seeded draws from a density", _args_sample, _cmd_sample),
+    "exp": ("both exponentials: product vs series", _args_exp, _cmd_exp),
 }
 
 
@@ -371,9 +358,7 @@ def main(argv=None) -> int:
     command = argv[0] if argv and argv[0] in COMMANDS else None
     args = build_parser(command).parse_args(argv)
     try:
-        if args.command in SEQUENCES:
-            return _cmd_sequence(args, args.command)
-        return _DISPATCH[args.command](args)
+        return COMMANDS[args.command][2](args)
     except Exception as exc:
         import traceback  # here, so that commands that succeed never load it
         where = traceback.extract_tb(exc.__traceback__)[-1]

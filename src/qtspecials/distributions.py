@@ -31,8 +31,9 @@ from typing import NamedTuple
 from .binomial import qt_binomial
 from .errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
                      UnsupportedRegime, check_sizes)
-from .partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
-from .scalars import Rational, as_rational, sum_rationals
+from .partitions import (contains, enumerate_sub, format_partition, n_prime_stat, n_stat,
+                         weight)
+from .scalars import Rational, as_rational, format_rational, sum_rationals
 from .wcore import QtPoint, guarded_div, memo, norm_weight, pair_ratio, poch_partition
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
@@ -88,11 +89,34 @@ class DensitySpec:
         return enumerate_sub(self.lam)
 
 
+def series_ratio(c, point: QtPoint, n: int) -> Rational:
+    """max_i |c t^(2i-n-1)| over i = 1..n, and 0 for n = 0: the ratio test of
+    every partition series here, which converges when |q| < 1 and this
+    bound, for its own c, is below 1."""
+    t = point.t
+    return max((abs(c * t ** (2 * i - n - 1)) for i in range(1, n + 1)),
+               default=Rational(0))
+
+
+def check_series(z, point: QtPoint, n: int, part_cap: int, trunc: int) -> Rational:
+    """Validate the arguments of a truncated partition series in n rows;
+    returns z as a Rational."""
+    check_sizes(0, n=n, part_cap=part_cap, trunc=trunc)
+    z = as_rational(z)
+    if not abs(point.q) < 1:
+        raise ConvergenceViolated("infinite products require |q| < 1")
+    return z
+
+
 def poisson_convergence_ok(spec: DensitySpec) -> bool:
-    q, t, z, n = spec.point.q, spec.point.t, spec.z, spec.n
-    return abs(q) < 1 and all(
-        abs(z * t ** (2 * i - n - 1)) < 1 for i in range(1, n + 1)
-    )
+    return abs(spec.point.q) < 1 and series_ratio(spec.z, spec.point, spec.n) < 1
+
+
+def _check_poisson(spec: DensitySpec) -> None:
+    if not poisson_convergence_ok(spec):
+        raise ConvergenceViolated(
+            "poisson density requires |q| < 1 and max_i |z t^(2i-n-1)| < 1"
+        )
 
 
 def g_mass(lam, mu, z, mode):
@@ -140,10 +164,7 @@ def _truncated(a, n: int, trunc: int, mode) -> Rational:
 
 
 def _poisson_mass(spec: DensitySpec, mu, mode) -> Rational:
-    if not poisson_convergence_ok(spec):
-        raise ConvergenceViolated(
-            "poisson density requires |q| < 1 and max_i |z t^(2i-n-1)| < 1"
-        )
+    _check_poisson(spec)
     n = spec.n
     z = spec.z
     wm = weight(mu)
@@ -164,10 +185,7 @@ def poisson_masses(spec: DensitySpec) -> dict:
     its parent's by a term ratio; equal to ``density(spec, mu)``."""
     if spec.kind != "poisson":
         raise InvalidArgument("poisson_masses needs a poisson density")
-    if not poisson_convergence_ok(spec):
-        raise ConvergenceViolated(
-            "poisson density requires |q| < 1 and max_i |z t^(2i-n-1)| < 1"
-        )
+    _check_poisson(spec)
     n, mode = spec.n, spec.point.mode
     terms = _term_walk(mode, n, spec.part_cap, spec.z,
                        _truncated(spec.z, n, spec.trunc, mode),
@@ -197,9 +215,8 @@ def poisson_normalization(spec: DensitySpec):
 
 def _poisson_tail(spec: DensitySpec, total) -> Rational:
     """The tail bound of poisson_normalization for a given total mass."""
-    n = spec.n
-    r = max(abs(spec.z * spec.point.t ** (2 * i - n - 1)) for i in range(1, n + 1))
-    return abs(total) * n * r ** (spec.part_cap + 1) / (1 - r)
+    r = series_ratio(spec.z, spec.point, spec.n)
+    return abs(total) * spec.n * r ** (spec.part_cap + 1) / (1 - r)
 
 
 def distribution_F(nu, lam, z, point: QtPoint) -> Rational:
@@ -326,11 +343,8 @@ def _exp_series(z, n, part_cap, mode, upper: bool) -> Rational:
 
 def exp_E(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> ExpResult:
     """Upper exponential: truncated product (-z)_inf and its partition series."""
-    check_sizes(0, part_cap=part_cap, trunc=trunc)
-    if not abs(point.q) < 1:
-        raise ConvergenceViolated("infinite products require |q| < 1")
+    z = check_series(z, point, n, part_cap, trunc)
     mode = point.mode
-    z = as_rational(z)
     prod = _truncated(-z, n, trunc, mode)
     series = _exp_series(z, n, part_cap, mode, upper=True)
     return ExpResult(prod, series, prod - series)
@@ -341,13 +355,10 @@ def exp_e(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
 
     Requires the ratio-test condition max_i |z t^(2i-n-1)| < 1.
     """
-    check_sizes(0, part_cap=part_cap, trunc=trunc)
-    if not abs(point.q) < 1:
-        raise ConvergenceViolated("infinite products require |q| < 1")
-    if not all(abs(z * point.t ** (2 * i - n - 1)) < 1 for i in range(1, n + 1)):
+    z = check_series(z, point, n, part_cap, trunc)
+    if not series_ratio(z, point, n) < 1:
         raise ConvergenceViolated("parameters violate max_i |z t^(2i-n-1)| < 1")
     mode = point.mode
-    z = as_rational(z)
     prod = _truncated(z, n, trunc, mode)
     if prod == 0:
         raise DegenerateParameters("truncated product vanishes")
@@ -398,9 +409,6 @@ class PartitionSample:
 
     def to_jsonl_lines(self) -> list:
         import json
-
-        from .partitions import format_partition
-        from .scalars import format_rational
 
         lines = [json.dumps(format_partition(d)) for d in self.draws]
         summary = {

@@ -9,14 +9,17 @@ checks carry a rational tolerance and are flagged approximate.
 from __future__ import annotations
 
 import random
+from itertools import product as iproduct
 
 from .binomial import qt_binomial
+from .distributions import _truncated, check_series, f_mass, g_mass, series_ratio
 from .errors import ConvergenceViolated, DegenerateParameters, InvalidArgument, check_sizes
 from .partitions import (
     bump,
     contains,
     enumerate_sub,
     format_partition,
+    is_partition,
     n_prime_stat,
     n_stat,
     valid_bumps,
@@ -65,9 +68,7 @@ class IdentityCheck:
         rec = {
             "name": self.name,
             "params": self.params,
-            "residual": format_rational(self.residual)
-            if not isinstance(self.residual, str)
-            else self.residual,
+            "residual": format_rational(self.residual),
             "approximate": self.approximate,
             "pass": self.passed,
         }
@@ -229,7 +230,6 @@ def check_density_normalization(lam, z, which: str, mode: ScalarMode) -> Identit
     """Total mass of the g or f density over the poset below lam equals 1."""
     if which not in ("g", "f"):
         raise InvalidArgument("which must be 'g' or 'f'")
-    from .distributions import f_mass, g_mass  # lazily: the CLI imports this module
     mass = g_mass if which == "g" else f_mass
     z = mode.lift(z)
     total = mode.zero
@@ -244,12 +244,6 @@ def check_density_normalization(lam, z, which: str, mode: ScalarMode) -> Identit
 # ---------------------------------------------------------------------------
 # Truncated (approximate) identity
 # ---------------------------------------------------------------------------
-
-def geometric_convergence_ok(z, point: QtPoint, n: int) -> bool:
-    """max_i |q z t^(2i-n-1)| < 1, the ratio-test condition of the series."""
-    q, t = point.q, point.t
-    return all(abs(q * z * t ** (2 * i - n - 1)) < 1 for i in range(1, n + 1))
-
 
 def check_geometric(
     mu, z, part_cap: int, trunc: int, point: QtPoint, tolerance=Rational(1, 10 ** 8)
@@ -266,17 +260,14 @@ def check_geometric(
     factors; the right side sums over partitions containing mu with parts
     at most ``part_cap``.  Requires |q| < 1 and the ratio-test condition.
     """
-    check_sizes(0, part_cap=part_cap, trunc=trunc)
     n = len(mu)
-    z = as_rational(z)
-    mode = point.mode
-    if not abs(point.q) < 1:
-        raise ConvergenceViolated("infinite products require |q| < 1")
-    if not geometric_convergence_ok(z, point, n):
+    z = check_series(z, point, n, part_cap, trunc)
+    if not series_ratio(point.q * z, point, n) < 1:
         raise ConvergenceViolated("parameters violate max_i |q z t^(2i-n-1)| < 1")
-    prod = poch_partition(mode.q * z, (trunc,) * n, mode)
-    lhs = guarded_div(z ** weight(mu), prod, "truncated product") * pair_ratio(mu, mode, 0)
+    mode = point.mode
     qz = mode.q * z
+    prod = _truncated(qz, n, trunc, mode)
+    lhs = guarded_div(z ** weight(mu), prod, "truncated product") * pair_ratio(mu, mode, 0)
     rhs = mode.zero
     for lam in enumerate_sub((part_cap,) * n):
         if not contains(lam, mu):
@@ -427,9 +418,7 @@ def run_identity_suite(
                 continue
         if gpoint is None:
             raise DegenerateParameters("no usable point for the truncated check")
-        bnd = max(
-            abs(gpoint.q * gpoint.t ** (2 * i - n - 1)) for i in range(1, n + 1)
-        )
+        bnd = series_ratio(gpoint.q, gpoint, n)
         zgeo = Rational(1, 100 * (1 + bnd.numerator // bnd.denominator))
         for mu in (zeros(n), bump(zeros(n), 1)):
             report.add(
@@ -479,7 +468,8 @@ def run_specials_suite(
     sequence families, the rectangular Catalan closed forms, and the
     exploratory odd-weight Bernoulli report (non-failing).
     """
-    from .binomial import qt_binomial
+    # imported here: run_identity_suite never needs specials, and a module-level
+    # import would add its load to every run of that suite
     from .specials import (
         alpha_limit,
         bell,
@@ -610,9 +600,6 @@ def run_specials_suite(
 
         # Fibonacci against a brute-force decomposition sum
         fib_bound = tuple(min(b, 2) for b in bound)
-        from .partitions import is_partition
-        from itertools import product as iproduct
-
         for lam in enumerate_sub(fib_bound):
             got = fibonacci(lam, mode)
             brute = mode.zero

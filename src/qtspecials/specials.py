@@ -17,7 +17,7 @@ cache), the alpha-binomials and alpha-Bernoulli numbers in
 
 from __future__ import annotations
 
-from .binomial import qt_binomial, qt_bracket
+from .binomial import qt_binomial, qt_bracket, qt_bracket_shifted
 from .errors import DegenerateParameters, InvalidArgument, LengthMismatch, UnsupportedRegime
 from .partitions import (
     bump,
@@ -150,8 +150,6 @@ def stirling_expansion_residual(lam, Q, mode: ScalarMode):
     t^{2n(mu)+(1-n)|mu|} * prod_i [(1-Q t^{n-i}) / (1-q t^{n-i})]^{mu_i};
     the weight is forced by the diagonal normalization s1(lam, lam) = 1.
     """
-    from .binomial import qt_bracket_shifted
-
     Q = mode.lift(Q)
     n = len(lam)
     lhs = qt_bracket_shifted(Q, lam, mode)

@@ -137,6 +137,7 @@ class QtPoint:
     __slots__ = ("q", "t", "n", "max_part", "_mode")
 
     def __init__(self, q: Rational, t: Rational, n: int = 4, max_part: int = 8):
+        check_sizes(0, n=n, max_part=max_part)
         init = object.__setattr__
         init(self, "q", as_rational(q))
         init(self, "t", as_rational(t))
@@ -488,19 +489,24 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     Each step removes the first variable and sums over horizontal strips
     nu below lam; the peeled argument and the s slot of the "ab" kind are
     shifted by t^{-ell}, and the "s_up" kind gains t^{ell(|lam|-|nu|)}.
-    Vanishes for mu not contained in lam (every strip chain dies).
+    Vanishes for mu not contained in lam (every strip chain dies).  With
+    one variable it is the (memoized) skew value, with none 1 at lam = mu
+    and 0 elsewhere; only values of two or more variables get a "W" entry.
     """
     _check_kind(kind, s)
-    return _w_multi(kind, lam, mu, _monos(z, mode), mode,
-                    _mono(s, mode) if kind == "ab" else None)
+    z = _monos(z, mode)
+    s = _mono(s, mode) if kind == "ab" else None
+    if len(z) > 1:
+        return _w_multi(kind, lam, mu, z, mode, s)
+    if z:
+        return _w_skew(kind, lam, mu, z[0], mode, s)
+    return mode.one if lam == mu else mode.zero
 
 
 @memo("W", 4)
 def _w_multi(kind: str, lam, mu, z: tuple, mode: ScalarMode, s):
     if not contains(lam, mu):
         return mode.zero
-    if len(z) == 1:
-        return w_skew(kind, lam, mu, z[0], mode, s)
     ell = len(z) - 1
     y = z[0].peeled(ell)
     s_peel = s.peeled(ell) if kind == "ab" else None

@@ -122,3 +122,18 @@ def test_bracket_shifted_agrees_with_bracket_on_principal_values(mode):
     for x in (2, 3):
         Q = mode.qpow(x)
         assert qt_bracket_shifted(Q, (1, 1), mode) == qt_bracket((x, x), mode)
+
+
+def test_empty_partition_values_are_empty_products(mode):
+    from qtspecials.specials import fibonacci, stirling
+    from qtspecials.wcore import w_multi, w_principal
+
+    assert qt_binomial((), (), mode) == 1
+    assert fibonacci((), mode) == 1
+    for kind in ("first", "second"):
+        assert stirling(kind, (), (), mode) == 1
+    for kind, s in (("s_up", None), ("s_down", None), ("ab", Rational(3, 4))):
+        assert w_principal(kind, (), (), mode, s) == 1
+        # no variable: 1 at lam = mu, else 0
+        assert w_multi(kind, (1, 0), (1, 0), (), mode, s) == 1
+        assert w_multi(kind, (1, 0), (0, 0), (), mode, s) == 0

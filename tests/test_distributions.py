@@ -379,3 +379,17 @@ def test_vanishing_numerator_factor_zeroes_only_the_terms_it_divides():
         terms = _exp_terms(z, 2, 5, mode, upper)
         assert terms[(4, 0)] == 0 and terms[(4, 1)] != 0
         assert terms == {mu: _direct_exp_term(mu, z, mode, upper) for mu in terms}
+
+
+def test_series_accept_z_as_a_literal_or_an_int():
+    point = QtPoint(HALF, THIRD, n=2, max_part=6)
+    for exp in (exp_E, exp_e):
+        assert exp("1/10", point, 2, 6, 10) == exp(Rational(1, 10), point, 2, 6, 10)
+        assert exp(0, point, 2, 6, 10) == exp(Rational(0), point, 2, 6, 10)
+
+
+def test_poisson_density_in_no_rows_is_the_point_mass_at_the_empty_partition():
+    spec = DensitySpec(kind="poisson", z=FIFTH, point=QtPoint(HALF, THIRD, n=0, max_part=6),
+                       part_cap=4, trunc=10)
+    assert poisson_normalization(spec) == (1, 0)
+    assert exact_masses(spec) == {(): 1}

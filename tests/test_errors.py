@@ -4,7 +4,7 @@ a QtError, never with a bare builtin exception."""
 import pytest
 
 from qtspecials.binomial import binom_rect_lower, binom_rect_upper, qt_binomial
-from qtspecials.distributions import DensitySpec, density, distribution_F
+from qtspecials.distributions import DensitySpec, density, distribution_F, exp_E, exp_e
 from qtspecials.errors import (DegenerateParameters, DivisionByZero, InvalidArgument,
                                InvalidLiteral, LengthMismatch, NotARational, QtError)
 from qtspecials.identities import check_density_normalization, check_geometric, check_pascal
@@ -43,6 +43,11 @@ CASES = [
     ("pochm raw scalar", InvalidArgument, lambda m: pochm(1, 0, 2, m, Rational(2, 9))),
     ("catalan of the empty partition", InvalidArgument, lambda m: catalan((), m)),
     ("pascal bump index", InvalidArgument, lambda m: check_pascal((2, 1), 5, 0, m)),
+    ("exp_E n", InvalidArgument, lambda m: exp_E(Z, POINT, -1)),
+    ("exp_e n", InvalidArgument, lambda m: exp_e(Z, POINT, -1)),
+    ("QtPoint n", InvalidArgument, lambda m: QtPoint(Rational(1, 3), Rational(1, 2), n=-1)),
+    ("QtPoint max_part", InvalidArgument,
+     lambda m: QtPoint(Rational(1, 3), Rational(1, 2), max_part=-5)),
 ]
 
 

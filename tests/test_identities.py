@@ -195,3 +195,25 @@ def test_suite_deterministic():
 def test_random_point_rejects_degenerate(rng):
     pt = random_qt_point(rng, 2, max_part=4)
     assert pt.q != 1 and pt.t != 0
+
+
+def test_geometric_check_in_no_rows_is_exact():
+    check = check_geometric((), Rational(1, 10), 4, 6, QtPoint(Rational(1, 3), Rational(1, 2)))
+    assert check.lhs == check.rhs == 1 and check.passed
+
+
+def test_suite_mode_memoizes_only_multivariable_w_values(monkeypatch):
+    from qtspecials import identities
+
+    points = []
+
+    def recording(*args, **kwargs):
+        points.append(random_qt_point(*args, **kwargs))
+        return points[-1]
+
+    monkeypatch.setattr(identities, "random_qt_point", recording)
+    assert run_identity_suite((2, 1), points=1, seed=3).all_pass
+    keys = [key for key in points[0].mode.cache if key[0] == "W"]
+    assert keys
+    # ("W", kind, lam, mu, z, s): one variable is answered by the skew value
+    assert all(len(key[4]) > 1 for key in keys)
