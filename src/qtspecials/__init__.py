@@ -42,7 +42,6 @@ from .partitions import (
     is_horizontal_strip,
     parse_partition,
     partition,
-    stats,
     sum_decompositions,
 )
 from .wcore import (

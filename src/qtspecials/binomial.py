@@ -9,7 +9,7 @@ componentwise order.
 
 from __future__ import annotations
 
-from .errors import LengthMismatch, check_sizes
+from .errors import LengthMismatch, NotAPartition, check_sizes
 from .partitions import contains, n_prime_stat, n_stat, weight
 from .wcore import (
     ScalarMode,
@@ -33,6 +33,8 @@ def qt_binomial(lam, mu, mode: ScalarMode):
     """
     if len(lam) != len(mu):
         raise LengthMismatch("lam and mu must have the same length")
+    if any(a < b for a, b in zip(mu, mu[1:])):
+        raise NotAPartition(f"parts not weakly decreasing: {mu}")
     if (mu and mu[-1] < 0) or not contains(lam, mu):
         return mode.zero
     n = len(mu)

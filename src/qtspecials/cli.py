@@ -180,7 +180,7 @@ def _cmd_binom(args) -> int:
     from .binomial import qt_binomial
 
     lam = parse_partition(args.lam)
-    mu = tuple(int(x) for x in args.mu.split(","))
+    mu = parse_partition(args.mu)
     if len(mu) != len(lam):
         raise ValueError("lam and mu must have the same length")
     mode, meta = _value_mode(args, lam, max(lam[0] + 2, 4))

@@ -108,12 +108,8 @@ def check_series(z, point: QtPoint, n: int, part_cap: int, trunc: int) -> Ration
     return z
 
 
-def poisson_convergence_ok(spec: DensitySpec) -> bool:
-    return abs(spec.point.q) < 1 and series_ratio(spec.z, spec.point, spec.n) < 1
-
-
 def _check_poisson(spec: DensitySpec) -> None:
-    if not poisson_convergence_ok(spec):
+    if not (abs(spec.point.q) < 1 and series_ratio(spec.z, spec.point, spec.n) < 1):
         raise ConvergenceViolated(
             "poisson density requires |q| < 1 and max_i |z t^(2i-n-1)| < 1"
         )

@@ -301,11 +301,12 @@ def random_unit(rng: random.Random) -> Rational:
     return Rational(a, b)
 
 
-def random_qt_point(rng: random.Random, n: int, max_part: int) -> QtPoint:
-    """Draw a non-degenerate (q, t)."""
+def random_qt_point(rng: random.Random, n: int, max_part: int,
+                    draw_q=random_rational, draw_t=random_rational) -> QtPoint:
+    """Draw a non-degenerate (q, t): q = draw_q(rng), then t = draw_t(rng)."""
     for _ in range(ATTEMPTS):
-        q = random_rational(rng)
-        t = random_rational(rng)
+        q = draw_q(rng)
+        t = draw_t(rng)
         try:
             return QtPoint(q, t, n=n, max_part=max_part)
         except DegenerateParameters:
@@ -408,16 +409,8 @@ def run_identity_suite(
                 report.add(check_double_binomial(nu, mu, mode))
                 report.add(check_weak_cocycle(nu, mu, s, r, mode))
         # truncated geometric series at a deliberately small |q| point
-        gpoint = None
-        for _ in range(ATTEMPTS):
-            try:
-                gpoint = QtPoint(random_unit(rng) / 2, random_unit(rng),
-                                 n=n, max_part=GEOMETRIC_PART_CAP)
-                break
-            except DegenerateParameters:
-                continue
-        if gpoint is None:
-            raise DegenerateParameters("no usable point for the truncated check")
+        gpoint = random_qt_point(rng, n, GEOMETRIC_PART_CAP,
+                                 lambda r: random_unit(r) / 2, random_unit)
         bnd = series_ratio(gpoint.q, gpoint, n)
         zgeo = Rational(1, 100 * (1 + bnd.numerator // bnd.denominator))
         for mu in (zeros(n), bump(zeros(n), 1)):

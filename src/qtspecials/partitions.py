@@ -49,11 +49,6 @@ def zeros(n: int) -> Parts:
     return (0,) * n
 
 
-def e1(n: int) -> Parts:
-    """The vector (1, 0, ..., 0) of length n."""
-    return (1,) + (0,) * (n - 1)
-
-
 def weight(lam) -> int:
     return sum(lam)
 
@@ -66,11 +61,6 @@ def n_stat(lam) -> int:
 def n_prime_stat(lam) -> int:
     """n(lambda') = sum C(lambda_i, 2)."""
     return sum(comb(x, 2) for x in lam)
-
-
-def stats(lam):
-    """(weight, n(lambda), n(lambda')) in one pass."""
-    return weight(lam), n_stat(lam), n_prime_stat(lam)
 
 
 def _require_same_length(lam, mu):

@@ -184,10 +184,6 @@ class UniPoly:
         return tuple(Rational(c, self.den) for c in self.ints)
 
     @classmethod
-    def const(cls, c) -> "UniPoly":
-        return cls.monomial(c, 0)
-
-    @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
         c = as_rational(c)
         return cls._of([0] * k + [int(c.numerator)], int(c.denominator))
@@ -210,11 +206,6 @@ class UniPoly:
     def shift_down(self, k: int) -> "UniPoly":
         """Divide by q^k; only valid when the valuation is at least k."""
         return UniPoly._of(list(self.ints[k:]), self.den)
-
-    def scale(self, c) -> "UniPoly":
-        c = as_rational(c)
-        a = int(c.numerator)
-        return UniPoly._of([x * a for x in self.ints], self.den * int(c.denominator))
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         a, b, den = self.ints, other.ints, self.den
@@ -312,7 +303,7 @@ class RatFuncQ:
 
     @classmethod
     def from_rational(cls, c) -> "RatFuncQ":
-        return cls(UniPoly.const(as_rational(c)))
+        return cls(UniPoly.monomial(c, 0))
 
     @classmethod
     def generator(cls) -> "RatFuncQ":

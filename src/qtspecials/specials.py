@@ -85,9 +85,19 @@ def _limit(fn, args, mode: FormalQ):
 STIRLING_KINDS = ("first", "second")
 
 
+def _coeff(fn, args, limit: bool, mode: ScalarMode):
+    """fn(*args) in ``mode``, or if ``limit`` its inner limit at (1/q, 1/t),
+    taken in ``_inner_mode(mode)`` and lifted back into ``mode``."""
+    if limit:
+        return mode.lift(_limit(fn, args, _inner_mode(mode)))
+    return fn(*args, mode)
+
+
 @memo("stirling", 3)
 def stirling(kind: str, nu, mu, mode: ScalarMode):
-    """qt-Stirling number of the first or second kind at (nu, mu)."""
+    """qt-Stirling number of the first or second kind at (nu, mu): a prefactor
+    times sum_{mu <= lam <= nu} u(nu, lam) t^{s|lam|} v(lam, mu), where the
+    first kind takes v and the second u as the inner limit."""
     if kind not in STIRLING_KINDS:
         raise InvalidArgument(f"kind must be one of {STIRLING_KINDS}")
     if len(nu) != len(mu):
@@ -100,45 +110,27 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
             "Stirling limits with n >= 2 need a rational t "
             "(a point mode or a formal mode with fixed t)"
         )
-    inner = _inner_mode(mode)  # the limits at (1/q, 1/t0) are taken here
     den = mode.one
     for i in range(1, n + 1):
         den = den * (mode.one - mode.q * mode.tpow(n - i)) ** (nu[i - 1] - mu[i - 1])
-    total = mode.zero
     if kind == "first":
-        pref = guarded_div(
-            mode.qpow(n_prime_stat(nu))
-            * mode.tpow(-2 * n_stat(mu) + (n - 1) * weight(mu)),
-            den,
-            "Stirling prefactor",
-        )
-        for lam in enumerate_sub(nu):
-            if not contains(lam, mu):
-                continue
-            ul = u_coeff(nu, lam, mode)
-            if ul == 0:
-                continue
-            lim = _limit(v_coeff, (lam, mu), inner)
-            if lim == 0:
-                continue
-            total = total + ul * mode.tpow((1 - n) * weight(lam)) * mode.lift(lim)
+        s, u_lim, v_lim = 1 - n, False, True
+        pref = mode.qpow(n_prime_stat(nu)) * mode.tpow(-2 * n_stat(mu) - s * weight(mu))
     else:
-        pref = guarded_div(
-            mode.qpow(-n_prime_stat(mu))
-            * mode.tpow(2 * n_stat(nu) + (1 - n) * weight(nu)),
-            den,
-            "Stirling prefactor",
-        )
-        for lam in enumerate_sub(nu):
-            if not contains(lam, mu):
-                continue
-            lim = _limit(u_coeff, (nu, lam), inner)
-            if lim == 0:
-                continue
-            vl = v_coeff(lam, mu, mode)
-            if vl == 0:
-                continue
-            total = total + mode.lift(lim) * mode.tpow((n - 1) * weight(lam)) * vl
+        s, u_lim, v_lim = n - 1, True, False
+        pref = mode.qpow(-n_prime_stat(mu)) * mode.tpow(2 * n_stat(nu) - s * weight(nu))
+    pref = guarded_div(pref, den, "Stirling prefactor")
+    total = mode.zero
+    for lam in enumerate_sub(nu):
+        if not contains(lam, mu):
+            continue
+        u = _coeff(u_coeff, (nu, lam), u_lim, mode)
+        if u == 0:
+            continue
+        v = _coeff(v_coeff, (lam, mu), v_lim, mode)
+        if v == 0:
+            continue
+        total = total + u * mode.tpow(s * weight(lam)) * v
     return pref * total
 
 

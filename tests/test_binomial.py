@@ -14,6 +14,7 @@ from qtspecials.binomial import (
     qt_bracket,
     qt_bracket_shifted,
 )
+from qtspecials.errors import NotAPartition
 from qtspecials.identities import random_qt_point
 from qtspecials.partitions import contains, enumerate_sub, zeros
 from qtspecials.scalars import Rational
@@ -35,6 +36,14 @@ def test_vanishing(mode):
     # generalized lower index with a negative part
     assert qt_binomial((2, 1), (1, -1), mode) == 0
     assert qt_binomial((2, 0), (0, -2), mode) == 0
+
+
+@pytest.mark.parametrize("lam,mu", [((3, 1), (0, 1)), ((2, 2, 1), (1, 0, 1)), ((2, 1), (-1, 0))])
+def test_lower_index_that_is_not_decreasing_raises(mode, lam, mu):
+    with pytest.raises(NotAPartition, match="not weakly decreasing"):
+        qt_binomial(lam, mu, mode)
+    with pytest.raises(NotAPartition):  # a raising call stores nothing
+        qt_binomial(lam, mu, mode)
 
 
 def test_one_dimensional_gaussian_reduction():

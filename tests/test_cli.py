@@ -273,6 +273,18 @@ def test_binom_length_mismatch_is_an_input_error(capsys):
                                          "message": "lam and mu must have the same length"}}
 
 
+
+@pytest.mark.parametrize("mu,message", [
+    ("1,x", "not a partition literal: '1,x'"),
+    ("0,1", "parts not weakly decreasing: (0, 1)"),
+    ("2,-1", "negative part in partition: (2, -1)"),
+])
+def test_binom_mu_that_is_not_a_partition_is_an_input_error(capsys, mu, message):
+    code, out = run_cli(capsys, "binom", "--lambda", "3,1", "--mu", mu,
+                        "--q", "2/7", "--t", "5/11")
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "NotAPartition", "message": message}}
+
 def _internal_record(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()

@@ -12,7 +12,9 @@ that the command line names.
 """
 
 import hashlib
+import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -82,6 +84,42 @@ def test_golden_stdout(capsys, argv, digest):
     out = capsys.readouterr().out
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# reads a JSON list of argvs on stdin; prints "<exit code> <stdout digest>" per argv
+GOLDEN_CHILD = """
+import hashlib, io, json, sys
+from contextlib import redirect_stdout
+from qtspecials.cli import main
+for argv in json.load(sys.stdin):
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        code = main(argv)
+    print(code, hashlib.sha256(buf.getvalue().encode()).hexdigest())
+"""
+
+
+def _python310():
+    """A python3.10 on PATH that starts and is 3.10, or None."""
+    exe = shutil.which("python3.10")
+    if exe is None:
+        return None
+    probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                           capture_output=True, text=True)
+    return exe if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)" else None
+
+
+def test_golden_stdout_on_the_oldest_supported_python():
+    """pyproject.toml declares requires-python >= 3.10: every golden command
+    line prints the same bytes under 3.10, all in one child interpreter."""
+    exe = _python310()
+    if exe is None:
+        pytest.skip("no working python3.10 on PATH")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtspecials.__file__)))
+    proc = subprocess.run([exe, "-c", GOLDEN_CHILD], env=env, capture_output=True, text=True,
+                          input=json.dumps([list(argv) for argv, _ in GOLDEN]))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [f"0 {digest}" for _, digest in GOLDEN]
 
 
 ARGPARSE_GOLDEN = [

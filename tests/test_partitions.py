@@ -15,9 +15,10 @@ from qtspecials.partitions import (
     format_partition,
     is_horizontal_strip,
     is_partition,
+    n_prime_stat,
+    n_stat,
     parse_partition,
     partition,
-    stats,
     sum_decompositions,
     valid_bumps,
     weight,
@@ -35,7 +36,7 @@ def boxes(lam):
     ((3, 3, 1), (7, 5, 6)),
 ])
 def test_stats(lam, expected):
-    assert stats(lam) == expected
+    assert (weight(lam), n_stat(lam), n_prime_stat(lam)) == expected
 
 
 def test_partition_validation():

@@ -45,6 +45,7 @@ from qtspecials.wcore import (
     AtPoint,
     FormalQ,
     QtPoint,
+    guarded_div,
     pair_ratio,
     poch_norm,
     w_principal,
@@ -284,6 +285,75 @@ def test_v_coeff_matches_its_product_formula(make_mode):
         for mu in enumerate_sub(lam):
             assert v_coeff(lam, mu, mode) == _old_v_coeff(lam, mu, mode), (lam, mu)
 
+
+
+def _two_branch_stirling(kind, nu, mu, mode):
+    """Both Stirling kinds as two separate sums, each written out in full:
+    the reference for the one sum that serves both kinds."""
+    from qtspecials.specials import _inner_mode, _limit
+
+    if not contains(nu, mu):
+        return mode.zero
+    n = len(nu)
+    inner = _inner_mode(mode)
+    den = mode.one
+    for i in range(1, n + 1):
+        den = den * (mode.one - mode.q * mode.tpow(n - i)) ** (nu[i - 1] - mu[i - 1])
+    total = mode.zero
+    if kind == "first":
+        pref = guarded_div(
+            mode.qpow(n_prime_stat(nu)) * mode.tpow(-2 * n_stat(mu) + (n - 1) * weight(mu)),
+            den, "Stirling prefactor")
+        for lam in enumerate_sub(nu):
+            if not contains(lam, mu):
+                continue
+            ul = u_coeff(nu, lam, mode)
+            if ul == 0:
+                continue
+            lim = _limit(v_coeff, (lam, mu), inner)
+            if lim == 0:
+                continue
+            total = total + ul * mode.tpow((1 - n) * weight(lam)) * mode.lift(lim)
+    else:
+        pref = guarded_div(
+            mode.qpow(-n_prime_stat(mu)) * mode.tpow(2 * n_stat(nu) + (1 - n) * weight(nu)),
+            den, "Stirling prefactor")
+        for lam in enumerate_sub(nu):
+            if not contains(lam, mu):
+                continue
+            lim = _limit(u_coeff, (nu, lam), inner)
+            if lim == 0:
+                continue
+            vl = v_coeff(lam, mu, mode)
+            if vl == 0:
+                continue
+            total = total + mode.lift(lim) * mode.tpow((n - 1) * weight(lam)) * vl
+    return pref * total
+
+
+def _exact_form(x):
+    """A value as stored: a Rational, or the (num, den) polynomials of a
+    RatFuncQ, so that equal values in different forms compare unequal."""
+    return (x.num, x.den) if isinstance(x, RatFuncQ) else (type(x), x)
+
+
+@pytest.mark.parametrize("make_mode,bound", [
+    pytest.param(lambda: AtPoint(QtPoint(Rational(2, 7), Rational(5, 11), n=3, max_part=4)),
+                 (2, 2, 1), id="point-2/7-5/11"),
+    pytest.param(lambda: AtPoint(QtPoint(Rational(-3, 4), Rational(7, 3), n=3, max_part=4)),
+                 (2, 2, 1), id="point--3/4-7/3"),
+    pytest.param(lambda: FormalQ(Rational(3, 5)), (2, 2, 1), id="formal-t0"),
+    pytest.param(lambda: FormalQ.alpha(1), (4,), id="alpha-1"),
+    pytest.param(lambda: FormalQ.alpha(2), (4,), id="alpha-2"),
+])
+def test_one_sum_stirling_matches_the_two_branch_sums(make_mode, bound):
+    mode = make_mode()
+    for kind in STIRLING_KINDS:
+        for nu in enumerate_sub(bound):
+            for mu in enumerate_sub(nu):
+                got = stirling(kind, nu, mu, mode)
+                expect = _two_branch_stirling(kind, nu, mu, mode)
+                assert _exact_form(got) == _exact_form(expect), (kind, nu, mu)
 
 # -- Bernoulli ----------------------------------------------------------------
 

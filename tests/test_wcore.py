@@ -11,8 +11,8 @@ from qtspecials import wcore
 from qtspecials.binomial import pair_ratio as binomial_pair_ratio
 from qtspecials.errors import DegenerateParameters, InvalidArgument, NotAStrip, QtError
 from qtspecials.partitions import (
+    bump,
     contains,
-    e1,
     enumerate_strips,
     enumerate_sub,
     is_horizontal_strip,
@@ -67,10 +67,6 @@ def test_qtpoint_is_an_immutable_value():
     assert point.mode is point.mode
     with pytest.raises(DegenerateParameters):
         QtPoint(q=Rational(1, 2), t=Rational(4), n=2, max_part=2)
-
-
-def test_e1():
-    assert e1(3) == (1, 0, 0)
 
 
 def test_poch_basics(mode):
@@ -200,7 +196,7 @@ def test_w_skew_basics(mode):
     x = Rational(4, 9)
     assert w_skew("s_up", (2, 1), (2, 1), x, mode) == 1
     # single-box skew from the empty partition
-    assert w_skew("s_up", e1(2), zeros(2), x, mode) == (1 - x) / mode.q
+    assert w_skew("s_up", bump(zeros(2), 1), zeros(2), x, mode) == (1 - x) / mode.q
     assert w_skew("s_up", (2, 1), (3, 0), x, mode) == 0  # not a strip
 
 
@@ -221,7 +217,7 @@ def test_w_multi_single_box_evaluation(mode):
     # W at index e_1 equals q^{-1} * sum_i (t^{n-i} - x_i)
     for n in (2, 3):
         z = tuple(Rational(i + 2, 2 * i + 3) for i in range(n))
-        got = w_multi("s_up", e1(n), zeros(n), z, mode)
+        got = w_multi("s_up", bump(zeros(n), 1), zeros(n), z, mode)
         expect = sum((mode.tpow(n - 1 - i) - z[i] for i in range(n)),
                      start=mode.zero) / mode.q
         assert got == expect
