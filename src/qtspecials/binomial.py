@@ -10,7 +10,7 @@ componentwise order.
 from __future__ import annotations
 
 from .errors import LengthMismatch, NotAPartition, check_sizes
-from .partitions import contains, n_prime_stat, n_stat, weight
+from .partitions import check_partition, contains, n_prime_stat, n_stat, weight
 from .wcore import (
     ScalarMode,
     guarded_div,
@@ -33,6 +33,7 @@ def qt_binomial(lam, mu, mode: ScalarMode):
     """
     if len(lam) != len(mu):
         raise LengthMismatch("lam and mu must have the same length")
+    check_partition(lam)
     if any(a < b for a, b in zip(mu, mu[1:])):
         raise NotAPartition(f"parts not weakly decreasing: {mu}")
     if (mu and mu[-1] < 0) or not contains(lam, mu):
@@ -44,6 +45,19 @@ def qt_binomial(lam, mu, mode: ScalarMode):
         * norm_weight(mu, mode)
         * w_principal("s_up", mu, lam, mode)
     )
+
+
+def v_coeff(lam, mu, mode: ScalarMode):
+    """Coefficient of (x; 1/q, 1/t)_mu in the expansion of x^{|lam|}.
+
+    By the qt-binomial theorem this is the binomial of lam over mu times
+    (-1)^{|mu|} q^{n(mu')} t^{-n(mu)}.
+    """
+    b = qt_binomial(lam, mu, mode)
+    if b == 0:
+        return mode.zero
+    sign = mode.one if weight(mu) % 2 == 0 else -mode.one
+    return sign * mode.qpow(n_prime_stat(mu)) * mode.tpow(-n_stat(mu)) * b
 
 
 def binom_rect_lower(lam, k: int, mode: ScalarMode):
@@ -105,18 +119,21 @@ def qt_bracket(z, mode: ScalarMode):
     return acc
 
 
-def qt_bracket_shifted(Q, mu, mode: ScalarMode):
-    """The mu-shifted bracket as a function of the principal value Q = q^x.
-
-    Equal to q^{n(mu')} (Q; 1/q, 1/t)_mu / prod_i (1 - q t^{n-i})^{mu_i};
-    the reciprocal-base partition product expands to
-    prod_i (Q t^{i-1} q^{1-mu_i}; q)_{mu_i}.
-    """
-    Q = mode.lift(Q)
-    n = len(mu)
-    acc = mode.qpow(n_prime_stat(mu))
-    for i in range(1, n + 1):
-        acc = acc * poch(Q * mode.tpow(i - 1) * mode.qpow(1 - mu[i - 1]), mu[i - 1], mode)
-        den = (mode.one - mode.q * mode.tpow(n - i)) ** mu[i - 1]
-        acc = guarded_div(acc, den, "shifted bracket")
+def poch_reciprocal(x, mu, mode: ScalarMode):
+    """The reciprocal-base partition product (x; 1/q, 1/t)_mu, expanded as
+    prod_i (x t^{i-1} q^{1-mu_i}; q)_{mu_i}."""
+    acc = mode.one
+    for i, m in enumerate(mu):
+        acc = acc * poch(x * mode.tpow(i) * mode.qpow(1 - m), m, mode)
     return acc
+
+
+def qt_bracket_shifted(Q, mu, mode: ScalarMode):
+    """The mu-shifted bracket as a function of the principal value Q = q^x:
+    q^{n(mu')} (Q; 1/q, 1/t)_mu / prod_i (1 - q t^{n-i})^{mu_i}."""
+    n = len(mu)
+    den = mode.one
+    for i, m in enumerate(mu, start=1):
+        den = den * (mode.one - mode.q * mode.tpow(n - i)) ** m
+    num = mode.qpow(n_prime_stat(mu)) * poch_reciprocal(mode.lift(Q), mu, mode)
+    return guarded_div(num, den, "shifted bracket")

@@ -216,6 +216,8 @@ def _cmd_sequence(args) -> int:
 
     name = args.command
     fn = getattr(specials, name)
+    if name == "bernoulli" and args.alpha is not None:  # exact limits, not formal q
+        fn = specials._bernoulli_limit
     shape = parse_partition(args.lam if args.lam else args.bound)
     lams = [shape] if args.lam else enumerate_sub(shape)
     # window covers the doubled index that the Catalan ratio reaches

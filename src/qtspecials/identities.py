@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from itertools import product as iproduct
 
-from .binomial import qt_binomial
+from .binomial import binom_rect_lower, poch_reciprocal, qt_binomial, v_coeff
 from .distributions import _truncated, check_series, f_mass, g_mass, series_ratio
 from .errors import ConvergenceViolated, DegenerateParameters, InvalidArgument, check_sizes
 from .partitions import (
@@ -33,7 +33,6 @@ from .wcore import (
     guarded_div,
     norm_weight,
     pair_ratio,
-    poch,
     poch_partition,
     w_principal,
 )
@@ -99,15 +98,7 @@ def check_binomial_theorem(lam, x, mode: ScalarMode) -> IdentityCheck:
     lhs = poch_partition(x, lam, mode)
     rhs = mode.zero
     for mu in enumerate_sub(lam):
-        w = weight(mu)
-        sign = mode.one if w % 2 == 0 else -mode.one
-        rhs = rhs + (
-            sign
-            * mode.qpow(n_prime_stat(mu))
-            * mode.tpow(-n_stat(mu))
-            * qt_binomial(lam, mu, mode)
-            * x ** w
-        )
+        rhs = rhs + v_coeff(lam, mu, mode) * x ** weight(mu)
     return IdentityCheck(
         "binomial_theorem", lhs, rhs, lhs - rhs,
         _params(lam=lam, x=x) if mode.is_point else {"lam": format_partition(lam)},
@@ -364,6 +355,16 @@ class VerificationReport:
         return out
 
 
+def _start(bound, points: int, seed: int, report):
+    """(bound, n, rng, report) of a suite run; a new report unless given."""
+    check_sizes(1, points=points)
+    bound = tuple(bound)
+    n = len(bound)
+    if report is None:
+        report = VerificationReport(n=n, bound=bound, points=points, seed=seed)
+    return bound, n, random.Random(seed), report
+
+
 def run_identity_suite(
     bound,
     points: int = 5,
@@ -375,12 +376,7 @@ def run_identity_suite(
     One (q, t) point plus fresh auxiliary scalars are drawn per round; the
     same seeded stream makes the whole report reproducible byte for byte.
     """
-    check_sizes(1, points=points)
-    bound = tuple(bound)
-    n = len(bound)
-    rng = random.Random(seed)
-    if report is None:
-        report = VerificationReport(n=n, bound=bound, points=points, seed=seed)
+    bound, n, rng, report = _start(bound, points, seed, report)
     lams = enumerate_sub(bound)
     for _ in range(points):
         point = random_qt_point(rng, n, max_part=bound[0] + 1)
@@ -477,13 +473,7 @@ def run_specials_suite(
         v_coeff,
     )
 
-    check_sizes(1, points=points)
-    bound = tuple(bound)
-    n = len(bound)
-    rng = random.Random(seed)
-    if report is None:
-        report = VerificationReport(n=n, bound=bound, points=points, seed=seed)
-
+    bound, n, rng, report = _start(bound, points, seed, report)
     stir_bound = tuple(min(b, c) for b, c in zip(bound, (3, 2, 1) + (1,) * max(0, n - 3)))
     stir_lams = enumerate_sub(stir_bound)
     for _ in range(points):
@@ -520,21 +510,12 @@ def run_specials_suite(
 
         # change of basis: reciprocal-base product against u; powers against v
         for lam in stir_lams:
-            recip = mode.one
-            for i in range(1, n + 1):
-                for k in range(lam[i - 1]):
-                    recip = recip * (mode.one - x * mode.tpow(i - 1) * mode.qpow(-k))
+            recip = poch_reciprocal(x, lam, mode)
             ex_u = mode.zero
             ex_v = mode.zero
             for mu in enumerate_sub(lam):
                 ex_u = ex_u + u_coeff(lam, mu, mode) * x ** weight(mu)
-                inner = mode.one
-                for i in range(1, n + 1):
-                    for k in range(mu[i - 1]):
-                        inner = inner * (
-                            mode.one - x * mode.tpow(i - 1) * mode.qpow(-k)
-                        )
-                ex_v = ex_v + v_coeff(lam, mu, mode) * inner
+                ex_v = ex_v + v_coeff(lam, mu, mode) * poch_reciprocal(x, mu, mode)
             report.add(IdentityCheck(
                 "change_of_basis_u", recip, ex_u, recip - ex_u, _params(lam=lam, x=x)))
             xw = x ** weight(lam)
@@ -556,7 +537,8 @@ def run_specials_suite(
             report.add(IdentityCheck(
                 "bernoulli_recurrence", "(sum)", mode.zero, res, _params(lam=lam)))
 
-        # Catalan closed forms at this point
+        # Catalan closed forms at this point: the bracket ratio is written out,
+        # since catalan itself divides by qt_bracket
         kmax = min(bound[0], 3)
         for k in range(1, kmax + 1):
             lam = (k,) * n
@@ -570,12 +552,7 @@ def run_specials_suite(
                     mode.one - mode.qpow(k) * mode.tpow(n - i),
                     "rectangular Catalan",
                 )
-            for i in range(1, n + 1):
-                closed = closed * guarded_div(
-                    poch(mode.qpow(1 + k) * mode.tpow(n - i), k, mode),
-                    poch(mode.q * mode.tpow(n - i), k, mode),
-                    "rectangular Catalan",
-                )
+            closed = closed * binom_rect_lower((2 * k,) * n, k, mode)
             report.add(IdentityCheck(
                 "catalan_rectangular", lhs, closed, lhs - closed, _params(k=k)))
 
@@ -611,22 +588,13 @@ def run_specials_suite(
 
     # classical 1-part limits (deterministic, point-free)
     bern, cat, fib, bel = _classical_sequences()
-    for m in range(1, 5):
-        got = alpha_limit(lambda mo, m=m: bernoulli((m,), mo), 1)
-        report.add(IdentityCheck(
-            "classical_bernoulli", got, bern[m - 1], got - bern[m - 1], _params(m=m)))
-    for m in range(6):
-        got = alpha_limit(lambda mo, m=m: catalan((m,), mo), 1)
-        report.add(IdentityCheck(
-            "classical_catalan", got, cat[m], got - cat[m], _params(m=m)))
-    for m in range(10):
-        got = alpha_limit(lambda mo, m=m: fibonacci((m,), mo), 1)
-        report.add(IdentityCheck(
-            "classical_fibonacci", got, fib[m], got - fib[m], _params(m=m)))
-    for m in range(6):
-        got = alpha_limit(lambda mo, m=m: bell((m,), mo), 1)
-        report.add(IdentityCheck(
-            "classical_bell", got, bel[m], got - bel[m], _params(m=m)))
+    classical = (("bernoulli", bernoulli, 1, bern), ("catalan", catalan, 0, cat),
+                 ("fibonacci", fibonacci, 0, fib), ("bell", bell, 0, bel))
+    for name, fn, first, refs in classical:
+        for m, ref in enumerate(refs, start=first):
+            got = alpha_limit(lambda mo: fn((m,), mo), 1)
+            report.add(IdentityCheck(
+                f"classical_{name}", got, ref, got - ref, _params(m=m)))
 
     # exploratory: odd-weight ordinary Bernoulli values (reported, not asserted)
     if n == 2:

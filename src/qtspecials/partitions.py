@@ -18,9 +18,15 @@ Parts = tuple  # tuple[int, ...]; kept loose for 3.10 ergonomics
 
 def partition(parts) -> Parts:
     """Validate and normalize an iterable of parts into a partition tuple."""
-    p = tuple(int(x) for x in parts)
-    for a, b in zip(p, p[1:]):
-        if a < b:
+    return check_partition(tuple(int(x) for x in parts))
+
+
+def check_partition(p) -> Parts:
+    """p itself if weakly decreasing with no negative part, else
+    NotAPartition.  Reads p without copying it: enumerate_sub checks every
+    upper index it is given."""
+    for i in range(1, len(p)):
+        if p[i - 1] < p[i]:
             raise NotAPartition(f"parts not weakly decreasing: {p}")
     if p and p[-1] < 0:
         raise NotAPartition(f"negative part in partition: {p}")
@@ -94,7 +100,7 @@ def _revlex_key(p):
 def enumerate_sub(lam, weight_filter: int | None = None) -> list:
     """All partitions mu contained in lam, in ascending weight then
     descending lexicographic order; optionally restricted to |mu| = k."""
-    n = len(lam)
+    n = len(check_partition(lam))
     out = []
 
     def rec(i, prev, acc, w):

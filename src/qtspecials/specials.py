@@ -17,10 +17,11 @@ cache), the alpha-binomials and alpha-Bernoulli numbers in
 
 from __future__ import annotations
 
-from .binomial import qt_binomial, qt_bracket, qt_bracket_shifted
+from .binomial import qt_binomial, qt_bracket, qt_bracket_shifted, v_coeff
 from .errors import DegenerateParameters, InvalidArgument, LengthMismatch, UnsupportedRegime
 from .partitions import (
     bump,
+    check_partition,
     contains,
     enumerate_sub,
     n_prime_stat,
@@ -46,27 +47,12 @@ from .wcore import (
 
 def u_coeff(lam, mu, mode: ScalarMode):
     """Coefficient of x^{|mu|} in the expansion of (x; 1/q, 1/t)_lam."""
-    if not contains(lam, mu):
+    if not contains(check_partition(lam), mu):
         return mode.zero
     w = w_principal("s_down", mu, lam, mode)
     if w == 0:
         return mode.zero
     return mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu)) * norm_weight(mu, mode) * w
-
-
-def v_coeff(lam, mu, mode: ScalarMode):
-    """Coefficient of (x; 1/q, 1/t)_mu in the expansion of x^{|lam|}.
-
-    By the qt-binomial theorem this is the binomial of lam over mu times
-    (-1)^{|mu|} q^{n(mu')} t^{-n(mu)}.
-    """
-    if not contains(lam, mu):
-        return mode.zero
-    b = qt_binomial(lam, mu, mode)
-    if b == 0:
-        return mode.zero
-    sign = mode.one if weight(mu) % 2 == 0 else -mode.one
-    return sign * mode.qpow(n_prime_stat(mu)) * mode.tpow(-n_stat(mu)) * b
 
 
 @memo("inner", 0)
@@ -102,7 +88,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
         raise InvalidArgument(f"kind must be one of {STIRLING_KINDS}")
     if len(nu) != len(mu):
         raise LengthMismatch("nu and mu must have the same length")
-    if not contains(nu, mu):
+    if not contains(check_partition(nu), mu):
         return mode.zero
     n = len(nu)
     if n > 1 and mode.t0 is None:

@@ -13,6 +13,7 @@ from qtspecials.binomial import (
     qt_binomial,
     qt_bracket,
     qt_bracket_shifted,
+    v_coeff,
 )
 from qtspecials.errors import NotAPartition
 from qtspecials.identities import random_qt_point
@@ -44,6 +45,14 @@ def test_lower_index_that_is_not_decreasing_raises(mode, lam, mu):
         qt_binomial(lam, mu, mode)
     with pytest.raises(NotAPartition):  # a raising call stores nothing
         qt_binomial(lam, mu, mode)
+
+
+@pytest.mark.parametrize("lam,mu", [((1, 2), (1, 1)), ((2, -1), (0, -1)), ((0, 1), (0, 0))])
+def test_upper_index_that_is_not_a_partition_raises(lam, mu):
+    mode = AtPoint(QtPoint(Rational(2, 7), Rational(5, 11)))
+    for fn in (qt_binomial, v_coeff):
+        with pytest.raises(NotAPartition):
+            fn(lam, mu, mode)
 
 
 def test_one_dimensional_gaussian_reduction():

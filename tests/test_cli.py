@@ -273,6 +273,22 @@ def test_binom_length_mismatch_is_an_input_error(capsys):
                                          "message": "lam and mu must have the same length"}}
 
 
+@pytest.mark.parametrize("argv,message", [
+    pytest.param(("binom", "--lambda", "2", "--mu", "1"), "--q and --t are required here",
+                 id="binom-point"),
+    pytest.param(("density", "--kind", "poisson", "--z", "1/20", "--q", "1/2", "--t", "1/3"),
+                 "--n is required for the poisson density", id="density-poisson-n"),
+    pytest.param(("density", "--kind", "g", "--z", "1/5", "--q", "1/2", "--t", "1/3"),
+                 "--lambda is required for g and f", id="density-g-lambda"),
+    pytest.param(("sample", "--kind", "f", "--z", "1/5", "--q", "1/2", "--t", "1/3",
+                  "--count", "3"), "--lambda is required for g and f", id="sample-f-lambda"),
+])
+def test_missing_option_is_an_input_error(capsys, argv, message):
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "ValueError", "message": message}}
+
+
 
 @pytest.mark.parametrize("mu,message", [
     ("1,x", "not a partition literal: '1,x'"),

@@ -14,6 +14,7 @@ that the command line names.
 import hashlib
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -75,6 +76,11 @@ GOLDEN = [
      "db20791359f6eb7deab99f7df7110f1f73a58b081df71e84ec10aaac3c686712"),
     (("fibonacci", "--bound", "4", "--alpha", "1"),
      "1c69d2eb4f4a7a25782540660207faffc470fbe23af2d28659042c2241b747fc"),
+    # recorded while bernoulli --alpha still solved its recurrence in formal q
+    (("bernoulli", "--bound", "3,2", "--alpha", "1"),
+     "10a4e63d497eec45188616757f3128600f24f5844ed123dd7cae496be2ee8329"),
+    (("bernoulli", "--bound", "3,2", "--alpha", "2"),
+     "a5969e8f6aa9d778c86f047934497d78d3c1945ef2d228858f8b25b30633dd5d"),
 ]
 
 
@@ -99,14 +105,31 @@ for argv in json.load(sys.stdin):
 """
 
 
+def _python310_candidates():
+    """python3.10 on PATH, then that of the newest 3.10.x pyenv has installed
+    (a pyenv shim on PATH fails when no 3.10 is selected)."""
+    yield shutil.which("python3.10")
+    pyenv = shutil.which("pyenv")
+    if pyenv is None:
+        return
+    bare = subprocess.run([pyenv, "versions", "--bare"], capture_output=True, text=True)
+    found = [v for v in bare.stdout.split() if re.fullmatch(r"3\.10\.\d+", v)]
+    if found:
+        newest = max(found, key=lambda v: int(v.split(".")[2]))
+        prefix = subprocess.run([pyenv, "prefix", newest], capture_output=True, text=True)
+        yield os.path.join(prefix.stdout.strip(), "bin", "python3.10")
+
+
 def _python310():
-    """A python3.10 on PATH that starts and is 3.10, or None."""
-    exe = shutil.which("python3.10")
-    if exe is None:
-        return None
-    probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
-                           capture_output=True, text=True)
-    return exe if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)" else None
+    """The first candidate that starts and is 3.10, or None."""
+    for exe in _python310_candidates():
+        if exe is None or not os.path.isfile(exe):
+            continue
+        probe = subprocess.run([exe, "-c", "import sys; print(sys.version_info[:2])"],
+                               capture_output=True, text=True)
+        if probe.returncode == 0 and probe.stdout.strip() == "(3, 10)":
+            return exe
+    return None
 
 
 def test_golden_stdout_on_the_oldest_supported_python():
@@ -114,7 +137,7 @@ def test_golden_stdout_on_the_oldest_supported_python():
     line prints the same bytes under 3.10, all in one child interpreter."""
     exe = _python310()
     if exe is None:
-        pytest.skip("no working python3.10 on PATH")
+        pytest.skip("no working python3.10 on PATH or in pyenv")
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtspecials.__file__)))
     proc = subprocess.run([exe, "-c", GOLDEN_CHILD], env=env, capture_output=True, text=True,
                           input=json.dumps([list(argv) for argv, _ in GOLDEN]))

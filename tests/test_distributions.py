@@ -18,7 +18,7 @@ from qtspecials.distributions import (
     sample,
 )
 from qtspecials.errors import (ConvergenceViolated, DegenerateParameters,
-                               InvalidArgument, UnsupportedRegime)
+                               InvalidArgument, NotAPartition, UnsupportedRegime)
 from qtspecials.identities import random_unit
 from qtspecials.partitions import contains, enumerate_sub, n_prime_stat, n_stat, weight
 from qtspecials.scalars import Rational
@@ -116,6 +116,14 @@ def test_distribution_function():
     chain = [(0, 0), (1, 0), (2, 0), (2, 1)]
     vals = [distribution_F(nu, lam, FIFTH, spec.point) for lam in chain]
     assert all(a <= b for a, b in zip(vals, vals[1:]))
+
+
+def test_upper_index_that_is_not_a_partition_raises():
+    spec = g_spec(lam=(1, 2))
+    with pytest.raises(NotAPartition):
+        spec.support()
+    with pytest.raises(NotAPartition):
+        distribution_F((1, 2), (0, 0), FIFTH, spec.point)
 
 
 def test_exp_zero_argument():

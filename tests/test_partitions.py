@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qtspecials.errors import LengthMismatch, NotAPartition
 from qtspecials.partitions import (
     bump,
+    check_partition,
     contains,
     enumerate_strips,
     enumerate_sub,
@@ -71,6 +72,19 @@ def test_enumerate_sub_goldens():
     assert enumerate_sub((1, 1)) == [(0, 0), (1, 0), (1, 1)]
     assert enumerate_sub((2, 1), weight_filter=2) == [(2, 0), (1, 1)]
     assert enumerate_sub((0, 0)) == [(0, 0)]
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, -1), (0, 1, 0)])
+def test_enumerate_sub_refuses_an_index_that_is_not_a_partition(lam):
+    with pytest.raises(NotAPartition):
+        enumerate_sub(lam)
+    with pytest.raises(NotAPartition):
+        check_partition(lam)
+
+
+def test_check_partition_returns_its_argument():
+    lam = (3, 2, 0)
+    assert check_partition(lam) is lam
 
 
 def test_enumerate_sub_order_is_weight_then_reverse_lex():

@@ -11,8 +11,8 @@ from math import comb
 
 import pytest
 
-from qtspecials.binomial import qt_binomial
-from qtspecials.errors import DegenerateParameters, UnsupportedRegime
+from qtspecials.binomial import poch_reciprocal, qt_binomial
+from qtspecials.errors import DegenerateParameters, NotAPartition, UnsupportedRegime
 from qtspecials.identities import random_qt_point
 from qtspecials.partitions import (
     contains,
@@ -112,6 +112,12 @@ def _reciprocal_base_product(x, lam, mode):
     return acc
 
 
+def test_poch_reciprocal_matches_the_product_factor_by_factor(mode):
+    for x in (Rational(4, 9), Rational(-7, 3)):
+        for lam in enumerate_sub((3, 2, 2)):
+            assert poch_reciprocal(x, lam, mode) == _reciprocal_base_product(x, lam, mode)
+
+
 def test_change_of_basis(mode):
     x = Rational(4, 9)
     for lam in enumerate_sub((3, 2, 2)):
@@ -124,6 +130,28 @@ def test_change_of_basis(mode):
                      _reciprocal_base_product(x, mu, mode)
                      for mu in enumerate_sub(lam)), start=mode.zero)
         assert lhs_v == rhs_v, lam
+
+
+@pytest.mark.parametrize("nu", [(1, 2), (0, 1), (2, -1)])
+def test_upper_index_that_is_not_a_partition_raises(nu):
+    """Every function of the layer that takes an upper index refuses one
+    that is not a partition."""
+    mode = AtPoint(QtPoint(Rational(2, 7), Rational(5, 11)))
+    zero = zeros(2)
+    calls = [
+        lambda: stirling("first", nu, zero, mode),
+        lambda: stirling("second", nu, zero, mode),
+        lambda: u_coeff(nu, zero, mode),
+        lambda: v_coeff(nu, zero, mode),
+        lambda: binomial_alpha(nu, zero, 1),
+        lambda: bell(nu, mode),
+        lambda: fibonacci(nu, mode),
+        lambda: bernoulli(nu, mode),
+        lambda: StirlingTable.build("first", nu, mode),
+    ]
+    for call in calls:
+        with pytest.raises(NotAPartition):
+            call()
 
 
 def test_stirling_diagonals(mode):
