@@ -31,8 +31,8 @@ from typing import NamedTuple
 from .binomial import qt_binomial
 from .errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
                      UnsupportedRegime, check_sizes)
-from .partitions import (contains, enumerate_sub, format_partition, n_prime_stat, n_stat,
-                         weight)
+from .partitions import (check_partition, contains, enumerate_sub, format_partition,
+                         n_prime_stat, n_stat, weight)
 from .scalars import Rational, as_rational, format_rational, sum_rationals
 from .wcore import QtPoint, guarded_div, memo, norm_weight, pair_ratio, poch_partition
 
@@ -59,6 +59,8 @@ class DensitySpec:
                 raise InvalidArgument("poisson density has no lam parameter")
         elif lam is None:
             raise InvalidArgument(f"{kind} density requires lam")
+        else:
+            check_partition(lam)
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "z", z)

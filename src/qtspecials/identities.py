@@ -173,19 +173,19 @@ def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
     lhs = poch_partition(s * r, nu, mode) * w_principal(
         "ab", mu, nu, mode, (s * r) ** -1 * tn1
     )
-    s_nu = poch_partition(s, nu, mode)
     rhs = mode.zero
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
         term = (
-            mode.qpow(weight(lam)) * mode.tpow(2 * n_stat(lam)) * s_nu
+            mode.qpow(weight(lam)) * mode.tpow(2 * n_stat(lam))
             * norm_weight(lam, mode)
             * w_principal("ab", lam, nu, mode, s ** -1 * tn1)
             * poch_partition(r, lam, mode)
             * w_principal("ab", mu, lam, mode, r ** -1 * tn1)
         )
         rhs = rhs + term
+    rhs = poch_partition(s, nu, mode) * rhs  # the factor (s)_nu of every term
     return IdentityCheck(
         "weak_cocycle", lhs, rhs, lhs - rhs, _params(nu=nu, mu=mu, s=s, r=r)
     )

@@ -97,9 +97,25 @@ def _revlex_key(p):
     return (sum(p), tuple(-x for x in p))
 
 
+# Each enumeration is pure combinatorial data, kept as a tuple for the life of
+# the process: by (lam, weight_filter) in _SUBS, by lam in _STRIPS.  Keys and
+# entries hold only ints, tuples and None.  Each call returns a new list; a
+# refused index is never stored, so it is refused on every call.
+_SUBS: dict = {}
+_STRIPS: dict = {}
+
+
 def enumerate_sub(lam, weight_filter: int | None = None) -> list:
     """All partitions mu contained in lam, in ascending weight then
     descending lexicographic order; optionally restricted to |mu| = k."""
+    key = (tuple(lam), weight_filter)
+    subs = _SUBS.get(key)
+    if subs is None:
+        subs = _SUBS[key] = _sub(*key)
+    return list(subs)
+
+
+def _sub(lam, weight_filter) -> tuple:
     n = len(check_partition(lam))
     out = []
 
@@ -121,16 +137,18 @@ def enumerate_sub(lam, weight_filter: int | None = None) -> list:
     else:
         out.append(())
     out.sort(key=_revlex_key)
-    return out
+    return tuple(out)
 
 
 def enumerate_strips(lam) -> list:
     """All nu with lam/nu a horizontal strip (nu interlaces below lam)."""
-    n = len(lam)
-    ranges = [range((lam[i + 1] if i + 1 < n else 0), lam[i] + 1) for i in range(n)]
-    out = [tuple(v) for v in product(*ranges)]
-    out.sort(key=_revlex_key)
-    return out
+    lam = tuple(lam)
+    strips = _STRIPS.get(lam)
+    if strips is None:
+        n = len(lam)
+        ranges = [range((lam[i + 1] if i + 1 < n else 0), lam[i] + 1) for i in range(n)]
+        strips = _STRIPS[lam] = tuple(sorted(product(*ranges), key=_revlex_key))
+    return list(strips)
 
 
 def sum_decompositions(lam) -> list:

@@ -18,8 +18,12 @@ scalar x is (x, 0, 0), the principal argument is (1, lam_i, n-1-i), and a
 peel shifts b by -ell.  Every factor is then one product (c q^i t^j; q)_m
 from ``pochm``.  One decorator, ``memo(kind, at)``, memoizes values in the
 cache of the mode at argument ``at``, keyed by kind and the other arguments:
-("poch", i, j, m) (and c unless c = 1), ("weight", mu), ("h", lam, mu),
-("skew", kind, lam, mu, x, s) and ("W", kind, lam, mu, z, s).
+("poch", i, j, m) (and c unless c = 1), ("partition", a, lam) for
+(a; q, t)_lam, ("weight", mu), ("h", lam, mu), ("skew", kind, lam, mu, x, s)
+and ("W", kind, lam, mu, z, s).  At a point, ``h_factor``, a skew value and
+a partition product multiply the numerators and denominators of their
+factors as ints and build one Rational (``_ratio``); a product of order 0
+and a zero power, both 1, are left out.
 
 No key of this module holds a Rational.  Hashing a ``fractions.Fraction``
 takes a modular inverse, which costs about two products of rationals of the
@@ -331,6 +335,30 @@ def guarded_div(num, den, what: str):
     return num / den
 
 
+def _ratio(num: list, den: list, mode: ScalarMode, what: str):
+    """prod(num) / prod(den), reporting a vanishing denominator as
+    degeneracy.  At a point the numerators and denominators of the factors
+    are multiplied as ints and reduced once, by one Rational; a formal mode
+    multiplies its RatFuncQ factors in list order."""
+    if not mode.is_point:
+        n = d = mode.one
+        for f in num:
+            n = n * f
+        for f in den:
+            d = d * f
+        return guarded_div(n, d, what) if den else n
+    n = d = 1
+    for f in num:
+        n *= f.numerator
+        d *= f.denominator
+    for f in den:
+        n *= f.denominator
+        d *= f.numerator
+    if d == 0:
+        raise DegenerateParameters(f"vanishing denominator in {what}")
+    return Rational(n, d)
+
+
 # ---------------------------------------------------------------------------
 # Pochhammer symbols
 # ---------------------------------------------------------------------------
@@ -362,11 +390,14 @@ def pochm(i: int, j: int, m: int, mode: ScalarMode, c: Coef = UNIT):
 
 def poch_partition(a, lam, mode: ScalarMode):
     """Partition product (a; q, t)_lam = prod_i (a t^{1-i}; q)_{lam_i}."""
-    cargs = _cargs(coef(a, mode))
-    acc = mode.one
-    for i, m in enumerate(lam):
-        acc = acc * pochm(0, -i, m, mode, *cargs)
-    return acc
+    return _poch_partition(coef(a, mode), tuple(lam), mode)
+
+
+@memo("partition", 2)
+def _poch_partition(a: Coef, lam, mode: ScalarMode):
+    cargs = _cargs(a)
+    return _ratio([pochm(0, -i, m, mode, *cargs) for i, m in enumerate(lam) if m], [],
+                  mode, "partition product")
 
 
 def poch_norm(mu, mode: ScalarMode):
@@ -417,21 +448,16 @@ def h_factor(lam, mu, mode: ScalarMode):
     """
     if not is_horizontal_strip(lam, mu):
         raise NotAStrip(f"{lam}/{mu} is not a horizontal strip")
-    n = len(lam)
-    num = mode.one
-    den = mode.one
-    for j in range(2, n + 1):
-        lj = lam[j - 1]
+    num, den = [], []
+    for j in range(2, len(lam) + 1):
+        m = mu[j - 2] - lam[j - 1]
+        if m == 0:
+            continue
         for i in range(1, j):
-            m = mu[j - 2] - lj
-            if m == 0:
-                continue
-            mi, li = mu[i - 1], lam[i - 1]
-            num = num * pochm(mi - mu[j - 2], j - i, m, mode)
-            num = num * pochm(li - mu[j - 2] + 1, j - i - 1, m, mode)
-            den = den * pochm(mi - mu[j - 2] + 1, j - i - 1, m, mode)
-            den = den * pochm(li - mu[j - 2], j - i, m, mode)
-    return guarded_div(num, den, "strip factor")
+            mi, li = mu[i - 1] - mu[j - 2], lam[i - 1] - mu[j - 2]
+            num += pochm(mi, j - i, m, mode), pochm(li + 1, j - i - 1, m, mode)
+            den += pochm(mi + 1, j - i - 1, m, mode), pochm(li, j - i, m, mode)
+    return _ratio(num, den, mode, "strip factor")
 
 
 def _check_kind(kind: str, s):
@@ -457,30 +483,30 @@ def _w_skew(kind: str, lam, mu, x: Mono, mode: ScalarMode, s):
     cinv = UNIT if c is UNIT else coef(guarded_div(mode.one, c.value, "W argument"), mode)
     cargs = _cargs(cinv)
     # (1/x)_lam / (1/x)_mu, telescoped to prod_i (x^{-1} t^{-i} q^{mu_i}; q)_{lam_i - mu_i}
-    val = h_factor(lam, mu, mode)
-    for i, (li, mi) in enumerate(zip(lam, mu)):
-        if li != mi:
-            val = val * pochm(mi - a, -b - i, li - mi, mode, *cargs)
+    num = [h_factor(lam, mu, mode)]
+    num += [pochm(mi - a, -b - i, li - mi, mode, *cargs)
+            for i, (li, mi) in enumerate(zip(lam, mu)) if li != mi]
+    den, e = [], 0
     if kind == "s_up":
         e = weight(mu) - weight(lam)  # (-q/x)^e = (-1)^e c^{-e} q^{e(1-a)} t^{-eb}
-        val = val * mode.qpow(e * (1 - a) + n_prime_stat(mu) - n_prime_stat(lam))
-        val = val * mode.tpow(-e * b)
-        val = val if c is UNIT else val * c.value ** -e
-        val = -val if e % 2 else val
+        qe, te = e * (1 - a) + n_prime_stat(mu) - n_prime_stat(lam), -e * b
     else:
-        val = val * mode.tpow(-n_stat(lam) + weight(mu) + n_stat(mu))
+        qe, te = 0, -n_stat(lam) + weight(mu) + n_stat(mu)
+    if qe:
+        num.append(mode.qpow(qe))
+    if te:
+        num.append(mode.tpow(te))
+    if e and c is not UNIT:
+        num.append(c.value ** -e)
     if kind == "ab":
         # (s q / (x t))_mu / (s q / x)_lam, row i scaled by t^{1-i}
         sc = s.c if cinv is UNIT else coef(s.c.value * cinv.value, mode)
         scargs = _cargs(sc)
         i0, j0 = s.a + 1 - a, s.b - b
-        num = den = mode.one
-        for i, m in enumerate(mu, start=1):
-            num = num * pochm(i0, j0 - i, m, mode, *scargs)
-        for i, m in enumerate(lam, start=1):
-            den = den * pochm(i0, j0 + 1 - i, m, mode, *scargs)
-        val = val * guarded_div(num, den, "auxiliary product of W^ab")
-    return val
+        num += [pochm(i0, j0 - i, m, mode, *scargs) for i, m in enumerate(mu, start=1) if m]
+        den = [pochm(i0, j0 + 1 - i, m, mode, *scargs) for i, m in enumerate(lam, start=1) if m]
+    val = _ratio(num, den, mode, "auxiliary product of W^ab")
+    return -val if e % 2 else val
 
 
 def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
@@ -511,7 +537,7 @@ def _w_multi(kind: str, lam, mu, z: tuple, mode: ScalarMode, s):
     y = z[0].peeled(ell)
     s_peel = s.peeled(ell) if kind == "ab" else None
     rest = z[1:]
-    total = mode.zero
+    total = None
     wl = weight(lam)
     for nu in enumerate_strips(lam):
         if not contains(nu, mu):
@@ -523,10 +549,10 @@ def _w_multi(kind: str, lam, mu, z: tuple, mode: ScalarMode, s):
         if inner == 0:
             continue
         term = skew * inner
-        if kind == "s_up":
+        if kind == "s_up" and nu != lam:
             term = term * mode.tpow(ell * (wl - weight(nu)))
-        total = total + term
-    return total
+        total = term if total is None else total + term
+    return mode.zero if total is None else total
 
 
 def w_principal(kind: str, mu, lam, mode: ScalarMode, s=None):

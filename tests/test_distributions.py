@@ -119,11 +119,19 @@ def test_distribution_function():
 
 
 def test_upper_index_that_is_not_a_partition_raises():
-    spec = g_spec(lam=(1, 2))
     with pytest.raises(NotAPartition):
-        spec.support()
+        g_spec(lam=(1, 2))
     with pytest.raises(NotAPartition):
-        distribution_F((1, 2), (0, 0), FIFTH, spec.point)
+        distribution_F((1, 2), (0, 0), FIFTH, QtPoint(HALF, THIRD, n=2, max_part=6))
+
+
+@pytest.mark.parametrize("kind", ["binomial_g", "binomial_f"])
+@pytest.mark.parametrize("lam", [(1, 2), [0, 1], (2, -1)], ids=str)
+def test_density_spec_refuses_a_lam_that_is_not_a_partition(kind, lam):
+    """The spec is checked when it is built, not first in support()."""
+    point = QtPoint(HALF, THIRD, n=2, max_part=6)
+    with pytest.raises(NotAPartition):
+        DensitySpec(kind=kind, z=FIFTH, lam=lam, point=point)
 
 
 def test_exp_zero_argument():

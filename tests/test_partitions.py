@@ -112,6 +112,51 @@ def test_enumerate_strips_matches_filtered_brute_force():
         assert set(enumerate_strips(lam)) == set(expect)
 
 
+# ---------------------------------------------------------------------------
+# The enumerations are memoized for the life of the process
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("enum", [
+    lambda lam: enumerate_sub(lam),
+    lambda lam: enumerate_sub(lam, weight_filter=2),
+    enumerate_strips,
+], ids=["sub", "sub-weight", "strips"])
+def test_each_call_returns_a_new_list(enum):
+    first = enum((3, 2, 1))
+    expect = list(first)
+    assert type(first) is list
+    first.append((9, 9, 9))
+    first[0] = None
+    second = enum((3, 2, 1))
+    assert second == expect and second is not first
+    assert enum((3, 2, 1)) is not second
+
+
+@pytest.mark.parametrize("lam", [(1, 2), (2, -1)])
+def test_a_refused_index_is_refused_on_every_call(lam):
+    for _ in range(2):
+        with pytest.raises(NotAPartition):
+            enumerate_sub(lam)
+        with pytest.raises(NotAPartition):
+            enumerate_sub(lam, weight_filter=1)
+
+
+def test_a_list_index_gives_the_tuple_results():
+    assert enumerate_sub([2, 1]) == enumerate_sub((2, 1))
+    assert enumerate_sub([2, 1], weight_filter=2) == [(2, 0), (1, 1)]
+    assert enumerate_strips([2, 1]) == enumerate_strips((2, 1))
+    with pytest.raises(NotAPartition):
+        enumerate_sub([0, 1])
+
+
+def test_weight_filter_matches_brute_force():
+    for lam in enumerate_sub((3, 3, 2)):
+        for k in range(weight(lam) + 2):
+            expect = [mu for mu in enumerate_sub(lam) if weight(mu) == k]
+            assert enumerate_sub(lam, weight_filter=k) == expect
+            assert set(expect) == {mu for mu in boxes(lam) if weight(mu) == k}
+
+
 def test_strip_implies_contains():
     for lam in enumerate_sub((4, 3)):
         for nu in enumerate_strips(lam):

@@ -583,7 +583,9 @@ def test_dropped_point_frees_its_mode_after_every_memo_layer():
 def test_only_memo_and_the_mode_constructor_touch_a_cache():
     """Keep one memo protocol: every `.cache` in the package source sits in
     wcore.memo or ScalarMode.__init__, and no `lru_cache` keeps a value for
-    the life of the process."""
+    the life of the process.  The one memo kept for the life of the process
+    is that of the partition enumerations, which holds no value
+    (test_the_partition_enumeration_memo_holds_only_ints)."""
     import ast
     import pathlib
     import re
@@ -609,6 +611,56 @@ def test_only_memo_and_the_mode_constructor_touch_a_cache():
                     or re.search(r"\blru_cache\b", line):
                 offenders.append(f"{path.name}:{lineno}: {line.strip()}")
     assert not offenders, "\n".join(offenders)
+
+
+def _suite_modes(monkeypatch):
+    """Run one suite round below (2,2,1) at seed 0; returns the mode of
+    every point it drew."""
+    from qtspecials import identities
+
+    points = []
+
+    def recording(*args, **kwargs):
+        points.append(draw(*args, **kwargs))
+        return points[-1]
+
+    draw = identities.random_qt_point
+    monkeypatch.setattr(identities, "random_qt_point", recording)
+    assert identities.run_identity_suite((2, 2, 1), points=1, seed=0).all_pass
+    return [point.mode for point in points]
+
+
+def test_the_partition_enumeration_memo_holds_only_ints(monkeypatch):
+    """partitions keeps each enumeration for the life of the process, so its
+    keys and entries must be built from ints, tuples and None alone: then
+    they can hold no scalar and no mode."""
+    from qtspecials import partitions
+
+    _suite_modes(monkeypatch)
+
+    def plain(x):
+        if type(x) is tuple:
+            return all(plain(y) for y in x)
+        return x is None or type(x) is int
+
+    for table in (partitions._SUBS, partitions._STRIPS):
+        assert table
+        for key, entry in table.items():
+            assert plain(key) and plain(entry), (key, entry)
+
+
+def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
+    """A dropped or doubled memo changes these counts: the main point, then
+    the point of the geometric checks."""
+    from collections import Counter
+
+    counts = [dict(Counter(key[0] for key in mode.cache))
+              for mode in _suite_modes(monkeypatch)]
+    assert counts == [
+        {"W": 346, "binom": 88, "h": 47, "partition": 72, "poch": 156, "skew": 439,
+         "weight": 13},
+        {"W": 223, "h": 3, "partition": 1, "poch": 49, "skew": 21, "trunc": 1, "weight": 84},
+    ]
 
 
 def test_principal_values_key_each_factor_without_a_unit_scalar(mode):
