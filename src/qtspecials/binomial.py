@@ -19,6 +19,7 @@ from .wcore import (
     pair_ratio,
     poch,
     pochm,
+    prod_ratio,
     w_principal,
 )
 
@@ -64,26 +65,20 @@ def binom_rect_lower(lam, k: int, mode: ScalarMode):
     """Closed form of the binomial with lower index the rectangle k^n."""
     check_sizes(0, k=k)
     n = len(lam)
-    acc = mode.one
-    for i in range(1, n + 1):
-        num = pochm(1 - k + lam[i - 1], n - i, k, mode)
-        den = pochm(1, n - i, k, mode)
-        acc = acc * guarded_div(num, den, "rectangular lower binomial")
-    return acc
+    return prod_ratio([pochm(1 - k + li, n - i, k, mode) for i, li in enumerate(lam, start=1)],
+                      [pochm(1, n - i, k, mode) for i in range(1, n + 1)],
+                      mode, "rectangular lower binomial")
 
 
 def binom_rect_upper(k: int, mu, mode: ScalarMode):
     """Closed form of the binomial with upper index the rectangle k^n."""
     check_sizes(0, k=k)
     n = len(mu)
-    w = weight(mu)
-    acc = mode.tpow(2 * n_stat(mu) + (1 - n) * w)
-    for i in range(1, n + 1):
-        mi = mu[i - 1]
-        num = pochm(1 + k - mi, i - 1, mi, mode)
-        den = pochm(1, n - i, mi, mode)
-        acc = acc * guarded_div(num, den, "rectangular upper binomial")
-    return acc * pair_ratio(mu, mode) * pair_ratio(mu, mode, 0)
+    num = [mode.tpow(2 * n_stat(mu) + (1 - n) * weight(mu))]
+    num += [pochm(1 + k - m, i - 1, m, mode) for i, m in enumerate(mu, start=1) if m]
+    num += pair_ratio(mu, mode), pair_ratio(mu, mode, 0)
+    return prod_ratio(num, [pochm(1, n - i, m, mode) for i, m in enumerate(mu, start=1) if m],
+                      mode, "rectangular upper binomial")
 
 
 def binom_e1(lam, mode: ScalarMode):
@@ -103,37 +98,30 @@ def gaussian_binomial(m: int, k: int, mode: ScalarMode):
     """The Gaussian polynomial (q)_m / ((q)_{m-k} (q)_k), zero off-range."""
     if k < 0 or k > m:
         return mode.zero
-    num = pochm(1, 0, m, mode)
-    den = pochm(1, 0, m - k, mode) * pochm(1, 0, k, mode)
-    return guarded_div(num, den, "Gaussian binomial")
+    return prod_ratio([pochm(1, 0, m, mode)], [pochm(1, 0, m - k, mode), pochm(1, 0, k, mode)],
+                      mode, "Gaussian binomial")
 
 
 def qt_bracket(z, mode: ScalarMode):
     """Multi-part q-number: prod_i (1 - q^{z_i} t^{n-i}) / (1 - q t^{n-i})."""
     n = len(z)
-    acc = mode.one
-    for i in range(1, n + 1):
-        num = mode.one - mode.qpow(z[i - 1]) * mode.tpow(n - i)
-        den = mode.one - mode.q * mode.tpow(n - i)
-        acc = acc * guarded_div(num, den, "qt-bracket")
-    return acc
+    num = [mode.one - mode.qpow(zi) * mode.tpow(n - i) for i, zi in enumerate(z, start=1)]
+    den = [mode.one - mode.q * mode.tpow(n - i) for i in range(1, n + 1)]
+    return prod_ratio(num, den, mode, "qt-bracket")
 
 
 def poch_reciprocal(x, mu, mode: ScalarMode):
     """The reciprocal-base partition product (x; 1/q, 1/t)_mu, expanded as
     prod_i (x t^{i-1} q^{1-mu_i}; q)_{mu_i}."""
-    acc = mode.one
-    for i, m in enumerate(mu):
-        acc = acc * poch(x * mode.tpow(i) * mode.qpow(1 - m), m, mode)
-    return acc
+    return prod_ratio([poch(x * mode.tpow(i) * mode.qpow(1 - m), m, mode)
+                       for i, m in enumerate(mu) if m], [], mode)
 
 
 def qt_bracket_shifted(Q, mu, mode: ScalarMode):
     """The mu-shifted bracket as a function of the principal value Q = q^x:
     q^{n(mu')} (Q; 1/q, 1/t)_mu / prod_i (1 - q t^{n-i})^{mu_i}."""
     n = len(mu)
-    den = mode.one
-    for i, m in enumerate(mu, start=1):
-        den = den * (mode.one - mode.q * mode.tpow(n - i)) ** m
-    num = mode.qpow(n_prime_stat(mu)) * poch_reciprocal(mode.lift(Q), mu, mode)
-    return guarded_div(num, den, "shifted bracket")
+    return prod_ratio([mode.qpow(n_prime_stat(mu)), poch_reciprocal(mode.lift(Q), mu, mode)],
+                      [(mode.one - mode.q * mode.tpow(n - i)) ** m
+                       for i, m in enumerate(mu, start=1) if m],
+                      mode, "shifted bracket")

@@ -34,7 +34,7 @@ from .errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
 from .partitions import (check_partition, contains, enumerate_sub, format_partition,
                          n_prime_stat, n_stat, weight)
 from .scalars import Rational, as_rational, format_rational, sum_rationals
-from .wcore import QtPoint, guarded_div, memo, norm_weight, pair_ratio, poch_partition
+from .wcore import QtPoint, norm_weight, pair_ratio, poch_partition, prod_ratio
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
 
@@ -129,17 +129,9 @@ def g_mass(lam, mu, z, mode):
 def f_mass(lam, mu, z, mode):
     """f-density mass of mu below lam:
     t^{-2n(mu)} q^{2n(mu')} [lam, mu] (z)_lam / (z)_mu z^{|mu|}."""
-    return (
-        mode.tpow(-2 * n_stat(mu))
-        * mode.qpow(2 * n_prime_stat(mu))
-        * qt_binomial(lam, mu, mode)
-        * guarded_div(
-            poch_partition(z, lam, mode),
-            poch_partition(z, mu, mode),
-            "f-density ratio",
-        )
-        * z ** weight(mu)
-    )
+    return prod_ratio([mode.tpow(-2 * n_stat(mu)), mode.qpow(2 * n_prime_stat(mu)),
+                       qt_binomial(lam, mu, mode), poch_partition(z, lam, mode), z ** weight(mu)],
+                      [poch_partition(z, mu, mode)], mode, "f-density ratio")
 
 
 def density(spec: DensitySpec, mu) -> Rational:
@@ -154,28 +146,13 @@ def density(spec: DensitySpec, mu) -> Rational:
     return mass(spec.lam, mu, spec.z, mode)
 
 
-@memo("trunc", 3)
-def _truncated(a, n: int, trunc: int, mode) -> Rational:
-    """Truncation of (a)_inf over n rows, prod_i (a t^{1-i}; q)_trunc,
-    memoized on the mode."""
-    return poch_partition(a, (trunc,) * n, mode)
-
-
 def _poisson_mass(spec: DensitySpec, mu, mode) -> Rational:
     _check_poisson(spec)
-    n = spec.n
-    z = spec.z
-    wm = weight(mu)
-    return (
-        _truncated(z, n, spec.trunc, mode)
-        * guarded_div(
-            z ** wm * mode.qpow(2 * n_prime_stat(mu)) * mode.tpow((1 - n) * wm),
-            poch_partition(z, mu, mode),
-            "poisson mass",
-        )
-        * norm_weight(mu, mode)
-        * pair_ratio(mu, mode, 0)
-    )
+    n, z, wm = spec.n, spec.z, weight(mu)
+    return prod_ratio([poch_partition(z, (spec.trunc,) * n, mode), z ** wm,
+                       mode.qpow(2 * n_prime_stat(mu)), mode.tpow((1 - n) * wm),
+                       norm_weight(mu, mode), pair_ratio(mu, mode, 0)],
+                      [poch_partition(z, mu, mode)], mode, "poisson mass")
 
 
 def poisson_masses(spec: DensitySpec) -> dict:
@@ -186,7 +163,7 @@ def poisson_masses(spec: DensitySpec) -> dict:
     _check_poisson(spec)
     n, mode = spec.n, spec.point.mode
     terms = _term_walk(mode, n, spec.part_cap, spec.z,
-                       _truncated(spec.z, n, spec.trunc, mode),
+                       poch_partition(spec.z, (spec.trunc,) * n, mode),
                        lambda k, m: (2 * m, 1 - n), z_rows=True)
     return {mu: terms[mu] for mu in spec.support()}
 
@@ -343,7 +320,7 @@ def exp_E(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
     """Upper exponential: truncated product (-z)_inf and its partition series."""
     z = check_series(z, point, n, part_cap, trunc)
     mode = point.mode
-    prod = _truncated(-z, n, trunc, mode)
+    prod = poch_partition(-z, (trunc,) * n, mode)
     series = _exp_series(z, n, part_cap, mode, upper=True)
     return ExpResult(prod, series, prod - series)
 
@@ -357,7 +334,7 @@ def exp_e(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> Exp
     if not series_ratio(z, point, n) < 1:
         raise ConvergenceViolated("parameters violate max_i |z t^(2i-n-1)| < 1")
     mode = point.mode
-    prod = _truncated(z, n, trunc, mode)
+    prod = poch_partition(z, (trunc,) * n, mode)
     if prod == 0:
         raise DegenerateParameters("truncated product vanishes")
     series = _exp_series(z, n, part_cap, mode, upper=False)

@@ -12,7 +12,7 @@ import random
 from itertools import product as iproduct
 
 from .binomial import binom_rect_lower, poch_reciprocal, qt_binomial, v_coeff
-from .distributions import _truncated, check_series, f_mass, g_mass, series_ratio
+from .distributions import check_series, f_mass, g_mass, series_ratio
 from .errors import ConvergenceViolated, DegenerateParameters, InvalidArgument, check_sizes
 from .partitions import (
     bump,
@@ -257,7 +257,7 @@ def check_geometric(
         raise ConvergenceViolated("parameters violate max_i |q z t^(2i-n-1)| < 1")
     mode = point.mode
     qz = mode.q * z
-    prod = _truncated(qz, n, trunc, mode)
+    prod = poch_partition(qz, (trunc,) * n, mode)
     lhs = guarded_div(z ** weight(mu), prod, "truncated product") * pair_ratio(mu, mode, 0)
     rhs = mode.zero
     for lam in enumerate_sub((part_cap,) * n):

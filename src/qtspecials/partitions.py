@@ -141,11 +141,12 @@ def _sub(lam, weight_filter) -> tuple:
 
 
 def enumerate_strips(lam) -> list:
-    """All nu with lam/nu a horizontal strip (nu interlaces below lam)."""
+    """All nu with lam/nu a horizontal strip (nu interlaces below lam); lam
+    must be a partition."""
     lam = tuple(lam)
     strips = _STRIPS.get(lam)
     if strips is None:
-        n = len(lam)
+        n = len(check_partition(lam))
         ranges = [range((lam[i + 1] if i + 1 < n else 0), lam[i] + 1) for i in range(n)]
         strips = _STRIPS[lam] = tuple(sorted(product(*ranges), key=_revlex_key))
     return list(strips)

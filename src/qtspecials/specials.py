@@ -34,9 +34,9 @@ from .scalars import Rational, limit_at_one
 from .wcore import (
     FormalQ,
     ScalarMode,
-    guarded_div,
     memo,
     norm_weight,
+    prod_ratio,
     w_principal,
 )
 
@@ -96,16 +96,16 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
             "Stirling limits with n >= 2 need a rational t "
             "(a point mode or a formal mode with fixed t)"
         )
-    den = mode.one
-    for i in range(1, n + 1):
-        den = den * (mode.one - mode.q * mode.tpow(n - i)) ** (nu[i - 1] - mu[i - 1])
     if kind == "first":
         s, u_lim, v_lim = 1 - n, False, True
-        pref = mode.qpow(n_prime_stat(nu)) * mode.tpow(-2 * n_stat(mu) - s * weight(mu))
+        qe, te = n_prime_stat(nu), -2 * n_stat(mu) - s * weight(mu)
     else:
         s, u_lim, v_lim = n - 1, True, False
-        pref = mode.qpow(-n_prime_stat(mu)) * mode.tpow(2 * n_stat(nu) - s * weight(nu))
-    pref = guarded_div(pref, den, "Stirling prefactor")
+        qe, te = -n_prime_stat(mu), 2 * n_stat(nu) - s * weight(nu)
+    pref = prod_ratio([mode.qpow(qe), mode.tpow(te)],
+                      [(mode.one - mode.q * mode.tpow(n - i)) ** (v - m)
+                       for i, (v, m) in enumerate(zip(nu, mu), start=1) if v != m],
+                      mode, "Stirling prefactor")
     total = mode.zero
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
@@ -131,16 +131,14 @@ def stirling_expansion_residual(lam, Q, mode: ScalarMode):
     Q = mode.lift(Q)
     n = len(lam)
     lhs = qt_bracket_shifted(Q, lam, mode)
+    brackets = [prod_ratio([mode.one - Q * mode.tpow(n - i)],
+                           [mode.one - mode.q * mode.tpow(n - i)], mode, "bracket-power basis")
+                for i in range(1, n + 1)]
     rhs = mode.zero
     for mu in enumerate_sub(lam):
-        basis = mode.tpow(2 * n_stat(mu) + (1 - n) * weight(mu))
-        for i in range(1, n + 1):
-            basis = basis * guarded_div(
-                mode.one - Q * mode.tpow(n - i),
-                mode.one - mode.q * mode.tpow(n - i),
-                "bracket-power basis",
-            ) ** mu[i - 1]
-        rhs = rhs + stirling("first", lam, mu, mode) * basis
+        basis = [mode.tpow(2 * n_stat(mu) + (1 - n) * weight(mu))]
+        basis += [b ** m for b, m in zip(brackets, mu) if m]
+        rhs = rhs + stirling("first", lam, mu, mode) * prod_ratio(basis, [], mode)
     return lhs - rhs
 
 

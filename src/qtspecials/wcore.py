@@ -20,10 +20,15 @@ from ``pochm``.  One decorator, ``memo(kind, at)``, memoizes values in the
 cache of the mode at argument ``at``, keyed by kind and the other arguments:
 ("poch", i, j, m) (and c unless c = 1), ("partition", a, lam) for
 (a; q, t)_lam, ("weight", mu), ("h", lam, mu), ("skew", kind, lam, mu, x, s)
-and ("W", kind, lam, mu, z, s).  At a point, ``h_factor``, a skew value and
-a partition product multiply the numerators and denominators of their
-factors as ints and build one Rational (``_ratio``); a product of order 0
-and a zero power, both 1, are left out.
+and ("W", kind, lam, mu, z, s).
+
+Every product of factors in the library, here and in ``binomial``,
+``specials`` and ``distributions``, is one call of ``prod_ratio(num, den,
+mode, what)``.  At a point it multiplies the numerators and denominators of
+its factors as ints and builds one Rational; a formal mode starts each
+product from its first factor.  A vanishing denominator raises
+DegenerateParameters("vanishing denominator in <what>").  A product of order
+0 and a zero power, both 1, are left out of the factor lists.
 
 No key of this module holds a Rational.  Hashing a ``fractions.Fraction``
 takes a modular inverse, which costs about two products of rationals of the
@@ -36,12 +41,14 @@ by the ints of a ``RatFuncQ``, hashed once.
 
 from __future__ import annotations
 
-from functools import wraps
+from functools import reduce, wraps
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (DegenerateParameters, InvalidArgument, NotAStrip,
                      UnsupportedRegime, check_sizes)
 from .partitions import (
+    check_partition,
     contains,
     enumerate_strips,
     is_horizontal_strip,
@@ -335,17 +342,14 @@ def guarded_div(num, den, what: str):
     return num / den
 
 
-def _ratio(num: list, den: list, mode: ScalarMode, what: str):
+def prod_ratio(num: list, den: list, mode: ScalarMode, what: str = "product"):
     """prod(num) / prod(den), reporting a vanishing denominator as
-    degeneracy.  At a point the numerators and denominators of the factors
-    are multiplied as ints and reduced once, by one Rational; a formal mode
-    multiplies its RatFuncQ factors in list order."""
+    degeneracy: the one product of factors of the library.  At a point the
+    numerators and denominators of the factors are multiplied as ints and
+    reduced once, by one Rational; a formal mode multiplies its RatFuncQ
+    factors in list order, each product starting from its first factor."""
     if not mode.is_point:
-        n = d = mode.one
-        for f in num:
-            n = n * f
-        for f in den:
-            d = d * f
+        n, d = (reduce(mul, fs) if fs else mode.one for fs in (num, den))
         return guarded_div(n, d, what) if den else n
     n = d = 1
     for f in num:
@@ -368,15 +372,11 @@ def poch(a, m: int, mode: ScalarMode):
 
     Negative order inverts: (a; q)_{-k} = 1 / (a q^{-k}; q)_k.
     """
-    if m == 0:
-        return mode.one
-    if m < 0:
-        return guarded_div(mode.one, poch(a * mode.qpow(m), -m, mode),
-                           "negative-order product")
-    acc = mode.one
-    for k in range(m):
-        acc = acc * (mode.one - a * mode.qpow(k))
-    return acc
+    if m >= 0:
+        return prod_ratio([mode.one - a * mode.qpow(k) for k in range(m)], [], mode)
+    a = a * mode.qpow(m)
+    return prod_ratio([], [mode.one - a * mode.qpow(k) for k in range(-m)], mode,
+                      "negative-order product")
 
 
 @memo("poch", 3)
@@ -396,18 +396,16 @@ def poch_partition(a, lam, mode: ScalarMode):
 @memo("partition", 2)
 def _poch_partition(a: Coef, lam, mode: ScalarMode):
     cargs = _cargs(a)
-    return _ratio([pochm(0, -i, m, mode, *cargs) for i, m in enumerate(lam) if m], [],
-                  mode, "partition product")
+    return prod_ratio([pochm(0, -i, m, mode, *cargs) for i, m in enumerate(lam) if m], [],
+                      mode)
 
 
 def poch_norm(mu, mode: ScalarMode):
     """(q t^{n-1}; q, t)_mu with n = len(mu), the normalizing product of the
     binomial and of every series weighted like it."""
     n = len(mu)
-    acc = mode.one
-    for i, m in enumerate(mu, start=1):
-        acc = acc * pochm(1, n - i, m, mode)
-    return acc
+    return prod_ratio([pochm(1, n - i, m, mode) for i, m in enumerate(mu, start=1) if m], [],
+                      mode)
 
 
 def pair_ratio(mu, mode: ScalarMode, s: int = 1):
@@ -416,23 +414,21 @@ def pair_ratio(mu, mode: ScalarMode, s: int = 1):
     s = 1 is the pair ratio of the binomial; s = 0 is its t-only partner.
     """
     n = len(mu)
-    acc = mode.one
+    num, den = [], []
     for j in range(2, n + 1):
         for i in range(1, j):
             d = mu[i - 1] - mu[j - 1]
-            if d == 0:
-                continue
-            num = pochm(s, j - i + 1 - s, d, mode)
-            den = pochm(s, j - i - s, d, mode)
-            acc = acc * guarded_div(num, den, "pair ratio")
-    return acc
+            if d:
+                num.append(pochm(s, j - i + 1 - s, d, mode))
+                den.append(pochm(s, j - i - s, d, mode))
+    return prod_ratio(num, den, mode, "pair ratio")
 
 
 @memo("weight", 1)
 def norm_weight(mu, mode: ScalarMode):
     """pair_ratio(mu) / poch_norm(mu): the mu-dependent weight of the
     binomial and of every series weighted like it, memoized on the mode."""
-    return guarded_div(pair_ratio(mu, mode), poch_norm(mu, mode), "binomial weight")
+    return prod_ratio([pair_ratio(mu, mode)], [poch_norm(mu, mode)], mode, "binomial weight")
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +453,7 @@ def h_factor(lam, mu, mode: ScalarMode):
             mi, li = mu[i - 1] - mu[j - 2], lam[i - 1] - mu[j - 2]
             num += pochm(mi, j - i, m, mode), pochm(li + 1, j - i - 1, m, mode)
             den += pochm(mi + 1, j - i - 1, m, mode), pochm(li, j - i, m, mode)
-    return _ratio(num, den, mode, "strip factor")
+    return prod_ratio(num, den, mode, "strip factor")
 
 
 def _check_kind(kind: str, s):
@@ -477,7 +473,7 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
 
 @memo("skew", 4)
 def _w_skew(kind: str, lam, mu, x: Mono, mode: ScalarMode, s):
-    if not is_horizontal_strip(lam, mu):
+    if not is_horizontal_strip(check_partition(lam), mu):
         return mode.zero
     c, a, b = x
     cinv = UNIT if c is UNIT else coef(guarded_div(mode.one, c.value, "W argument"), mode)
@@ -505,7 +501,7 @@ def _w_skew(kind: str, lam, mu, x: Mono, mode: ScalarMode, s):
         i0, j0 = s.a + 1 - a, s.b - b
         num += [pochm(i0, j0 - i, m, mode, *scargs) for i, m in enumerate(mu, start=1) if m]
         den = [pochm(i0, j0 + 1 - i, m, mode, *scargs) for i, m in enumerate(lam, start=1) if m]
-    val = _ratio(num, den, mode, "auxiliary product of W^ab")
+    val = prod_ratio(num, den, mode, "auxiliary product of W^ab")
     return -val if e % 2 else val
 
 
@@ -567,17 +563,15 @@ def w_rectangular(kind: str, k: int, z, mode: ScalarMode, s=None):
     check_sizes(0, k=k)
     if k == 0:
         return mode.one
-    acc = mode.one
     if kind == "s_up":
         base = mode.qpow(1 - k)
-        for zi in z:
-            acc = acc * poch(base * zi, k, mode)
-        return mode.qpow(-len(z) * k) * acc
+        return prod_ratio([mode.qpow(-len(z) * k)] + [poch(base * zi, k, mode) for zi in z],
+                          [], mode)
+    num, den = [], []
     for zi in z:
         if zi == 0:
             raise DegenerateParameters("W argument must be nonzero")
-        acc = acc * poch(zi ** -1, k, mode)
+        num.append(poch(zi ** -1, k, mode))
         if kind == "ab":
-            acc = guarded_div(acc, poch(mode.q * s * zi ** -1, k, mode), "rectangular W^ab")
-    return acc
-
+            den.append(poch(mode.q * s * zi ** -1, k, mode))
+    return prod_ratio(num, den, mode, "rectangular W^ab")

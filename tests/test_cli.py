@@ -22,6 +22,20 @@ def test_binom_value(capsys):
     assert payload["lambda"] == "2,1"
 
 
+def test_negative_literal_after_an_equals_sign(capsys):
+    """--q=-3/4 passes a negative q; after a space argparse reads -3/4 as an
+    option (README, Command line)."""
+    from qtspecials.binomial import qt_binomial
+    from qtspecials.scalars import Rational, format_rational
+    from qtspecials.wcore import QtPoint
+
+    code, out = run_cli(capsys, "binom", "--lambda", "3,1", "--mu", "2,1",
+                        "--q=-3/4", "--t", "7/3")
+    assert code == 0
+    mode = QtPoint(Rational(-3, 4), Rational(7, 3)).mode
+    assert json.loads(out)["value"] == format_rational(qt_binomial((3, 1), (2, 1), mode))
+
+
 def test_binom_alpha_limit(capsys):
     code, out = run_cli(capsys, "binom", "--lambda", "4,0", "--mu", "2,0",
                         "--alpha", "1")

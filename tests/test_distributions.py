@@ -269,8 +269,8 @@ def test_poisson_partial_sums_increase_toward_one():
     assert abs(1 - totals[-1]) < Rational(1, 10 ** 6)
 
 
-def _count_sharing(monkeypatch, shape):
-    """Count AtPoint constructions and the products (a)_shape, by a."""
+def _count_sharing(monkeypatch, shape=None):
+    """Count AtPoint constructions and the calls for products (a)_shape, by a."""
     import qtspecials.distributions as distributions
     from collections import Counter
 
@@ -302,14 +302,18 @@ def test_poisson_masses_share_one_mode_and_one_prefactor(monkeypatch):
 
 
 def test_exponentials_share_one_mode_and_each_truncated_product(monkeypatch):
-    built = _count_sharing(monkeypatch, (25, 25))
+    built = _count_sharing(monkeypatch)
     pt = QtPoint(HALF, THIRD, n=2, max_part=9)
     z = Rational(1, 10)
     E = exp_E(z, pt, 2, part_cap=8, trunc=25)
     e = exp_e(z, pt, 2, part_cap=8, trunc=25)
     Eneg = exp_E(-z, pt, 2, part_cap=8, trunc=25)
-    # (-z)_inf for E(z); (z)_inf once for both e(z) and E(-z)
-    assert built == {"AtPoint": 1, -z: 1, z: 1}
+    assert built == {"AtPoint": 1}
+    # one cache entry per truncated product: (-z)_inf for E(z), and (z)_inf
+    # for both e(z) and E(-z)
+    truncated = [key[1].value for key in pt.mode.cache
+                 if key[0] == "partition" and key[2] == (25, 25)]
+    assert sorted(truncated) == [-z, z]
     assert e.product == 1 / Eneg.product
     assert E.product == poch_partition(-z, (25, 25), AtPoint(pt))
 

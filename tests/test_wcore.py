@@ -9,7 +9,8 @@ import pytest
 
 from qtspecials import wcore
 from qtspecials.binomial import pair_ratio as binomial_pair_ratio
-from qtspecials.errors import DegenerateParameters, InvalidArgument, NotAStrip, QtError
+from qtspecials.errors import (DegenerateParameters, InvalidArgument, NotAPartition,
+                               NotAStrip, QtError)
 from qtspecials.partitions import (
     bump,
     contains,
@@ -497,7 +498,7 @@ def test_one_alpha_mode_per_alpha():
 def _memo_cases():
     """(id, module, dependency, call): ``call(mode)`` runs a memoized
     function whose body calls ``module.dependency``."""
-    from qtspecials import binomial, distributions, specials
+    from qtspecials import binomial, specials
 
     x, y = Rational(4, 9), Rational(-5, 3)
     return [
@@ -516,8 +517,7 @@ def _memo_cases():
          lambda m: specials._limit(specials.u_coeff, ((2, 1), (1, 0)),
                                    specials._inner_mode(m))),
         ("_inner_mode", specials, "FormalQ", lambda m: specials._inner_mode(m)),
-        ("_truncated", distributions, "poch_partition",
-         lambda m: distributions._truncated(x, 2, 5, m)),
+        ("_poch_partition", wcore, "pochm", lambda m: wcore.poch_partition(x, (5, 5), m)),
     ]
 
 
@@ -550,6 +550,23 @@ def test_errors_are_raised_again_not_cached(mode):
         with pytest.raises(NotAStrip):
             h_factor((2, 1), (0, 0), mode)
     assert not any(key[0] == "h" for key in mode.cache)
+
+
+def test_an_upper_index_that_is_not_a_partition_is_refused(mode):
+    """No strip lies below (1, 2); refusing it beats summing over none.  A
+    refused index is stored neither in the enumeration memo nor in a cache."""
+    from qtspecials import partitions
+
+    x, y = Rational(1, 3), Rational(2, 5)
+    for _ in range(2):
+        with pytest.raises(NotAPartition):
+            enumerate_strips((1, 2))
+        with pytest.raises(NotAPartition):
+            w_multi("s_up", (1, 2), (0, 0), (x, y), mode)
+        with pytest.raises(NotAPartition):
+            w_skew("s_down", (1, 2), (1, 0), x, mode)
+    assert (1, 2) not in partitions._STRIPS
+    assert not any(key[0] in ("skew", "W") for key in mode.cache)
 
 
 def _use_every_memo_layer(point):
@@ -613,6 +630,69 @@ def test_only_memo_and_the_mode_constructor_touch_a_cache():
     assert not offenders, "\n".join(offenders)
 
 
+def _accumulates(node) -> bool:
+    """node multiplies or divides a name into itself: x *= y, x /= y,
+    x = x * y, x = y / x or x = guarded_div(x, y, ...)."""
+    import ast
+
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, (ast.Mult, ast.Div))
+    if not isinstance(node, ast.Assign):
+        return False
+    names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+    v = node.value
+    if isinstance(v, ast.BinOp) and isinstance(v.op, (ast.Mult, ast.Div)):
+        operands = [v.left, v.right]
+    elif isinstance(v, ast.Call) and getattr(v.func, "id", None) == "guarded_div":
+        operands = v.args
+    else:
+        return False
+    return any(isinstance(o, ast.Name) and o.id in names for o in operands)
+
+
+# the functions whose products are one prod_ratio call each
+PRODUCTS = {
+    "wcore.py": {"poch", "_poch_partition", "poch_norm", "pair_ratio", "norm_weight",
+                 "h_factor", "_w_skew", "w_rectangular"},
+    "binomial.py": {"binom_rect_lower", "binom_rect_upper", "gaussian_binomial",
+                    "qt_bracket", "poch_reciprocal", "qt_bracket_shifted"},
+    "specials.py": {"stirling", "stirling_expansion_residual"},
+    "distributions.py": {"f_mass", "_poisson_mass"},
+}
+
+
+def test_every_product_of_factors_goes_through_prod_ratio():
+    """Keep one product primitive: outside the identity checks, guarded_div
+    is called only by prod_ratio and for the single quotients (the inverse
+    of a W argument in _w_skew, q_number), and no function of PRODUCTS
+    multiplies or divides an accumulator in a loop."""
+    import ast
+    import pathlib
+
+    single = {("wcore.py", "prod_ratio"), ("wcore.py", "_w_skew"), ("binomial.py", "q_number")}
+    src = pathlib.Path(wcore.__file__).parent
+    offenders, found = [], set()
+    for path in sorted(src.glob("*.py")):
+        if path.name == "identities.py":
+            continue
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            site = (path.name, fn.name)
+            for node in ast.walk(fn):
+                if isinstance(node, ast.Call) and getattr(node.func, "id", None) == \
+                        "guarded_div" and site not in single:
+                    offenders.append(f"{path.name}:{node.lineno}: guarded_div in {fn.name}")
+            if fn.name in PRODUCTS.get(path.name, ()):
+                found.add(site)
+                for loop in ast.walk(fn):
+                    if isinstance(loop, (ast.For, ast.While)):
+                        offenders += [f"{path.name}:{node.lineno}: product loop in {fn.name}"
+                                      for node in ast.walk(loop) if _accumulates(node)]
+    assert found == {(f, name) for f, names in PRODUCTS.items() for name in names}
+    assert not offenders, "\n".join(offenders)
+
+
 def _suite_modes(monkeypatch):
     """Run one suite round below (2,2,1) at seed 0; returns the mode of
     every point it drew."""
@@ -649,6 +729,34 @@ def test_the_partition_enumeration_memo_holds_only_ints(monkeypatch):
             assert plain(key) and plain(entry), (key, entry)
 
 
+def test_no_memo_key_holds_a_rational(monkeypatch):
+    """Hashing a fractions.Fraction takes a modular inverse, so a scalar
+    enters a key as a Coef.  Checked on every mode of one suite round, of an
+    exp_e and of a poisson_masses call, and on the modes their caches hold."""
+    from qtspecials.distributions import DensitySpec, exp_e, poisson_masses
+
+    modes = _suite_modes(monkeypatch)
+    point = QtPoint(Rational(1, 2), Rational(1, 3), n=2, max_part=5)
+    exp_e(Rational(1, 100), point, 2, part_cap=3, trunc=4)
+    poisson_masses(DensitySpec(kind="poisson", z=Rational(1, 20), point=point,
+                               part_cap=3, trunc=5))
+    modes.append(point.mode)
+
+    def parts(x):
+        if type(x) is tuple:
+            for y in x:
+                yield from parts(y)
+        else:
+            yield x
+
+    while modes:
+        mode = modes.pop()
+        for key, value in mode.cache.items():
+            assert not any(isinstance(p, Rational) for p in parts(key)), key
+            if isinstance(value, wcore.ScalarMode):
+                modes.append(value)
+
+
 def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
     """A dropped or doubled memo changes these counts: the main point, then
     the point of the geometric checks."""
@@ -657,9 +765,9 @@ def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
     counts = [dict(Counter(key[0] for key in mode.cache))
               for mode in _suite_modes(monkeypatch)]
     assert counts == [
-        {"W": 346, "binom": 88, "h": 47, "partition": 72, "poch": 156, "skew": 439,
+        {"W": 346, "binom": 88, "h": 47, "partition": 72, "poch": 153, "skew": 439,
          "weight": 13},
-        {"W": 223, "h": 3, "partition": 1, "poch": 49, "skew": 21, "trunc": 1, "weight": 84},
+        {"W": 223, "h": 3, "partition": 1, "poch": 46, "skew": 21, "weight": 84},
     ]
 
 
