@@ -28,12 +28,16 @@ from .partitions import (
 )
 from .scalars import Rational, as_rational, format_rational
 from .wcore import (
+    Coef,
     QtPoint,
     ScalarMode,
+    coef,
     guarded_div,
+    memo,
     norm_weight,
     pair_ratio,
     poch_partition,
+    prod_ratio,
     w_principal,
 )
 
@@ -105,37 +109,45 @@ def check_binomial_theorem(lam, x, mode: ScalarMode) -> IdentityCheck:
     )
 
 
+def _slot(s, n: int, mode: ScalarMode) -> Coef:
+    """s^{-1} t^{n-1}, the auxiliary scalar of W^ab in the n-row series
+    below, taken once per check."""
+    return coef(s ** -1 * mode.tpow(n - 1), mode)
+
+
+@memo("cocycle", 4)
+def _series_term(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode):
+    """q^{|lam|} t^{2n(lam)} times the binomial weight of lam, W^ab_lam(q^nu
+    t^delta; s_slot) and (r)_lam: the (nu, lam) half of a weak-cocycle term,
+    and at r = 1/x the term of the terminating 2phi1 sum over lam <= nu."""
+    return prod_ratio([mode.qpow(weight(lam)), mode.tpow(2 * n_stat(lam)),
+                       norm_weight(lam, mode), w_principal("ab", lam, nu, mode, s_slot),
+                       poch_partition(r, lam, mode)], [], mode)
+
+
 def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
     """Terminating sum: (s/x)_lam / (s)_lam against the strip-weighted series."""
+    lam = tuple(lam)
     s = mode.lift(s)
     x = mode.lift(x)
-    n = len(lam)
     lhs = guarded_div(
         poch_partition(s * x ** -1, lam, mode),
         poch_partition(s, lam, mode),
         "left side of the terminating sum",
     )
-    s_slot = s ** -1 * mode.tpow(n - 1)
+    s_slot, x_inv = _slot(s, len(lam), mode), coef(x ** -1, mode)
     rhs = mode.zero
     for mu in enumerate_sub(lam):
-        term = (
-            mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu))
-            * norm_weight(mu, mode)
-            * poch_partition(x ** -1, mu, mode)
-            * w_principal("ab", mu, lam, mode, s_slot)
-        )
-        rhs = rhs + term
+        rhs = rhs + _series_term(lam, mu, s_slot, x_inv, mode)
     return IdentityCheck("2phi1", lhs, rhs, lhs - rhs, _params(lam=lam, s=s, x=x))
 
 
+@memo("wsum", 2)
 def _weighted_binom_sum(lam, k, mode: ScalarMode):
     acc = mode.zero
     for mu in enumerate_sub(lam, weight_filter=k):
-        acc = acc + (
-            mode.qpow(n_prime_stat(mu))
-            * mode.tpow(-n_stat(mu))
-            * qt_binomial(lam, mu, mode)
-        )
+        acc = acc + prod_ratio([mode.qpow(n_prime_stat(mu)), mode.tpow(-n_stat(mu)),
+                                qt_binomial(lam, mu, mode)], [], mode)
     return acc
 
 
@@ -145,11 +157,8 @@ def check_pascal(lam, i: int, k: int, mode: ScalarMode) -> IdentityCheck:
     lhs = _weighted_binom_sum(lam_i, k, mode)
     rhs = _weighted_binom_sum(lam, k, mode)
     if k >= 1:
-        rhs = rhs + (
-            mode.qpow(lam[i - 1])
-            * mode.tpow(1 - i)
-            * _weighted_binom_sum(lam, k - 1, mode)
-        )
+        rhs = rhs + prod_ratio([mode.qpow(lam[i - 1]), mode.tpow(1 - i),
+                                _weighted_binom_sum(lam, k - 1, mode)], [], mode)
     return IdentityCheck("pascal", lhs, rhs, lhs - rhs, _params(lam=lam, i=i, k=k))
 
 
@@ -166,25 +175,20 @@ def check_symmetry(lam, k: int, mode: ScalarMode) -> IdentityCheck:
 
 def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
     """Composite shift by s*r against the double-shift expansion."""
+    nu = tuple(nu)
     s = mode.lift(s)
     r = mode.lift(r)
     n = len(nu)
-    tn1 = mode.tpow(n - 1)
     lhs = poch_partition(s * r, nu, mode) * w_principal(
-        "ab", mu, nu, mode, (s * r) ** -1 * tn1
+        "ab", mu, nu, mode, _slot(s * r, n, mode)
     )
+    s_slot, r_slot, r_coef = _slot(s, n, mode), _slot(r, n, mode), coef(r, mode)
     rhs = mode.zero
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
-        term = (
-            mode.qpow(weight(lam)) * mode.tpow(2 * n_stat(lam))
-            * norm_weight(lam, mode)
-            * w_principal("ab", lam, nu, mode, s ** -1 * tn1)
-            * poch_partition(r, lam, mode)
-            * w_principal("ab", mu, lam, mode, r ** -1 * tn1)
-        )
-        rhs = rhs + term
+        rhs = rhs + _series_term(nu, lam, s_slot, r_coef, mode) * w_principal(
+            "ab", mu, lam, mode, r_slot)
     rhs = poch_partition(s, nu, mode) * rhs  # the factor (s)_nu of every term
     return IdentityCheck(
         "weak_cocycle", lhs, rhs, lhs - rhs, _params(nu=nu, mu=mu, s=s, r=r)
@@ -193,27 +197,18 @@ def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
 
 def check_double_binomial(nu, mu, mode: ScalarMode) -> IdentityCheck:
     """Telescoped product of two binomials against the nested double sum."""
-    minus_one = -mode.one
-    lhs = (
-        mode.tpow(-n_stat(mu))
-        * mode.qpow(n_prime_stat(mu))
-        * guarded_div(
-            poch_partition(minus_one, nu, mode),
-            poch_partition(minus_one, mu, mode),
-            "double-binomial left side",
-        )
-        * qt_binomial(nu, mu, mode)
-    )
+    minus_one = coef(-mode.one, mode)
+    lhs = prod_ratio(
+        [mode.tpow(-n_stat(mu)), mode.qpow(n_prime_stat(mu)),
+         poch_partition(minus_one, nu, mode), qt_binomial(nu, mu, mode)],
+        [poch_partition(minus_one, mu, mode)], mode, "double-binomial left side")
     rhs = mode.zero
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
-        rhs = rhs + (
-            mode.tpow(-n_stat(lam))
-            * mode.qpow(n_prime_stat(lam))
-            * qt_binomial(nu, lam, mode)
-            * qt_binomial(lam, mu, mode)
-        )
+        rhs = rhs + prod_ratio([mode.tpow(-n_stat(lam)), mode.qpow(n_prime_stat(lam)),
+                                qt_binomial(nu, lam, mode), qt_binomial(lam, mu, mode)],
+                               [], mode)
     return IdentityCheck("double_binomial", lhs, rhs, lhs - rhs, _params(nu=nu, mu=mu))
 
 
@@ -267,8 +262,8 @@ def check_geometric(
         if w == 0:
             continue
         wl = weight(lam)
-        coeff = qz ** wl * mode.tpow(2 * n_stat(lam) + (1 - n) * wl)
-        rhs = rhs + coeff * norm_weight(lam, mode) * pair_ratio(lam, mode, 0) * w
+        rhs = rhs + prod_ratio([qz ** wl, mode.tpow(2 * n_stat(lam) + (1 - n) * wl),
+                                norm_weight(lam, mode), pair_ratio(lam, mode, 0), w], [], mode)
     return IdentityCheck(
         "geometric", lhs, rhs, lhs - rhs,
         _params(mu=mu, z=z, part_cap=part_cap, trunc=trunc),

@@ -98,9 +98,9 @@ def _revlex_key(p):
 
 
 # Each enumeration is pure combinatorial data, kept as a tuple for the life of
-# the process: by (lam, weight_filter) in _SUBS, by lam in _STRIPS.  Keys and
-# entries hold only ints, tuples and None.  Each call returns a new list; a
-# refused index is never stored, so it is refused on every call.
+# the process: by (lam, weight_filter) in _SUBS, by (lam, mu) in _STRIPS.
+# Keys and entries hold only ints, tuples and None.  Each call returns a new
+# list; a refused index is never stored, so it is refused on every call.
 _SUBS: dict = {}
 _STRIPS: dict = {}
 
@@ -140,15 +140,21 @@ def _sub(lam, weight_filter) -> tuple:
     return tuple(out)
 
 
-def enumerate_strips(lam) -> list:
-    """All nu with lam/nu a horizontal strip (nu interlaces below lam); lam
-    must be a partition."""
-    lam = tuple(lam)
-    strips = _STRIPS.get(lam)
+def enumerate_strips(lam, mu=None) -> list:
+    """All nu with lam/nu a horizontal strip (nu interlaces below lam), in
+    the order of enumerate_sub; given mu, only those containing mu:
+    nu_i in [max(lam_{i+1}, mu_i), lam_i].  lam must be a partition, and mu
+    of its length."""
+    key = (tuple(lam), None if mu is None else tuple(mu))
+    strips = _STRIPS.get(key)
     if strips is None:
-        n = len(check_partition(lam))
-        ranges = [range((lam[i + 1] if i + 1 < n else 0), lam[i] + 1) for i in range(n)]
-        strips = _STRIPS[lam] = tuple(sorted(product(*ranges), key=_revlex_key))
+        lam, mu = key
+        low = check_partition(lam)[1:] + (0,)
+        if mu is not None:
+            _require_same_length(lam, mu)
+            low = map(max, low, mu)
+        ranges = map(range, low, [part + 1 for part in lam])
+        strips = _STRIPS[key] = tuple(sorted(product(*ranges), key=_revlex_key))
     return list(strips)
 
 

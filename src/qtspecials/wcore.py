@@ -20,7 +20,9 @@ from ``pochm``.  One decorator, ``memo(kind, at)``, memoizes values in the
 cache of the mode at argument ``at``, keyed by kind and the other arguments:
 ("poch", i, j, m) (and c unless c = 1), ("partition", a, lam) for
 (a; q, t)_lam, ("weight", mu), ("h", lam, mu), ("skew", kind, lam, mu, x, s)
-and ("W", kind, lam, mu, z, s).
+and ("W", kind, lam, mu, z, s); ``identities`` adds ("wsum", lam, k) for
+its weighted binomial sums and ("cocycle", nu, lam, s, r) for the shared
+row factor of its 2phi1 and weak-cocycle terms.
 
 Every product of factors in the library, here and in ``binomial``,
 ``specials`` and ``distributions``, is one call of ``prod_ratio(num, den,
@@ -49,7 +51,6 @@ from .errors import (DegenerateParameters, InvalidArgument, NotAStrip,
                      UnsupportedRegime, check_sizes)
 from .partitions import (
     check_partition,
-    contains,
     enumerate_strips,
     is_horizontal_strip,
     n_prime_stat,
@@ -511,7 +512,8 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     Each step removes the first variable and sums over horizontal strips
     nu below lam; the peeled argument and the s slot of the "ab" kind are
     shifted by t^{-ell}, and the "s_up" kind gains t^{ell(|lam|-|nu|)}.
-    Vanishes for mu not contained in lam (every strip chain dies).  With
+    Only strips nu containing mu enter, so the value vanishes for mu not
+    contained in lam; lam must be a partition, and mu of its length.  With
     one variable it is the (memoized) skew value, with none 1 at lam = mu
     and 0 elsewhere; only values of two or more variables get a "W" entry.
     """
@@ -522,31 +524,28 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
         return _w_multi(kind, lam, mu, z, mode, s)
     if z:
         return _w_skew(kind, lam, mu, z[0], mode, s)
-    return mode.one if lam == mu else mode.zero
+    return mode.one if check_partition(lam) == mu else mode.zero
 
 
 @memo("W", 4)
 def _w_multi(kind: str, lam, mu, z: tuple, mode: ScalarMode, s):
-    if not contains(lam, mu):
-        return mode.zero
     ell = len(z) - 1
     y = z[0].peeled(ell)
     s_peel = s.peeled(ell) if kind == "ab" else None
     rest = z[1:]
     total = None
     wl = weight(lam)
-    for nu in enumerate_strips(lam):
-        if not contains(nu, mu):
-            continue
+    for nu in enumerate_strips(lam, mu):
         skew = w_skew(kind, lam, nu, y, mode, s_peel)
         if skew == 0:
             continue
         inner = w_multi(kind, nu, mu, rest, mode, s)
         if inner == 0:
             continue
-        term = skew * inner
         if kind == "s_up" and nu != lam:
-            term = term * mode.tpow(ell * (wl - weight(nu)))
+            term = prod_ratio([skew, inner, mode.tpow(ell * (wl - weight(nu)))], [], mode)
+        else:
+            term = skew * inner
         total = term if total is None else total + term
     return mode.zero if total is None else total
 

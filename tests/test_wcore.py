@@ -9,8 +9,8 @@ import pytest
 
 from qtspecials import wcore
 from qtspecials.binomial import pair_ratio as binomial_pair_ratio
-from qtspecials.errors import (DegenerateParameters, InvalidArgument, NotAPartition,
-                               NotAStrip, QtError)
+from qtspecials.errors import (DegenerateParameters, InvalidArgument, LengthMismatch,
+                               NotAPartition, NotAStrip, QtError)
 from qtspecials.partitions import (
     bump,
     contains,
@@ -569,6 +569,19 @@ def test_an_upper_index_that_is_not_a_partition_is_refused(mode):
     assert not any(key[0] in ("skew", "W") for key in mode.cache)
 
 
+def test_w_multi_refuses_a_non_partition_upper_index_on_every_path(mode):
+    """Neither mu outside lam nor zero variables answer for lam = (1, 2)."""
+    x, y = Rational(1, 3), Rational(2, 5)
+    for _ in range(2):
+        with pytest.raises(NotAPartition):
+            w_multi("s_up", (1, 2), (3, 0), (x, y), mode)
+        with pytest.raises(NotAPartition):
+            w_multi("s_up", (1, 2), (1, 2), (), mode)
+        with pytest.raises(LengthMismatch):
+            w_multi("s_up", (2, 1), (1,), (x, y), mode)
+    assert not any(key[0] == "W" for key in mode.cache)
+
+
 def _use_every_memo_layer(point):
     from qtspecials.binomial import qt_binomial
     from qtspecials.distributions import exp_e
@@ -650,6 +663,16 @@ def _accumulates(node) -> bool:
     return any(isinstance(o, ast.Name) and o.id in names for o in operands)
 
 
+def _chained(node) -> bool:
+    """node multiplies or divides the result of another product: a * b * c."""
+    import ast
+
+    def product(n):
+        return isinstance(n, ast.BinOp) and isinstance(n.op, (ast.Mult, ast.Div))
+
+    return product(node) and (product(node.left) or product(node.right))
+
+
 # the functions whose products are one prod_ratio call each
 PRODUCTS = {
     "wcore.py": {"poch", "_poch_partition", "poch_norm", "pair_ratio", "norm_weight",
@@ -658,6 +681,8 @@ PRODUCTS = {
                     "qt_bracket", "poch_reciprocal", "qt_bracket_shifted"},
     "specials.py": {"stirling", "stirling_expansion_residual"},
     "distributions.py": {"f_mass", "_poisson_mass"},
+    "identities.py": {"_series_term", "check_2phi1", "_weighted_binom_sum", "check_pascal",
+                      "check_weak_cocycle", "check_double_binomial", "check_geometric"},
 }
 
 
@@ -665,7 +690,9 @@ def test_every_product_of_factors_goes_through_prod_ratio():
     """Keep one product primitive: outside the identity checks, guarded_div
     is called only by prod_ratio and for the single quotients (the inverse
     of a W argument in _w_skew, q_number), and no function of PRODUCTS
-    multiplies or divides an accumulator in a loop."""
+    multiplies or divides an accumulator in a loop.  The identity checks
+    keep guarded_div for their single quotients, and their functions in
+    PRODUCTS chain no two products in a loop either."""
     import ast
     import pathlib
 
@@ -673,22 +700,21 @@ def test_every_product_of_factors_goes_through_prod_ratio():
     src = pathlib.Path(wcore.__file__).parent
     offenders, found = [], set()
     for path in sorted(src.glob("*.py")):
-        if path.name == "identities.py":
-            continue
         for fn in ast.walk(ast.parse(path.read_text())):
             if not isinstance(fn, ast.FunctionDef):
                 continue
             site = (path.name, fn.name)
             for node in ast.walk(fn):
                 if isinstance(node, ast.Call) and getattr(node.func, "id", None) == \
-                        "guarded_div" and site not in single:
+                        "guarded_div" and site not in single and path.name != "identities.py":
                     offenders.append(f"{path.name}:{node.lineno}: guarded_div in {fn.name}")
             if fn.name in PRODUCTS.get(path.name, ()):
                 found.add(site)
                 for loop in ast.walk(fn):
                     if isinstance(loop, (ast.For, ast.While)):
                         offenders += [f"{path.name}:{node.lineno}: product loop in {fn.name}"
-                                      for node in ast.walk(loop) if _accumulates(node)]
+                                      for node in ast.walk(loop) if _accumulates(node)
+                                      or path.name == "identities.py" and _chained(node)]
     assert found == {(f, name) for f, names in PRODUCTS.items() for name in names}
     assert not offenders, "\n".join(offenders)
 
@@ -765,8 +791,8 @@ def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
     counts = [dict(Counter(key[0] for key in mode.cache))
               for mode in _suite_modes(monkeypatch)]
     assert counts == [
-        {"W": 346, "binom": 88, "h": 47, "partition": 72, "poch": 153, "skew": 439,
-         "weight": 13},
+        {"W": 346, "binom": 88, "cocycle": 80, "h": 47, "partition": 72, "poch": 153,
+         "skew": 439, "weight": 13, "wsum": 62},
         {"W": 223, "h": 3, "partition": 1, "poch": 46, "skew": 21, "weight": 84},
     ]
 
