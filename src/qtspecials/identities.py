@@ -115,7 +115,6 @@ def _slot(s, n: int, mode: ScalarMode) -> Coef:
     return coef(s ** -1 * mode.tpow(n - 1), mode)
 
 
-@memo("cocycle", 4)
 def _series_term(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode):
     """q^{|lam|} t^{2n(lam)} times the binomial weight of lam, W^ab_lam(q^nu
     t^delta; s_slot) and (r)_lam: the (nu, lam) half of a weak-cocycle term,
@@ -123,6 +122,11 @@ def _series_term(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode):
     return prod_ratio([mode.qpow(weight(lam)), mode.tpow(2 * n_stat(lam)),
                        norm_weight(lam, mode), w_principal("ab", lam, nu, mode, s_slot),
                        poch_partition(r, lam, mode)], [], mode)
+
+
+# A weak-cocycle term recurs for every mu below lam, so it is memoized; a
+# 2phi1 check meets each of its terms once, so it calls _series_term itself.
+_cocycle_term = memo("cocycle", 4)(_series_term)
 
 
 def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
@@ -187,7 +191,7 @@ def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
-        rhs = rhs + _series_term(nu, lam, s_slot, r_coef, mode) * w_principal(
+        rhs = rhs + _cocycle_term(nu, lam, s_slot, r_coef, mode) * w_principal(
             "ab", mu, lam, mode, r_slot)
     rhs = poch_partition(s, nu, mode) * rhs  # the factor (s)_nu of every term
     return IdentityCheck(

@@ -21,8 +21,8 @@ cache of the mode at argument ``at``, keyed by kind and the other arguments:
 ("poch", i, j, m) (and c unless c = 1), ("partition", a, lam) for
 (a; q, t)_lam, ("weight", mu), ("h", lam, mu), ("skew", kind, lam, mu, x, s)
 and ("W", kind, lam, mu, z, s); ``identities`` adds ("wsum", lam, k) for
-its weighted binomial sums and ("cocycle", nu, lam, s, r) for the shared
-row factor of its 2phi1 and weak-cocycle terms.
+its weighted binomial sums and ("cocycle", nu, lam, s, r) for the (nu, lam)
+half of its weak-cocycle terms.
 
 Every product of factors in the library, here and in ``binomial``,
 ``specials`` and ``distributions``, is one call of ``prod_ratio(num, den,

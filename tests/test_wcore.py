@@ -565,7 +565,7 @@ def test_an_upper_index_that_is_not_a_partition_is_refused(mode):
             w_multi("s_up", (1, 2), (0, 0), (x, y), mode)
         with pytest.raises(NotAPartition):
             w_skew("s_down", (1, 2), (1, 0), x, mode)
-    assert (1, 2) not in partitions._STRIPS
+    assert (1, 2) not in {lam for lam, _ in partitions._STRIPS}
     assert not any(key[0] in ("skew", "W") for key in mode.cache)
 
 
@@ -791,7 +791,7 @@ def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
     counts = [dict(Counter(key[0] for key in mode.cache))
               for mode in _suite_modes(monkeypatch)]
     assert counts == [
-        {"W": 346, "binom": 88, "cocycle": 80, "h": 47, "partition": 72, "poch": 153,
+        {"W": 346, "binom": 88, "cocycle": 40, "h": 47, "partition": 72, "poch": 153,
          "skew": 439, "weight": 13, "wsum": 62},
         {"W": 223, "h": 3, "partition": 1, "poch": 46, "skew": 21, "weight": 84},
     ]
