@@ -41,11 +41,8 @@ def qt_binomial(lam, mu, mode: ScalarMode):
         return mode.zero
     n = len(mu)
     w = weight(mu)
-    return (
-        mode.qpow(w) * mode.tpow(2 * n_stat(mu) + (1 - n) * w)
-        * norm_weight(mu, mode)
-        * w_principal("s_up", mu, lam, mode)
-    )
+    return prod_ratio([mode.qpow(w), mode.tpow(2 * n_stat(mu) + (1 - n) * w),
+                       norm_weight(mu, mode), w_principal("s_up", mu, lam, mode)], [], mode)
 
 
 def v_coeff(lam, mu, mode: ScalarMode):
@@ -113,7 +110,7 @@ def qt_bracket(z, mode: ScalarMode):
 def poch_reciprocal(x, mu, mode: ScalarMode):
     """The reciprocal-base partition product (x; 1/q, 1/t)_mu, expanded as
     prod_i (x t^{i-1} q^{1-mu_i}; q)_{mu_i}."""
-    return prod_ratio([poch(x * mode.tpow(i) * mode.qpow(1 - m), m, mode)
+    return prod_ratio([poch(prod_ratio([x, mode.tpow(i), mode.qpow(1 - m)], [], mode), m, mode)
                        for i, m in enumerate(mu) if m], [], mode)
 
 

@@ -38,6 +38,7 @@ from .wcore import (
     pair_ratio,
     poch_partition,
     prod_ratio,
+    sum_prods,
     w_principal,
 )
 
@@ -115,18 +116,20 @@ def _slot(s, n: int, mode: ScalarMode) -> Coef:
     return coef(s ** -1 * mode.tpow(n - 1), mode)
 
 
-def _series_term(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode):
-    """q^{|lam|} t^{2n(lam)} times the binomial weight of lam, W^ab_lam(q^nu
-    t^delta; s_slot) and (r)_lam: the (nu, lam) half of a weak-cocycle term,
-    and at r = 1/x the term of the terminating 2phi1 sum over lam <= nu."""
-    return prod_ratio([mode.qpow(weight(lam)), mode.tpow(2 * n_stat(lam)),
-                       norm_weight(lam, mode), w_principal("ab", lam, nu, mode, s_slot),
-                       poch_partition(r, lam, mode)], [], mode)
+def _series_factors(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode) -> list:
+    """q^{|lam|}, t^{2n(lam)}, the binomial weight of lam, W^ab_lam(q^nu
+    t^delta; s_slot) and (r)_lam: the factors of the (nu, lam) half of a
+    weak-cocycle term, and at r = 1/x of the terminating 2phi1 sum's term
+    over lam <= nu."""
+    return [mode.qpow(weight(lam)), mode.tpow(2 * n_stat(lam)), norm_weight(lam, mode),
+            w_principal("ab", lam, nu, mode, s_slot), poch_partition(r, lam, mode)]
 
 
 # A weak-cocycle term recurs for every mu below lam, so it is memoized; a
-# 2phi1 check meets each of its terms once, so it calls _series_term itself.
-_cocycle_term = memo("cocycle", 4)(_series_term)
+# 2phi1 check meets each of its terms once, so it sums their factors itself.
+@memo("cocycle", 4)
+def _cocycle_term(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode):
+    return prod_ratio(_series_factors(nu, lam, s_slot, r, mode), [], mode)
 
 
 def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
@@ -140,29 +143,27 @@ def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
         "left side of the terminating sum",
     )
     s_slot, x_inv = _slot(s, len(lam), mode), coef(x ** -1, mode)
-    rhs = mode.zero
-    for mu in enumerate_sub(lam):
-        rhs = rhs + _series_term(lam, mu, s_slot, x_inv, mode)
+    rhs = sum_prods([_series_factors(lam, mu, s_slot, x_inv, mode)
+                     for mu in enumerate_sub(lam)], mode)
     return IdentityCheck("2phi1", lhs, rhs, lhs - rhs, _params(lam=lam, s=s, x=x))
 
 
 @memo("wsum", 2)
 def _weighted_binom_sum(lam, k, mode: ScalarMode):
-    acc = mode.zero
-    for mu in enumerate_sub(lam, weight_filter=k):
-        acc = acc + prod_ratio([mode.qpow(n_prime_stat(mu)), mode.tpow(-n_stat(mu)),
-                                qt_binomial(lam, mu, mode)], [], mode)
-    return acc
+    return sum_prods([[mode.qpow(n_prime_stat(mu)), mode.tpow(-n_stat(mu)),
+                       qt_binomial(lam, mu, mode)]
+                      for mu in enumerate_sub(lam, weight_filter=k)], mode)
 
 
 def check_pascal(lam, i: int, k: int, mode: ScalarMode) -> IdentityCheck:
     """Bump recurrence relating weight-k sums over lam + e_i to sums over lam."""
     lam_i = bump(lam, i)
     lhs = _weighted_binom_sum(lam_i, k, mode)
-    rhs = _weighted_binom_sum(lam, k, mode)
+    terms = [[_weighted_binom_sum(lam, k, mode)]]
     if k >= 1:
-        rhs = rhs + prod_ratio([mode.qpow(lam[i - 1]), mode.tpow(1 - i),
-                                _weighted_binom_sum(lam, k - 1, mode)], [], mode)
+        terms.append([mode.qpow(lam[i - 1]), mode.tpow(1 - i),
+                      _weighted_binom_sum(lam, k - 1, mode)])
+    rhs = sum_prods(terms, mode)
     return IdentityCheck("pascal", lhs, rhs, lhs - rhs, _params(lam=lam, i=i, k=k))
 
 
@@ -187,12 +188,9 @@ def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
         "ab", mu, nu, mode, _slot(s * r, n, mode)
     )
     s_slot, r_slot, r_coef = _slot(s, n, mode), _slot(r, n, mode), coef(r, mode)
-    rhs = mode.zero
-    for lam in enumerate_sub(nu):
-        if not contains(lam, mu):
-            continue
-        rhs = rhs + _cocycle_term(nu, lam, s_slot, r_coef, mode) * w_principal(
-            "ab", mu, lam, mode, r_slot)
+    rhs = sum_prods([[_cocycle_term(nu, lam, s_slot, r_coef, mode),
+                      w_principal("ab", mu, lam, mode, r_slot)]
+                     for lam in enumerate_sub(nu) if contains(lam, mu)], mode)
     rhs = poch_partition(s, nu, mode) * rhs  # the factor (s)_nu of every term
     return IdentityCheck(
         "weak_cocycle", lhs, rhs, lhs - rhs, _params(nu=nu, mu=mu, s=s, r=r)
@@ -206,13 +204,9 @@ def check_double_binomial(nu, mu, mode: ScalarMode) -> IdentityCheck:
         [mode.tpow(-n_stat(mu)), mode.qpow(n_prime_stat(mu)),
          poch_partition(minus_one, nu, mode), qt_binomial(nu, mu, mode)],
         [poch_partition(minus_one, mu, mode)], mode, "double-binomial left side")
-    rhs = mode.zero
-    for lam in enumerate_sub(nu):
-        if not contains(lam, mu):
-            continue
-        rhs = rhs + prod_ratio([mode.tpow(-n_stat(lam)), mode.qpow(n_prime_stat(lam)),
-                                qt_binomial(nu, lam, mode), qt_binomial(lam, mu, mode)],
-                               [], mode)
+    rhs = sum_prods([[mode.tpow(-n_stat(lam)), mode.qpow(n_prime_stat(lam)),
+                      qt_binomial(nu, lam, mode), qt_binomial(lam, mu, mode)]
+                     for lam in enumerate_sub(nu) if contains(lam, mu)], mode)
     return IdentityCheck("double_binomial", lhs, rhs, lhs - rhs, _params(nu=nu, mu=mu))
 
 

@@ -37,6 +37,7 @@ from .wcore import (
     memo,
     norm_weight,
     prod_ratio,
+    sum_prods,
     w_principal,
 )
 
@@ -106,7 +107,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
                       [(mode.one - mode.q * mode.tpow(n - i)) ** (v - m)
                        for i, (v, m) in enumerate(zip(nu, mu), start=1) if v != m],
                       mode, "Stirling prefactor")
-    total = mode.zero
+    terms = []
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
@@ -116,8 +117,8 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
         v = _coeff(v_coeff, (lam, mu), v_lim, mode)
         if v == 0:
             continue
-        total = total + u * mode.tpow(s * weight(lam)) * v
-    return pref * total
+        terms.append([u, mode.tpow(s * weight(lam)), v])
+    return pref * sum_prods(terms, mode)
 
 
 def stirling_expansion_residual(lam, Q, mode: ScalarMode):

@@ -30,7 +30,20 @@ mode, what)``.  At a point it multiplies the numerators and denominators of
 its factors as ints and builds one Rational; a formal mode starts each
 product from its first factor.  A vanishing denominator raises
 DegenerateParameters("vanishing denominator in <what>").  A product of order
-0 and a zero power, both 1, are left out of the factor lists.
+0 and a zero power, both 1, are left out of the factor lists.  Every sum of
+products, the strip sum of ``w_multi``, the Stirling sum and the identity
+checks' sums, is one call of ``sum_prods(terms, mode)``: at a point each
+term is multiplied as ints, the terms are added over the least common
+multiple of their denominators and the sum is reduced once; a formal mode
+adds the ``prod_ratio`` of each term in order.
+
+The strip sum takes each strip's memoized inner value first and computes
+its skew value only when the inner value is nonzero; W at a principal
+argument q^lam t^delta vanishes unless its index is contained in lam, so
+many inner values are 0.  A skipped skew value still raises where it
+would have: ``_w_multi`` checks 1/c of the peeled argument and the
+denominator (s q / y)_lam once a strip exists, and evaluates the strip
+factor of every strip.
 
 No key of this module holds a Rational.  Hashing a ``fractions.Fraction``
 takes a modular inverse, which costs about two products of rationals of the
@@ -44,6 +57,7 @@ by the ints of a ``RatFuncQ``, hashed once.
 from __future__ import annotations
 
 from functools import reduce, wraps
+from math import lcm
 from operator import mul
 from typing import NamedTuple
 
@@ -343,6 +357,19 @@ def guarded_div(num, den, what: str):
     return num / den
 
 
+def _ints(num, den=()) -> tuple:
+    """The numerator and denominator of prod(num) / prod(den), Rational
+    factors multiplied as ints and left unreduced."""
+    n = d = 1
+    for f in num:
+        n *= f.numerator
+        d *= f.denominator
+    for f in den:
+        n *= f.denominator
+        d *= f.numerator
+    return n, d
+
+
 def prod_ratio(num: list, den: list, mode: ScalarMode, what: str = "product"):
     """prod(num) / prod(den), reporting a vanishing denominator as
     degeneracy: the one product of factors of the library.  At a point the
@@ -352,16 +379,27 @@ def prod_ratio(num: list, den: list, mode: ScalarMode, what: str = "product"):
     if not mode.is_point:
         n, d = (reduce(mul, fs) if fs else mode.one for fs in (num, den))
         return guarded_div(n, d, what) if den else n
-    n = d = 1
-    for f in num:
-        n *= f.numerator
-        d *= f.denominator
-    for f in den:
-        n *= f.denominator
-        d *= f.numerator
+    n, d = _ints(num, den)
     if d == 0:
         raise DegenerateParameters(f"vanishing denominator in {what}")
     return Rational(n, d)
+
+
+def sum_prods(terms, mode: ScalarMode):
+    """The sum of prod(fs) over the factor lists fs in ``terms``: the one sum
+    of products of the library.  At a point each term is multiplied as ints,
+    the terms are added over the least common multiple of their
+    denominators, and the sum is reduced once, by one Rational; a formal
+    mode builds each term as ``prod_ratio`` does and adds the terms in
+    order, starting from 0."""
+    if not mode.is_point:
+        total = mode.zero
+        for fs in terms:
+            total = total + prod_ratio(fs, [], mode)
+        return total
+    parts = [_ints(fs) for fs in terms]
+    den = lcm(*(d for _, d in parts))
+    return Rational(sum(n * (den // d) for n, d in parts), den)
 
 
 # ---------------------------------------------------------------------------
@@ -472,18 +510,36 @@ def w_skew(kind: str, lam, mu, x, mode: ScalarMode, s=None):
                    _mono(s, mode) if kind == "ab" else None)
 
 
+_AB = "auxiliary product of W^ab"  # the quotient of a skew value, named as for "ab"
+
+
+def _peel_scalars(kind: str, lam, x: Mono, mode: ScalarMode, s):
+    """The parts of a skew value W_{lam/mu}(x) that do not depend on mu:
+    1/c of x = c q^a t^b as a Coef (DegenerateParameters for c = 0) and,
+    for "ab", the pochm exponents (i0, j0) and c argument of the scaled s
+    with the denominator factors (s q / x)_lam, row i scaled by t^{1-i}."""
+    c, a, b = x
+    cinv = UNIT if c is UNIT else coef(guarded_div(mode.one, c.value, "W argument"), mode)
+    if kind != "ab":
+        return cinv, None, []
+    sc = s.c if cinv is UNIT else coef(s.c.value * cinv.value, mode)
+    i0, j0, scargs = s.a + 1 - a, s.b - b, _cargs(sc)
+    den = [pochm(i0, j0 + 1 - i, m, mode, *scargs) for i, m in enumerate(lam, start=1) if m]
+    return cinv, (i0, j0, scargs), den
+
+
 @memo("skew", 4)
 def _w_skew(kind: str, lam, mu, x: Mono, mode: ScalarMode, s):
     if not is_horizontal_strip(check_partition(lam), mu):
         return mode.zero
     c, a, b = x
-    cinv = UNIT if c is UNIT else coef(guarded_div(mode.one, c.value, "W argument"), mode)
+    cinv, ab, den = _peel_scalars(kind, lam, x, mode, s)
     cargs = _cargs(cinv)
     # (1/x)_lam / (1/x)_mu, telescoped to prod_i (x^{-1} t^{-i} q^{mu_i}; q)_{lam_i - mu_i}
     num = [h_factor(lam, mu, mode)]
     num += [pochm(mi - a, -b - i, li - mi, mode, *cargs)
             for i, (li, mi) in enumerate(zip(lam, mu)) if li != mi]
-    den, e = [], 0
+    e = 0
     if kind == "s_up":
         e = weight(mu) - weight(lam)  # (-q/x)^e = (-1)^e c^{-e} q^{e(1-a)} t^{-eb}
         qe, te = e * (1 - a) + n_prime_stat(mu) - n_prime_stat(lam), -e * b
@@ -496,26 +552,28 @@ def _w_skew(kind: str, lam, mu, x: Mono, mode: ScalarMode, s):
     if e and c is not UNIT:
         num.append(c.value ** -e)
     if kind == "ab":
-        # (s q / (x t))_mu / (s q / x)_lam, row i scaled by t^{1-i}
-        sc = s.c if cinv is UNIT else coef(s.c.value * cinv.value, mode)
-        scargs = _cargs(sc)
-        i0, j0 = s.a + 1 - a, s.b - b
+        # (s q / (x t))_mu over the denominator (s q / x)_lam
+        i0, j0, scargs = ab
         num += [pochm(i0, j0 - i, m, mode, *scargs) for i, m in enumerate(mu, start=1) if m]
-        den = [pochm(i0, j0 + 1 - i, m, mode, *scargs) for i, m in enumerate(lam, start=1) if m]
-    val = prod_ratio(num, den, mode, "auxiliary product of W^ab")
+    val = prod_ratio(num, den, mode, _AB)
     return -val if e % 2 else val
 
 
 def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     """Multivariable W_{lam/mu}(z_1, ..., z_m) via variable peeling.
 
-    Each step removes the first variable and sums over horizontal strips
-    nu below lam; the peeled argument and the s slot of the "ab" kind are
-    shifted by t^{-ell}, and the "s_up" kind gains t^{ell(|lam|-|nu|)}.
-    Only strips nu containing mu enter, so the value vanishes for mu not
-    contained in lam; lam must be a partition, and mu of its length.  With
-    one variable it is the (memoized) skew value, with none 1 at lam = mu
-    and 0 elsewhere; only values of two or more variables get a "W" entry.
+    Each step removes the first variable and sums, through ``sum_prods``,
+    over horizontal strips nu below lam; the peeled argument and the s slot
+    of the "ab" kind are shifted by t^{-ell}, and the "s_up" kind gains
+    t^{ell(|lam|-|nu|)}.  Only strips nu containing mu enter, so the value
+    vanishes for mu not contained in lam; lam must be a partition, and mu
+    of its length.  Each strip's inner value W_{nu/mu}(z_2, ...) comes
+    first, and its skew value W_{lam/nu}(z_1) is computed only when that is
+    nonzero.  The divisors a skipped skew value would have checked still
+    raise: 1/c of z_1 and (s q / z_1)_lam once per value with a strip, and
+    the strip factor of every strip.  With one variable it is the
+    (memoized) skew value, with none 1 at lam = mu and 0 elsewhere; only
+    values of two or more variables get a "W" entry.
     """
     _check_kind(kind, s)
     z = _monos(z, mode)
@@ -532,22 +590,24 @@ def _w_multi(kind: str, lam, mu, z: tuple, mode: ScalarMode, s):
     ell = len(z) - 1
     y = z[0].peeled(ell)
     s_peel = s.peeled(ell) if kind == "ab" else None
-    rest = z[1:]
-    total = None
-    wl = weight(lam)
-    for nu in enumerate_strips(lam, mu):
+    rest, wl = z[1:], weight(lam)
+    strips = enumerate_strips(lam, mu)
+    if strips and 0 in _peel_scalars(kind, lam, y, mode, s_peel)[2]:
+        raise DegenerateParameters(f"vanishing denominator in {_AB}")
+    terms = []
+    for nu in strips:
+        inner = w_multi(kind, nu, mu, rest, mode, s)
+        if inner == 0:
+            h_factor(lam, nu, mode)  # raises as the skipped skew value would
+            continue
         skew = w_skew(kind, lam, nu, y, mode, s_peel)
         if skew == 0:
             continue
-        inner = w_multi(kind, nu, mu, rest, mode, s)
-        if inner == 0:
-            continue
         if kind == "s_up" and nu != lam:
-            term = prod_ratio([skew, inner, mode.tpow(ell * (wl - weight(nu)))], [], mode)
+            terms.append([skew, inner, mode.tpow(ell * (wl - weight(nu)))])
         else:
-            term = skew * inner
-        total = term if total is None else total + term
-    return mode.zero if total is None else total
+            terms.append([skew, inner])
+    return sum_prods(terms, mode)
 
 
 def w_principal(kind: str, mu, lam, mode: ScalarMode, s=None):
@@ -567,10 +627,11 @@ def w_rectangular(kind: str, k: int, z, mode: ScalarMode, s=None):
         return prod_ratio([mode.qpow(-len(z) * k)] + [poch(base * zi, k, mode) for zi in z],
                           [], mode)
     num, den = [], []
+    qs = mode.q * s if kind == "ab" else None
     for zi in z:
         if zi == 0:
             raise DegenerateParameters("W argument must be nonzero")
         num.append(poch(zi ** -1, k, mode))
         if kind == "ab":
-            den.append(poch(mode.q * s * zi ** -1, k, mode))
+            den.append(poch(qs * zi ** -1, k, mode))
     return prod_ratio(num, den, mode, "rectangular W^ab")

@@ -676,12 +676,12 @@ def _chained(node) -> bool:
 # the functions whose products are one prod_ratio call each
 PRODUCTS = {
     "wcore.py": {"poch", "_poch_partition", "poch_norm", "pair_ratio", "norm_weight",
-                 "h_factor", "_w_skew", "w_rectangular"},
-    "binomial.py": {"binom_rect_lower", "binom_rect_upper", "gaussian_binomial",
+                 "h_factor", "_w_skew", "_w_multi", "w_rectangular"},
+    "binomial.py": {"qt_binomial", "binom_rect_lower", "binom_rect_upper", "gaussian_binomial",
                     "qt_bracket", "poch_reciprocal", "qt_bracket_shifted"},
     "specials.py": {"stirling", "stirling_expansion_residual"},
     "distributions.py": {"f_mass", "_poisson_mass"},
-    "identities.py": {"_series_term", "check_2phi1", "_weighted_binom_sum", "check_pascal",
+    "identities.py": {"_cocycle_term", "check_2phi1", "_weighted_binom_sum", "check_pascal",
                       "check_weak_cocycle", "check_double_binomial", "check_geometric"},
 }
 
@@ -696,7 +696,8 @@ def test_every_product_of_factors_goes_through_prod_ratio():
     import ast
     import pathlib
 
-    single = {("wcore.py", "prod_ratio"), ("wcore.py", "_w_skew"), ("binomial.py", "q_number")}
+    single = {("wcore.py", "prod_ratio"), ("wcore.py", "_peel_scalars"),
+              ("binomial.py", "q_number")}
     src = pathlib.Path(wcore.__file__).parent
     offenders, found = [], set()
     for path in sorted(src.glob("*.py")):
@@ -710,11 +711,12 @@ def test_every_product_of_factors_goes_through_prod_ratio():
                     offenders.append(f"{path.name}:{node.lineno}: guarded_div in {fn.name}")
             if fn.name in PRODUCTS.get(path.name, ()):
                 found.add(site)
+                offenders += [f"{path.name}:{node.lineno}: chained product in {fn.name}"
+                              for node in ast.walk(fn) if _chained(node)]
                 for loop in ast.walk(fn):
                     if isinstance(loop, (ast.For, ast.While)):
                         offenders += [f"{path.name}:{node.lineno}: product loop in {fn.name}"
-                                      for node in ast.walk(loop) if _accumulates(node)
-                                      or path.name == "identities.py" and _chained(node)]
+                                      for node in ast.walk(loop) if _accumulates(node)]
     assert found == {(f, name) for f, names in PRODUCTS.items() for name in names}
     assert not offenders, "\n".join(offenders)
 
@@ -791,9 +793,9 @@ def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
     counts = [dict(Counter(key[0] for key in mode.cache))
               for mode in _suite_modes(monkeypatch)]
     assert counts == [
-        {"W": 346, "binom": 88, "cocycle": 40, "h": 47, "partition": 72, "poch": 153,
-         "skew": 439, "weight": 13, "wsum": 62},
-        {"W": 223, "h": 3, "partition": 1, "poch": 46, "skew": 21, "weight": 84},
+        {"W": 346, "binom": 88, "cocycle": 40, "h": 47, "partition": 72, "poch": 135,
+         "skew": 258, "weight": 13, "wsum": 62},
+        {"W": 223, "h": 3, "partition": 1, "poch": 46, "skew": 20, "weight": 84},
     ]
 
 
