@@ -31,19 +31,11 @@ its factors as ints and builds one Rational; a formal mode starts each
 product from its first factor.  A vanishing denominator raises
 DegenerateParameters("vanishing denominator in <what>").  A product of order
 0 and a zero power, both 1, are left out of the factor lists.  Every sum of
-products, the strip sum of ``w_multi``, the Stirling sum and the identity
-checks' sums, is one call of ``sum_prods(terms, mode)``: at a point each
-term is multiplied as ints, the terms are added over the least common
-multiple of their denominators and the sum is reduced once; a formal mode
-adds the ``prod_ratio`` of each term in order.
-
-The strip sum takes each strip's memoized inner value first and computes
-its skew value only when the inner value is nonzero; W at a principal
-argument q^lam t^delta vanishes unless its index is contained in lam, so
-many inner values are 0.  A skipped skew value still raises where it
-would have: ``_w_multi`` checks 1/c of the peeled argument and the
-denominator (s q / y)_lam once a strip exists, and evaluates the strip
-factor of every strip.
+products (the strip sum of ``w_multi``, the Stirling sum, the identity
+sums) is one call of ``sum_prods(terms, mode)``: at a point it adds the int
+products of its terms over the lcm of their denominators and reduces once.
+The strip sum takes each strip's inner value first and skips the skew value
+when that is 0, but still checks the divisors the skew value would have.
 
 No key of this module holds a Rational.  Hashing a ``fractions.Fraction``
 takes a modular inverse, which costs about two products of rationals of the
@@ -58,7 +50,7 @@ from __future__ import annotations
 
 from functools import reduce, wraps
 from math import lcm
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .errors import (DegenerateParameters, InvalidArgument, NotAStrip,
@@ -393,10 +385,7 @@ def sum_prods(terms, mode: ScalarMode):
     mode builds each term as ``prod_ratio`` does and adds the terms in
     order, starting from 0."""
     if not mode.is_point:
-        total = mode.zero
-        for fs in terms:
-            total = total + prod_ratio(fs, [], mode)
-        return total
+        return reduce(add, (prod_ratio(fs, [], mode) for fs in terms), mode.zero)
     parts = [_ints(fs) for fs in terms]
     den = lcm(*(d for _, d in parts))
     return Rational(sum(n * (den // d) for n, d in parts), den)

@@ -689,10 +689,10 @@ PRODUCTS = {
 def test_every_product_of_factors_goes_through_prod_ratio():
     """Keep one product primitive: outside the identity checks, guarded_div
     is called only by prod_ratio and for the single quotients (the inverse
-    of a W argument in _w_skew, q_number), and no function of PRODUCTS
-    multiplies or divides an accumulator in a loop.  The identity checks
-    keep guarded_div for their single quotients, and their functions in
-    PRODUCTS chain no two products in a loop either."""
+    of a W argument in _peel_scalars, q_number), and no function of
+    PRODUCTS chains two products (a * b * c) anywhere or multiplies or
+    divides an accumulator in a loop.  The identity checks keep guarded_div
+    for their single quotients."""
     import ast
     import pathlib
 
