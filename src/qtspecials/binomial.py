@@ -20,6 +20,7 @@ from .wcore import (
     poch,
     pochm,
     prod_ratio,
+    sum_prods,
     w_principal,
 )
 
@@ -51,11 +52,9 @@ def v_coeff(lam, mu, mode: ScalarMode):
     By the qt-binomial theorem this is the binomial of lam over mu times
     (-1)^{|mu|} q^{n(mu')} t^{-n(mu)}.
     """
-    b = qt_binomial(lam, mu, mode)
-    if b == 0:
-        return mode.zero
-    sign = mode.one if weight(mu) % 2 == 0 else -mode.one
-    return sign * mode.qpow(n_prime_stat(mu)) * mode.tpow(-n_stat(mu)) * b
+    b = qt_binomial(lam, mu, mode)  # first: it refuses an index that is no partition
+    val = prod_ratio([mode.qpow(n_prime_stat(mu)), mode.tpow(-n_stat(mu)), b], [], mode)
+    return -val if weight(mu) % 2 else val
 
 
 def binom_rect_lower(lam, k: int, mode: ScalarMode):
@@ -80,10 +79,7 @@ def binom_rect_upper(k: int, mu, mode: ScalarMode):
 
 def binom_e1(lam, mode: ScalarMode):
     """Sum form of the binomial at mu = e_1: sum_i [lam_i]_q t^{1-i}."""
-    acc = mode.zero
-    for i in range(1, len(lam) + 1):
-        acc = acc + q_number(lam[i - 1], mode) * mode.tpow(1 - i)
-    return acc
+    return sum_prods([[q_number(m, mode), mode.tpow(-i)] for i, m in enumerate(lam)], mode)
 
 
 def q_number(m: int, mode: ScalarMode):

@@ -284,7 +284,7 @@ def _cmd_density(args) -> int:
 
     spec = _density_spec(args)
     masses = support_masses(spec)
-    total = sum_rationals(masses.values())
+    total = sum_rationals([m] for m in masses.values())
     shown = {format_partition(m): format_rational(v) for m, v in masses.items()}
     shown_total = format_rational(total)
     payload = {"command": "density", "kind": args.kind, "z": args.z,

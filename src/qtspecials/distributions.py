@@ -119,11 +119,8 @@ def _check_poisson(spec: DensitySpec) -> None:
 
 def g_mass(lam, mu, z, mode):
     """g-density mass of mu below lam: [lam, mu] z^{|lam|-|mu|} (z)_mu."""
-    return (
-        qt_binomial(lam, mu, mode)
-        * z ** (weight(lam) - weight(mu))
-        * poch_partition(z, mu, mode)
-    )
+    return prod_ratio([qt_binomial(lam, mu, mode), z ** (weight(lam) - weight(mu)),
+                       poch_partition(z, mu, mode)], [], mode)
 
 
 def f_mass(lam, mu, z, mode):
@@ -184,7 +181,7 @@ def poisson_normalization(spec: DensitySpec):
     series itself carries no closed error bound, so this is the documented
     estimate, not a guarantee.
     """
-    total = sum_rationals(poisson_masses(spec).values())
+    total = sum_rationals([m] for m in poisson_masses(spec).values())
     return total, _poisson_tail(spec, total)
 
 
@@ -200,10 +197,7 @@ def distribution_F(nu, lam, z, point: QtPoint) -> Rational:
         raise InvalidArgument("lam must be contained in nu")
     mode = point.mode
     z = as_rational(z)
-    acc = mode.zero
-    for mu in enumerate_sub(lam):
-        acc = acc + g_mass(nu, mu, z, mode)
-    return acc
+    return sum_rationals([g_mass(nu, mu, z, mode)] for mu in enumerate_sub(lam))
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +307,7 @@ def _exp_terms(z, n, part_cap, mode, upper: bool) -> dict:
 
 
 def _exp_series(z, n, part_cap, mode, upper: bool) -> Rational:
-    return sum_rationals(_exp_terms(z, n, part_cap, mode, upper).values())
+    return sum_rationals([v] for v in _exp_terms(z, n, part_cap, mode, upper).values())
 
 
 def exp_E(z, point: QtPoint, n: int, part_cap: int = 20, trunc: int = 40) -> ExpResult:
@@ -405,7 +399,7 @@ def exact_masses(spec: DensitySpec) -> dict:
     """Support-point masses; the poisson masses are renormalized to total 1."""
     masses = support_masses(spec)
     if spec.kind == "poisson":
-        total = sum_rationals(masses.values())
+        total = sum_rationals([m] for m in masses.values())
         if total <= 0:
             raise UnsupportedRegime("truncated poisson mass is not positive")
         masses = {mu: m / total for mu, m in masses.items()}
@@ -425,7 +419,7 @@ def sample(spec: DensitySpec, count: int, seed: int) -> PartitionSample:
     support = spec.support()
     masses = exact_masses(spec)
     cdf = []
-    acc = Rational(0)
+    acc = Rational(0)  # added one mass at a time: every partial sum is kept
     for mu in support:
         m = masses[mu]
         if m < 0:

@@ -101,9 +101,8 @@ def check_binomial_theorem(lam, x, mode: ScalarMode) -> IdentityCheck:
     """(x)_lam against the signed binomial sum over mu <= lam."""
     x = mode.lift(x)
     lhs = poch_partition(x, lam, mode)
-    rhs = mode.zero
-    for mu in enumerate_sub(lam):
-        rhs = rhs + v_coeff(lam, mu, mode) * x ** weight(mu)
+    rhs = sum_prods([[v_coeff(lam, mu, mode), x ** weight(mu)] for mu in enumerate_sub(lam)],
+                    mode)
     return IdentityCheck(
         "binomial_theorem", lhs, rhs, lhs - rhs,
         _params(lam=lam, x=x) if mode.is_point else {"lam": format_partition(lam)},
@@ -169,12 +168,9 @@ def check_pascal(lam, i: int, k: int, mode: ScalarMode) -> IdentityCheck:
 
 def check_symmetry(lam, k: int, mode: ScalarMode) -> IdentityCheck:
     """Weight-k and weight-(|lam|-k) binomial sums agree."""
-    lhs = mode.zero
-    for mu in enumerate_sub(lam, weight_filter=k):
-        lhs = lhs + qt_binomial(lam, mu, mode)
-    rhs = mode.zero
-    for tau in enumerate_sub(lam, weight_filter=weight(lam) - k):
-        rhs = rhs + qt_binomial(lam, tau, mode)
+    lhs, rhs = (sum_prods([[qt_binomial(lam, mu, mode)]
+                           for mu in enumerate_sub(lam, weight_filter=w)], mode)
+                for w in (k, weight(lam) - k))
     return IdentityCheck("symmetry", lhs, rhs, lhs - rhs, _params(lam=lam, k=k))
 
 
@@ -216,9 +212,7 @@ def check_density_normalization(lam, z, which: str, mode: ScalarMode) -> Identit
         raise InvalidArgument("which must be 'g' or 'f'")
     mass = g_mass if which == "g" else f_mass
     z = mode.lift(z)
-    total = mode.zero
-    for mu in enumerate_sub(lam):
-        total = total + mass(lam, mu, z, mode)
+    total = sum_prods([[mass(lam, mu, z, mode)] for mu in enumerate_sub(lam)], mode)
     return IdentityCheck(
         f"density_normalization_{which}", total, mode.one, total - mode.one,
         _params(lam=lam, z=z),
@@ -252,7 +246,7 @@ def check_geometric(
     qz = mode.q * z
     prod = poch_partition(qz, (trunc,) * n, mode)
     lhs = guarded_div(z ** weight(mu), prod, "truncated product") * pair_ratio(mu, mode, 0)
-    rhs = mode.zero
+    terms = []
     for lam in enumerate_sub((part_cap,) * n):
         if not contains(lam, mu):
             continue
@@ -260,8 +254,9 @@ def check_geometric(
         if w == 0:
             continue
         wl = weight(lam)
-        rhs = rhs + prod_ratio([qz ** wl, mode.tpow(2 * n_stat(lam) + (1 - n) * wl),
-                                norm_weight(lam, mode), pair_ratio(lam, mode, 0), w], [], mode)
+        terms.append([qz ** wl, mode.tpow(2 * n_stat(lam) + (1 - n) * wl),
+                      norm_weight(lam, mode), pair_ratio(lam, mode, 0), w])
+    rhs = sum_prods(terms, mode)
     return IdentityCheck(
         "geometric", lhs, rhs, lhs - rhs,
         _params(mu=mu, z=z, part_cap=part_cap, trunc=trunc),
@@ -420,7 +415,8 @@ def _classical_sequences():
 
     bern = [Rational(1)]
     for m in range(1, 5):
-        # sum_{k<=m} C(m+1, k) B_k = 0
+        # sum_{k<=m} C(m+1, k) B_k = 0, added one term at a time: these are
+        # reference values, kept apart from the library's one sum
         acc = Rational(0)
         for k in range(m):
             acc += comb(m + 1, k) * bern[k]
@@ -484,16 +480,11 @@ def run_specials_suite(
                     _params(nu=nu),
                 ))
             for mu in enumerate_sub(nu):
-                uv = mode.zero
-                s12 = mode.zero
-                for lam in enumerate_sub(nu):
-                    if not contains(lam, mu):
-                        continue
-                    uv = uv + u_coeff(nu, lam, mode) * v_coeff(lam, mu, mode)
-                    s12 = s12 + (
-                        stirling("first", nu, lam, mode)
-                        * stirling("second", lam, mu, mode)
-                    )
+                lams = [lam for lam in enumerate_sub(nu) if contains(lam, mu)]
+                uv = sum_prods([[u_coeff(nu, lam, mode), v_coeff(lam, mu, mode)]
+                                for lam in lams], mode)
+                s12 = sum_prods([[stirling("first", nu, lam, mode),
+                                  stirling("second", lam, mu, mode)] for lam in lams], mode)
                 delta = mode.one if mu == nu else mode.zero
                 report.add(IdentityCheck(
                     "uv_inversion", uv, delta, uv - delta, _params(nu=nu, mu=mu)))
@@ -504,11 +495,10 @@ def run_specials_suite(
         # change of basis: reciprocal-base product against u; powers against v
         for lam in stir_lams:
             recip = poch_reciprocal(x, lam, mode)
-            ex_u = mode.zero
-            ex_v = mode.zero
-            for mu in enumerate_sub(lam):
-                ex_u = ex_u + u_coeff(lam, mu, mode) * x ** weight(mu)
-                ex_v = ex_v + v_coeff(lam, mu, mode) * poch_reciprocal(x, mu, mode)
+            mus = enumerate_sub(lam)
+            ex_u = sum_prods([[u_coeff(lam, mu, mode), x ** weight(mu)] for mu in mus], mode)
+            ex_v = sum_prods([[v_coeff(lam, mu, mode), poch_reciprocal(x, mu, mode)]
+                              for mu in mus], mode)
             report.add(IdentityCheck(
                 "change_of_basis_u", recip, ex_u, recip - ex_u, _params(lam=lam, x=x)))
             xw = x ** weight(lam)
@@ -549,7 +539,9 @@ def run_specials_suite(
             report.add(IdentityCheck(
                 "catalan_rectangular", lhs, closed, lhs - closed, _params(k=k)))
 
-        # Bell against its defining sum (definition restated independently)
+        # Bell against its defining sum, restated independently.  bell sums
+        # through sum_prods, so this side adds one term at a time on purpose:
+        # a fault in the one sum cannot then pass both sides.
         for lam in stir_lams:
             b = bell(lam, mode)
             direct = mode.zero
@@ -561,7 +553,8 @@ def run_specials_suite(
             report.add(IdentityCheck(
                 "bell_definition", b, direct, b - direct, _params(lam=lam)))
 
-        # Fibonacci against a brute-force decomposition sum
+        # Fibonacci against a brute-force decomposition sum, added one term at
+        # a time on purpose, as the Bell check above is.
         fib_bound = tuple(min(b, 2) for b in bound)
         for lam in enumerate_sub(fib_bound):
             got = fibonacci(lam, mode)

@@ -137,13 +137,28 @@ def format_rational(x) -> str:
     return f"{_format_int(x.numerator)}/{_format_int(x.denominator)}"
 
 
-def sum_rationals(values) -> Rational:
-    """Exact sum of Rationals over their least common denominator: one
-    integer division per term and one reduction in all, where adding one
-    term at a time reduces after every addition."""
-    values = list(values)
-    den = lcm(*(v.denominator for v in values))
-    return Rational(sum(v.numerator * (den // v.denominator) for v in values), den)
+def prod_ints(num, den=()) -> tuple:
+    """The numerator and denominator of prod(num) / prod(den), Rational
+    factors multiplied as ints and left unreduced."""
+    n = d = 1
+    for f in num:
+        n *= f.numerator
+        d *= f.denominator
+    for f in den:
+        n *= f.denominator
+        d *= f.numerator
+    return n, d
+
+
+def sum_rationals(terms) -> Rational:
+    """The sum of prod(fs) over the Rational factor lists fs in ``terms``:
+    the one exact sum of the library.  Each term is multiplied as ints, the
+    terms are added over the least common multiple of their denominators,
+    and the sum is reduced once, by one Rational; adding one term at a time
+    would reduce after every addition."""
+    parts = [prod_ints(fs) for fs in terms]
+    den = lcm(*(d for _, d in parts))
+    return Rational(sum(n * (den // d) for n, d in parts), den)
 
 
 class UniPoly:

@@ -30,7 +30,7 @@ from .partitions import (
     sum_decompositions,
     weight,
 )
-from .scalars import Rational, limit_at_one
+from .scalars import Rational, limit_at_one, sum_rationals
 from .wcore import (
     FormalQ,
     ScalarMode,
@@ -53,7 +53,8 @@ def u_coeff(lam, mu, mode: ScalarMode):
     w = w_principal("s_down", mu, lam, mode)
     if w == 0:
         return mode.zero
-    return mode.qpow(weight(mu)) * mode.tpow(2 * n_stat(mu)) * norm_weight(mu, mode) * w
+    return prod_ratio([mode.qpow(weight(mu)), mode.tpow(2 * n_stat(mu)), norm_weight(mu, mode), w],
+                      [], mode)
 
 
 @memo("inner", 0)
@@ -135,11 +136,10 @@ def stirling_expansion_residual(lam, Q, mode: ScalarMode):
     brackets = [prod_ratio([mode.one - Q * mode.tpow(n - i)],
                            [mode.one - mode.q * mode.tpow(n - i)], mode, "bracket-power basis")
                 for i in range(1, n + 1)]
-    rhs = mode.zero
-    for mu in enumerate_sub(lam):
-        basis = [mode.tpow(2 * n_stat(mu) + (1 - n) * weight(mu))]
-        basis += [b ** m for b, m in zip(brackets, mu) if m]
-        rhs = rhs + stirling("first", lam, mu, mode) * prod_ratio(basis, [], mode)
+    rhs = sum_prods([[stirling("first", lam, mu, mode),
+                      mode.tpow(2 * n_stat(mu) + (1 - n) * weight(mu))]
+                     + [b ** m for b, m in zip(brackets, mu) if m]
+                     for mu in enumerate_sub(lam)], mode)
     return lhs - rhs
 
 
@@ -169,29 +169,30 @@ class StirlingTable:
 # Bernoulli, Bell, Catalan, Fibonacci
 # ---------------------------------------------------------------------------
 
-def _solve_recurrence(lam, coeff, value, zero):
+def _solve_recurrence(lam, coeff, value, total):
     """The unknown at lam of sum_{mu <= lam} coeff(mu) * value(mu) = 0, given
-    value(mu) for every mu strictly below lam."""
+    value(mu) for every mu strictly below lam; ``total`` sums a list of
+    factor lists, in the scalars that coeff and value return."""
     lead = coeff(lam)
     if lead == 0:
         raise DegenerateParameters(
             f"leading binomial of the recurrence vanishes at {lam}"
         )
-    acc = zero
+    terms = []
     for mu in enumerate_sub(lam):
         if mu == lam:
             continue
         c = coeff(mu)
         if c != 0:
-            acc = acc + c * value(mu)
-    return -acc / lead
+            terms.append([c, value(mu)])
+    return -total(terms) / lead
 
 
 def _bernoulli_weight(lam1, mu, mode: ScalarMode):
     """t^{-n(mu)} q^{n(mu')} B(lam1, mu), the weight of beta_mu in the
     recurrence at lam = lam1 - e_1."""
-    b = qt_binomial(lam1, mu, mode)
-    return mode.tpow(-n_stat(mu)) * mode.qpow(n_prime_stat(mu)) * b
+    b = qt_binomial(lam1, mu, mode)  # first: it refuses an index that is no partition
+    return prod_ratio([mode.tpow(-n_stat(mu)), mode.qpow(n_prime_stat(mu)), b], [], mode)
 
 
 @memo("bernoulli", 1)
@@ -207,28 +208,21 @@ def bernoulli(lam, mode: ScalarMode):
         return mode.one
     lam1 = bump(lam, 1)
     return _solve_recurrence(lam, lambda mu: _bernoulli_weight(lam1, mu, mode),
-                             lambda mu: bernoulli(mu, mode), mode.zero)
+                             lambda mu: bernoulli(mu, mode), lambda ts: sum_prods(ts, mode))
 
 
 def bernoulli_recurrence_residual(lam, mode: ScalarMode):
     """sum_{mu <= lam} t^{-n(mu)} q^{n(mu')} B(lam+e_1, mu) beta_mu; zero by
     construction for |lam| >= 1."""
     lam1 = bump(lam, 1)
-    acc = mode.zero
-    for mu in enumerate_sub(lam):
-        acc = acc + _bernoulli_weight(lam1, mu, mode) * bernoulli(mu, mode)
-    return acc
+    return sum_prods([[_bernoulli_weight(lam1, mu, mode), bernoulli(mu, mode)]
+                      for mu in enumerate_sub(lam)], mode)
 
 
 def bell(lam, mode: ScalarMode):
     """qt-Bell number: sum_{mu <= lam} t^{-n(mu)} q^{n(mu')} s2(lam, mu)."""
-    acc = mode.zero
-    for mu in enumerate_sub(lam):
-        s2 = stirling("second", lam, mu, mode)
-        if s2 == 0:
-            continue
-        acc = acc + mode.tpow(-n_stat(mu)) * mode.qpow(n_prime_stat(mu)) * s2
-    return acc
+    return sum_prods([[mode.tpow(-n_stat(mu)), mode.qpow(n_prime_stat(mu)),
+                       stirling("second", lam, mu, mode)] for mu in enumerate_sub(lam)], mode)
 
 
 def catalan(lam, mode: ScalarMode):
@@ -244,19 +238,11 @@ def catalan(lam, mode: ScalarMode):
 def fibonacci(lam, mode: ScalarMode):
     """qt-Fibonacci number indexed by lam + e_1, via the coordinatewise
     decomposition sum over nu + mu = lam."""
-    acc = mode.zero
     n = len(lam)
-    for nu, mu in sum_decompositions(lam):
-        b = qt_binomial(nu, mu, mode) if contains(nu, mu) else mode.zero
-        if b == 0:
-            continue
-        wm = weight(mu)
-        acc = acc + (
-            mode.qpow(2 * n_prime_stat(mu))
-            * mode.tpow(2 * (n - 1) * wm - 2 * n_stat(mu))
-            * b
-        )
-    return acc
+    return sum_prods([[mode.qpow(2 * n_prime_stat(mu)),
+                       mode.tpow(2 * (n - 1) * weight(mu) - 2 * n_stat(mu)),
+                       qt_binomial(nu, mu, mode)]
+                      for nu, mu in sum_decompositions(lam) if contains(nu, mu)], mode)
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +282,7 @@ def _bernoulli_limit(lam, mode: FormalQ) -> Rational:
         return Rational(1)
     lam1 = bump(lam, 1)
     return _solve_recurrence(lam, lambda mu: _limit(qt_binomial, (lam1, mu), mode),
-                             lambda mu: _bernoulli_limit(mu, mode), Rational(0))
+                             lambda mu: _bernoulli_limit(mu, mode), sum_rationals)
 
 
 def bracket_alpha(z, alpha: int) -> Rational:

@@ -31,9 +31,15 @@ its factors as ints and builds one Rational; a formal mode starts each
 product from its first factor.  A vanishing denominator raises
 DegenerateParameters("vanishing denominator in <what>").  A product of order
 0 and a zero power, both 1, are left out of the factor lists.  Every sum of
-products (the strip sum of ``w_multi``, the Stirling sum, the identity
-sums) is one call of ``sum_prods(terms, mode)``: at a point it adds the int
-products of its terms over the lcm of their denominators and reduces once.
+the library is one call of ``sum_prods(terms, mode)`` over lists of
+factors, or, where the terms are plain Rationals in any mode, of the one
+exact sum ``scalars.sum_rationals(terms)`` that ``sum_prods`` is at a
+point: it multiplies each term as ints, adds the terms over the lcm of
+their denominators and reduces once.  Three sums add one term at a time on
+purpose: the cumulative masses of ``distributions.sample`` (each partial
+sum is kept), the reference values of ``identities._classical_sequences``,
+and the restated Bell and Fibonacci sums of ``run_specials_suite``, so
+that a fault in the one sum cannot pass both sides of their checks.
 The strip sum takes each strip's inner value first and skips the skew value
 when that is 0, but still checks the divisors the skew value would have.
 
@@ -49,7 +55,6 @@ by the ints of a ``RatFuncQ``, hashed once.
 from __future__ import annotations
 
 from functools import reduce, wraps
-from math import lcm
 from operator import add, mul
 from typing import NamedTuple
 
@@ -64,7 +69,7 @@ from .partitions import (
     weight,
     zeros,
 )
-from .scalars import ONE, RatFuncQ, Rational, as_rational
+from .scalars import ONE, RatFuncQ, Rational, as_rational, prod_ints, sum_rationals
 
 W_KINDS = ("ab", "s_up", "s_down")
 
@@ -349,19 +354,6 @@ def guarded_div(num, den, what: str):
     return num / den
 
 
-def _ints(num, den=()) -> tuple:
-    """The numerator and denominator of prod(num) / prod(den), Rational
-    factors multiplied as ints and left unreduced."""
-    n = d = 1
-    for f in num:
-        n *= f.numerator
-        d *= f.denominator
-    for f in den:
-        n *= f.denominator
-        d *= f.numerator
-    return n, d
-
-
 def prod_ratio(num: list, den: list, mode: ScalarMode, what: str = "product"):
     """prod(num) / prod(den), reporting a vanishing denominator as
     degeneracy: the one product of factors of the library.  At a point the
@@ -371,24 +363,20 @@ def prod_ratio(num: list, den: list, mode: ScalarMode, what: str = "product"):
     if not mode.is_point:
         n, d = (reduce(mul, fs) if fs else mode.one for fs in (num, den))
         return guarded_div(n, d, what) if den else n
-    n, d = _ints(num, den)
+    n, d = prod_ints(num, den)
     if d == 0:
         raise DegenerateParameters(f"vanishing denominator in {what}")
     return Rational(n, d)
 
 
 def sum_prods(terms, mode: ScalarMode):
-    """The sum of prod(fs) over the factor lists fs in ``terms``: the one sum
-    of products of the library.  At a point each term is multiplied as ints,
-    the terms are added over the least common multiple of their
-    denominators, and the sum is reduced once, by one Rational; a formal
-    mode builds each term as ``prod_ratio`` does and adds the terms in
-    order, starting from 0."""
-    if not mode.is_point:
-        return reduce(add, (prod_ratio(fs, [], mode) for fs in terms), mode.zero)
-    parts = [_ints(fs) for fs in terms]
-    den = lcm(*(d for _, d in parts))
-    return Rational(sum(n * (den // d) for n, d in parts), den)
+    """The sum of prod(fs) over the factor lists fs in ``terms``, in the
+    scalars of ``mode``: at a point the one exact sum ``sum_rationals``; a
+    formal mode builds each term as ``prod_ratio`` does and adds the terms
+    in order, starting from 0."""
+    if mode.is_point:
+        return sum_rationals(terms)
+    return reduce(add, (prod_ratio(fs, [], mode) for fs in terms), mode.zero)
 
 
 # ---------------------------------------------------------------------------

@@ -81,6 +81,13 @@ GOLDEN = [
      "10a4e63d497eec45188616757f3128600f24f5844ed123dd7cae496be2ee8329"),
     (("bernoulli", "--bound", "3,2", "--alpha", "2"),
      "a5969e8f6aa9d778c86f047934497d78d3c1945ef2d228858f8b25b30633dd5d"),
+    # recorded before the library's sums went through one exact sum: the
+    # three-part Stirling, change-of-basis and bracket-expansion sums, and
+    # a formal-mode sum of two parts
+    (("verify", "--bound", "3,2,1", "--points", "1", "--seed", "3"),
+     "15c398e506f912bfbdf2d60cd49157430eb0670003bde7db70d0aa4fc5091085"),
+    (("fibonacci", "--bound", "2,2", "--alpha", "2"),
+     "ec4d000cc7df4d0b2d731af034d433cfbd90fbc5f87fc410c20c63611e48c764"),
 ]
 
 

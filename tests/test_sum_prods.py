@@ -1,25 +1,31 @@
-"""Every sum of products of the W layer and the identity checks goes through
-``wcore.sum_prods``, and the W strip sum computes each inner value first.
+"""Every sum of the library goes through ``wcore.sum_prods`` or, for terms
+that are plain Rationals, the one exact sum ``scalars.sum_rationals`` that
+``sum_prods`` is at a point; the W strip sum computes each inner value first.
 
 The references below are the loops these replaced: a sum of products built
 one Rational product and one addition at a time, and the strip sum of
 ``_w_multi`` as it was, which computed every skew value W_{lam/nu} before
-the inner value it multiplies.  The primitive must give the sequential sum
-exactly, in a formal mode with the same normal form.  The strip sum must
+the inner value it multiplies.  Both entries must give the sequential sum
+exactly, and a formal mode the same normal form.  The strip sum must
 give the old value wherever the old loop gave one, and raise wherever it
 raised: the same DegenerateParameters inside the window of a validated
 point, and never a value outside it.
 """
 
+from fractions import Fraction
+from functools import reduce
 from math import gcd
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qtspecials import wcore
 from qtspecials.errors import QtError
 from qtspecials.identities import check_weak_cocycle
 from qtspecials.partitions import enumerate_strips, enumerate_sub, weight
-from qtspecials.scalars import Rational
+from qtspecials.scalars import Rational, sum_rationals
 from qtspecials.wcore import UNIT, FormalQ, Mono, QtPoint, pochm, sum_prods, w_principal
 
 # ---------------------------------------------------------------------------
@@ -46,21 +52,50 @@ POINT_TERMS = [
     pytest.param([FACTORS[:2], [Rational(0), BIG], [Rational(-3, 8)]], id="zero-factor"),
     pytest.param([FACTORS[:2], [Rational(5, 11), Rational(2, 7)]], id="sum-zero"),
     pytest.param([[BIG, BIG], [-1 / BIG], FACTORS, [Rational(-1), BIG]], id="over-1000-bits"),
+    pytest.param([[Rational(-3, 4), Rational(2, 9)], [Rational(5, 6)], [Rational(-7, 10), BIG],
+                  [Rational(-1), Rational(-1, 3)]], id="mixed-signs"),
+    pytest.param([[f] for f in FACTORS], id="one-factor-terms"),
+    pytest.param([[BIG, Rational(1, 3)], [-BIG, Rational(2, 3)], [BIG, Rational(1, 3)]],
+                 id="cancel-over-1000-bits"),
 ]
 
 
 @pytest.mark.parametrize("terms", POINT_TERMS)
 def test_point_sum_equals_the_sequential_sum(terms):
+    """At a point, and through the mode-free entry that it delegates to."""
     mode = QtPoint(Rational(2, 7), Rational(5, 11)).mode
-    got = sum_prods(terms, mode)
-    assert got == _seq_sum(terms, mode)
-    assert type(got) is type(mode.one) and gcd(got.numerator, got.denominator) == 1
+    expect = _seq_sum(terms, mode)
+    for got in (sum_prods(terms, mode), sum_rationals(terms)):
+        assert got == expect
+        assert type(got) is type(mode.one) and gcd(got.numerator, got.denominator) == 1
+
+
+def _fraction(x):
+    return Fraction(int(x.numerator), int(x.denominator))
+
+
+def _form(v):
+    return v.num.ints, v.num.den, v.den.ints, v.den.den
+
+
+SMALL = st.fractions(min_value=-4, max_value=4, max_denominator=6).map(
+    lambda f: Rational(f.numerator, f.denominator))
+
+
+@given(st.lists(st.lists(SMALL, max_size=4), max_size=6))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_one_sum_equals_the_sequential_sum(terms):
+    """Random lists of small-Rational factor lists: the one sum is the
+    sequential Fraction sum, and the formal sum_prods of the factors
+    1 - r q keeps the normal form of the sequential formal sum."""
+    expect = sum((reduce(mul, map(_fraction, fs), Fraction(1)) for fs in terms), Fraction(0))
+    assert _fraction(sum_rationals(terms)) == expect
+    mode = FormalQ(Rational(3, 5))
+    formal = [[mode.one - mode.lift(r) * mode.q for r in fs] for fs in terms]
+    assert _form(sum_prods(formal, mode)) == _form(_seq_sum(formal, mode))
 
 
 def test_formal_sum_keeps_the_sequential_normal_form():
-    def form(v):
-        return v.num.ints, v.num.den, v.den.ints, v.den.den
-
     mode = FormalQ(Rational(3, 5))
     q, lift = mode.q, mode.lift
     factors = [pochm(1, 2, 3, mode), mode.one - q, lift(BIG), lift(Rational(-4, 9)),
@@ -68,7 +103,7 @@ def test_formal_sum_keeps_the_sequential_normal_form():
     cases = [[], [factors[:3]], [[]], [factors[:2], factors[3:6]],
              [factors[5:], factors[1:4], [q]], [factors[::2], [lift(-1)] + factors[::2]]]
     for terms in cases:
-        assert form(sum_prods(terms, mode)) == form(_seq_sum(terms, mode)), terms
+        assert _form(sum_prods(terms, mode)) == _form(_seq_sum(terms, mode)), terms
 
 
 # ---------------------------------------------------------------------------

@@ -677,10 +677,10 @@ def _chained(node) -> bool:
 PRODUCTS = {
     "wcore.py": {"poch", "_poch_partition", "poch_norm", "pair_ratio", "norm_weight",
                  "h_factor", "_w_skew", "_w_multi", "w_rectangular"},
-    "binomial.py": {"qt_binomial", "binom_rect_lower", "binom_rect_upper", "gaussian_binomial",
-                    "qt_bracket", "poch_reciprocal", "qt_bracket_shifted"},
-    "specials.py": {"stirling", "stirling_expansion_residual"},
-    "distributions.py": {"f_mass", "_poisson_mass"},
+    "binomial.py": {"qt_binomial", "v_coeff", "binom_rect_lower", "binom_rect_upper",
+                    "gaussian_binomial", "qt_bracket", "poch_reciprocal", "qt_bracket_shifted"},
+    "specials.py": {"u_coeff", "stirling", "stirling_expansion_residual", "_bernoulli_weight"},
+    "distributions.py": {"g_mass", "f_mass", "_poisson_mass"},
     "identities.py": {"_cocycle_term", "check_2phi1", "_weighted_binom_sum", "check_pascal",
                       "check_weak_cocycle", "check_double_binomial", "check_geometric"},
 }
@@ -719,6 +719,62 @@ def test_every_product_of_factors_goes_through_prod_ratio():
                                       for node in ast.walk(loop) if _accumulates(node)]
     assert found == {(f, name) for f, names in PRODUCTS.items() for name in names}
     assert not offenders, "\n".join(offenders)
+
+
+def _sums_into_itself(node) -> set:
+    """The names that node adds to or subtracts from themselves: x += y,
+    x -= y, x = x + y or x = y - x.  A count (x += 1) and a list extended
+    by a display (x += a, b or x += [...]) are no sums of terms."""
+    import ast
+
+    if isinstance(node, ast.AugAssign):
+        ok = isinstance(node.op, (ast.Add, ast.Sub)) and isinstance(node.target, ast.Name) \
+            and not isinstance(node.value, (ast.Constant, ast.Tuple, ast.List, ast.ListComp))
+        return {node.target.id} if ok else set()
+    if not (isinstance(node, ast.Assign) and isinstance(node.value, ast.BinOp)
+            and isinstance(node.value.op, (ast.Add, ast.Sub))):
+        return set()
+    names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+    return {o.id for o in (node.value.left, node.value.right)
+            if isinstance(o, ast.Name) and o.id in names}
+
+
+# the sums that add one term at a time on purpose, by (file, function, name)
+SEQUENTIAL_SUMS = {
+    # every partial sum of the CDF is kept
+    ("distributions.py", "sample", "acc"),
+    # reference values, independent of the library
+    ("identities.py", "_classical_sequences", "acc"),
+    # bell and fibonacci sum through sum_prods: restated sequentially, a
+    # fault in the one sum cannot pass both sides of their checks
+    ("identities.py", "run_specials_suite", "direct"),
+    ("identities.py", "run_specials_suite", "brute"),
+}
+
+
+def test_every_sum_goes_through_the_one_sum():
+    """Keep one sum: no function of the library adds to or subtracts from an
+    accumulator in a loop, except the sums of SEQUENTIAL_SUMS, each of which
+    exists."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(wcore.__file__).parent
+    found = set()
+    for path in sorted(src.glob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for loop in ast.walk(fn):
+                if isinstance(loop, (ast.For, ast.While)):
+                    for node in ast.walk(loop):
+                        found |= {(path.name, fn.name, name, node.lineno)
+                                  for name in _sums_into_itself(node)}
+    offenders = [f"{f}:{line}: {name} summed in a loop of {fn}"
+                 for f, fn, name, line in sorted(found)
+                 if (f, fn, name) not in SEQUENTIAL_SUMS]
+    assert not offenders, "\n".join(offenders)
+    assert {site[:3] for site in found} >= SEQUENTIAL_SUMS
 
 
 def _suite_modes(monkeypatch):
