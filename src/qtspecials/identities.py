@@ -26,7 +26,7 @@ from .partitions import (
     weight,
     zeros,
 )
-from .scalars import Rational, as_rational, format_rational
+from .scalars import RatFuncQ, Rational, as_rational, format_rational
 from .wcore import (
     Coef,
     QtPoint,
@@ -82,13 +82,14 @@ class IdentityCheck:
 
 
 def _params(**kv) -> dict:
+    """The parameters of a check as strings; a formal scalar is left out."""
     out = {}
     for k, v in kv.items():
         if isinstance(v, tuple):
             out[k] = format_partition(v)
         elif isinstance(v, int):
             out[k] = str(v)
-        else:
+        elif not isinstance(v, RatFuncQ):
             out[k] = format_rational(v)
     return out
 
@@ -103,10 +104,7 @@ def check_binomial_theorem(lam, x, mode: ScalarMode) -> IdentityCheck:
     lhs = poch_partition(x, lam, mode)
     rhs = sum_prods([[v_coeff(lam, mu, mode), x ** weight(mu)] for mu in enumerate_sub(lam)],
                     mode)
-    return IdentityCheck(
-        "binomial_theorem", lhs, rhs, lhs - rhs,
-        _params(lam=lam, x=x) if mode.is_point else {"lam": format_partition(lam)},
-    )
+    return IdentityCheck("binomial_theorem", lhs, rhs, lhs - rhs, _params(lam=lam, x=x))
 
 
 def _slot(s, n: int, mode: ScalarMode) -> Coef:

@@ -254,8 +254,6 @@ class UniPoly:
     def __call__(self, x):
         """Evaluate at a rational a/b by homogeneous integer Horner."""
         x = as_rational(x)
-        if x == 1:
-            return Rational(sum(self.ints), self.den)
         a, b = int(x.numerator), int(x.denominator)
         acc, bk = 0, 1
         for c in reversed(self.ints):
@@ -287,12 +285,14 @@ class RatFuncQ:
     The representation is normalized only lightly: any common power of q is
     stripped, the denominator is made monic (``den.ints[-1] == den.den``)
     and zero is 0 / 1.  No polynomial GCD is taken during arithmetic; common
-    (q - q0) factors are divided out lazily by :meth:`cancel_at`, which
-    :func:`limit_at_one` and evaluation at a common root both use.  ``==``
-    compares values (by cross-multiplication, or by ``is_zero`` when either
-    side is zero); ``hash`` is representation-based, which is fine for the
-    internal caches because their keys are always built along identical
-    code paths.
+    (q - q0) factors are divided out lazily, by :meth:`cancel_at` when
+    evaluating at a common root, while :func:`limit_at_one` counts the
+    (q - 1) factors on the coefficient ints.  An int or Rational operand of
+    ``*`` and ``==`` is used as it is, never lifted to a RatFuncQ, and gives
+    the normal form the lifted operand would.  ``==`` compares values (by
+    cross-multiplication, or by ``is_zero`` when either side is zero);
+    ``hash`` is representation-based, which is fine for the internal caches
+    because their keys are always built along identical code paths.
     """
 
     __slots__ = ("num", "den")
@@ -370,6 +370,12 @@ class RatFuncQ:
         return o + (-self)
 
     def __mul__(self, other):
+        if isinstance(other, (int, Rational)):  # c num / den is already normal
+            out = RatFuncQ.__new__(RatFuncQ)
+            out.num = UniPoly._of([c * int(other.numerator) for c in self.num.ints],
+                                  self.num.den * int(other.denominator))
+            out.den = self.den if other else _POLY_ONE
+            return out
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -419,6 +425,12 @@ class RatFuncQ:
         return out
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, (int, Rational)):  # num == c den, on the ints
+            a, b = self.num.ints, self.den.ints
+            if not a:
+                return not other
+            n, d = int(other.numerator) * self.num.den, int(other.denominator) * self.den.den
+            return len(a) == len(b) and all(x * d == y * n for x, y in zip(a, b))
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -443,50 +455,66 @@ class RatFuncQ:
 
     def cancel_at(self, q0) -> "RatFuncQ":
         """Divide out all common (q - q0) factors of num and den."""
-        num, den = self.num, self.den
-        while den(q0) == 0 and num(q0) == 0:
-            num = _div_root(num, q0)
-            den = _div_root(den, q0)
-        return RatFuncQ(num, den)
+        q0 = as_rational(q0)
+        if self.is_zero():
+            return self
+        k = min(_div_root(p.ints, q0)[0] for p in (self.num, self.den))
+        b = int(q0.denominator) ** k  # p / (q - a/b)^k = b^k s
+        return RatFuncQ(*(UniPoly._of([b * c for c in reversed(_div_root(p.ints, q0, k)[1])],
+                                      p.den) for p in (self.num, self.den)))
 
     def __repr__(self) -> str:
         return f"RatFuncQ({self.num!r} / {self.den!r})"
 
 
-def _div_root(p: UniPoly, root) -> UniPoly:
-    """Exact synthetic division of p by (q - root); requires p(root) == 0.
+def _div_root(ints, root, times=None) -> tuple:
+    """Divide the nonzero polynomial sum(ints[k] q^k) by (b q - a), for
+    root = a/b: ``times`` times, or while it vanishes at the root.
 
-    For root = a/b, p = (b q - a) s with s integral over p's denominator
-    (Gauss's lemma): s comes top down by exact integer division, a running
-    sum for root 1, and p / (q - root) = b s.  A remainder is a program fault.
+    By Gauss's lemma each quotient s is integral, and it comes top down by
+    exact integer division; at root 1 that is a running sum whose last entry
+    is the value at 1, so one pass both decides a division and proves it
+    exact.  Returns (k, s, r): the divisions made, the ints of the last
+    quotient, highest power first, and the remainder that stopped them,
+    s(1) at root 1 (0 once ``times`` are made).  A remainder in a division
+    that ``times`` asks for is a program fault.
     """
-    root = as_rational(root)
     a, b = int(root.numerator), int(root.denominator)
-    ints = p.ints or (0,)
-    if root == 1:
-        s, rem = list(accumulate(reversed(ints[1:]))), sum(ints)
-    else:
-        s, acc, rem = [], 0, 0
-        for c in reversed(ints[1:]):
-            acc, r = divmod(c + a * acc, b)
-            s.append(acc)
-            rem = rem or r
-        rem = rem or ints[0] + a * acc
-    if rem:
-        raise ArithmeticError(f"polynomial does not vanish at q = {root}")
-    return UniPoly._of([b * c for c in reversed(s)], p.den)
+    s, k = ints[::-1], 0
+    while k != times:
+        if a == b:  # root 1
+            quot = list(accumulate(s))
+            rem = quot.pop()
+        else:
+            quot, c, rem = [], 0, 0
+            for x in s:
+                c, r = divmod(x + a * c, b)
+                quot.append(c)
+                rem = rem or r
+            rem = rem or quot.pop()
+        if rem:
+            if times is None:
+                return k, s, rem
+            raise ArithmeticError(f"polynomial does not vanish at q = {root}")
+        s, k = quot, k + 1
+    return k, s, 0
 
 
 def limit_at_one(f):
     """Limit of a rational function of q as q -> 1, as an exact Rational.
 
-    Divides out every common (q - 1) factor, then evaluates.  Raises
-    PoleAtOne when the denominator still vanishes after full cancellation.
+    Counts the (q - 1) factors of num and den and takes the values of their
+    cofactors at 1, all on the coefficient ints.  Raises PoleAtOne when the
+    denominator has more of them.
     """
     if not isinstance(f, RatFuncQ):
         return as_rational(f)
-    f = f.cancel_at(ONE)
-    d1 = f.den(ONE)
-    if d1 == 0:
+    if f.is_zero():
+        return Rational(0)
+    kn, _, n1 = _div_root(f.num.ints, ONE)
+    kd, _, d1 = _div_root(f.den.ints, ONE)
+    if kn < kd:
         raise PoleAtOne("no finite limit at q = 1")
-    return f.num(ONE) / d1
+    if kn > kd:
+        return Rational(0)
+    return Rational(n1 * f.den.den, d1 * f.num.den)

@@ -337,10 +337,17 @@ def test_library_fault_is_an_internal_error(capsys, monkeypatch):
 
 
 def test_div_root_fault_is_an_internal_error(capsys, monkeypatch):
-    from qtspecials.scalars import UniPoly
+    from qtspecials import scalars
 
-    # every polynomial claims to vanish, so cancel_at divides one that does not
-    monkeypatch.setattr(UniPoly, "__call__", lambda self, x: 0)
+    divide = scalars._div_root
+
+    def once_too_often(ints, root, times=None):
+        # every polynomial is divided once more than it vanishes at the root
+        if times is None:
+            times = divide(ints, root)[0] + 1
+        return divide(ints, root, times)
+
+    monkeypatch.setattr(scalars, "_div_root", once_too_often)
     record = _internal_record(capsys, "catalan", "--lambda", "2", "--alpha", "1")
     assert record == {"error": {"type": "ArithmeticError",
                                 "message": "polynomial does not vanish at q = 1",

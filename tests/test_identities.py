@@ -21,7 +21,7 @@ from qtspecials.identities import (
 )
 from qtspecials.partitions import enumerate_sub, n_prime_stat, n_stat, weight, zeros
 from qtspecials.scalars import Rational
-from qtspecials.wcore import AtPoint, QtPoint, poch
+from qtspecials.wcore import AtPoint, FormalQ, QtPoint, poch
 
 
 @pytest.fixture
@@ -150,6 +150,19 @@ def test_density_normalization(mode):
         assert c.lhs == 1 and c.passed
         c = check_density_normalization((2, 1), Rational(1, 5), which, mode)
         assert c.passed
+
+
+@pytest.mark.parametrize("check,params", [
+    (lambda m: check_density_normalization((2, 1), Rational(1, 5), "g", m), {"lam": "2,1"}),
+    (lambda m: check_2phi1((2, 1), Rational(1, 5), Rational(2, 3), m), {"lam": "2,1"}),
+    (lambda m: check_binomial_theorem((2, 1), Rational(2, 3), m), {"lam": "2,1"}),
+    (lambda m: check_weak_cocycle((2, 1), (1, 0), Rational(1, 5), Rational(2, 3), m),
+     {"nu": "2,1", "mu": "1,0"}),
+], ids=["density_normalization", "2phi1", "binomial_theorem", "weak_cocycle"])
+def test_formal_checks_leave_their_scalars_out_of_the_params(check, params):
+    c = check(FormalQ(Rational(3, 5)))
+    assert c.residual == 0 and c.passed
+    assert c.params == params
 
 
 def test_geometric_stated_point():

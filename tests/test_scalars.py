@@ -337,34 +337,45 @@ def test_unipoly_kernel_matches_fraction_reference(a, b, c, x):
     assert _coeffs(pa.shift_down(k)) == ra[k:]
 
 
+def _div_linear(p, root):
+    """p / (q - root) by one exact ``_div_root``: b s over p's denominator."""
+    k, s, rem = scalars._div_root(p.ints, root, 1)
+    assert (k, rem) == (1, 0)
+    return UniPoly._of([root.denominator * c for c in reversed(s)], p.den)
+
+
 @given(polys, points)
 @settings(max_examples=200, deadline=None)
 def test_div_root_matches_long_division(a, r):
+    if not _ref_trim(a):
+        a = [Fraction(1)]  # _div_root takes a nonzero polynomial
     for root in (Fraction(1), r):
         p = UniPoly(a) * UniPoly([-root, 1])  # vanishes at root
         ref = _ref_mul(_ref_trim(a), [-root, Fraction(1)])
         assert _ref_div_linear(ref, root) == (_ref_trim(a), 0)
-        quot = scalars._div_root(p, root)
+        quot = _div_linear(p, root)
         _assert_canonical(quot)
         assert _coeffs(quot) == _ref_trim(a)
         # p + 1 leaves remainder 1: a broken invariant, not an input error
         assert _ref_div_linear(_ref_add(ref, [Fraction(1)]), root)[1] == 1
         with pytest.raises(ArithmeticError, match="does not vanish") as err:
-            scalars._div_root(p + UniPoly([1]), root)
+            _div_linear(p + UniPoly([1]), root)
         assert not isinstance(err.value, ValueError)
         # an arbitrary polynomial divides exactly iff the reference remainder is 0
         ref_quot, rem = _ref_div_linear(_ref_trim(a), root)
         if rem:
             with pytest.raises(ArithmeticError):
-                scalars._div_root(UniPoly(a), root)
+                _div_linear(UniPoly(a), root)
+            assert scalars._div_root(UniPoly(a).ints, root)[0] == 0
         else:
-            assert _coeffs(scalars._div_root(UniPoly(a), root)) == ref_quot
+            assert _coeffs(_div_linear(UniPoly(a), root)) == ref_quot
 
 
 def test_div_root_sees_a_remainder_before_the_last_step():
     # 3q - 1 at q = 1/2: 3 = 2*1 + 1 leaves a remainder, then -1 + 1*1 == 0
     with pytest.raises(ArithmeticError, match="does not vanish"):
-        scalars._div_root(UniPoly([-1, 3]), Rational(1, 2))
+        scalars._div_root((-1, 3), Rational(1, 2), 1)
+    assert scalars._div_root((-1, 3), Rational(1, 2))[0] == 0
 
 
 @given(polys, polys, st.integers(0, 3), st.integers(0, 3), points)
@@ -397,6 +408,131 @@ def test_cancel_at_and_limit_match_fraction_reference(a, b, i, j, r):
                 limit_at_one(f)
         else:
             assert _frac(limit_at_one(f)) == _ref_eval(num, root) / d1
+
+
+# ---------------------------------------------------------------------------
+# The limit on the coefficient ints against cancel-then-evaluate
+# ---------------------------------------------------------------------------
+
+BIG_PRIME = 2 ** 61 - 1  # no drawn coefficient has this factor
+
+
+def _q_minus_one_to(k):
+    return [Fraction(math.comb(k, i) * (-1) ** (k - i)) for i in range(k + 1)]
+
+
+def _nonvanishing_at_one(cs):
+    cs = _ref_trim(cs) or [Fraction(1)]
+    if _ref_eval(cs, Fraction(1)) == 0:
+        cs[0] += 1
+    return cs
+
+
+def _ref_limit(num, den):
+    """The limit at 1 of num / den, Fraction lists: strip (q - 1) by long
+    division while it divides, then compare orders; None for a pole."""
+    orders, values = [], []
+    for p in (num, den):
+        k = 0
+        while _ref_eval(p, Fraction(1)) == 0:
+            p, k = _ref_div_linear(p, Fraction(1))[0], k + 1
+        orders.append(k)
+        values.append(_ref_eval(p, Fraction(1)))
+    if orders[0] < orders[1]:
+        return None
+    return Fraction(0) if orders[0] > orders[1] else values[0] / values[1]
+
+
+def _check_limit(f):
+    """limit_at_one(f) against cancel_at(1) then evaluation, and against
+    the Fraction reference."""
+    g = f.cancel_at(1)
+    ref = _ref_limit(_coeffs(f.num), _coeffs(f.den))
+    if ref is None:
+        assert g.den(1) == 0
+        with pytest.raises(PoleAtOne):
+            limit_at_one(f)
+        return
+    lim = limit_at_one(f)
+    assert lim == g.num(1) / g.den(1)
+    assert _frac(lim) == ref
+
+
+# (lower, higher) orders of (q - 1), both at most 80
+order_pairs = st.integers(0, 79).flatmap(lambda lo: st.tuples(st.just(lo), st.integers(lo + 1, 80)))
+
+
+@pytest.mark.parametrize("case", ["equal", "num_higher", "den_higher"])
+@given(polys, polys, order_pairs)
+@settings(max_examples=25, deadline=None, derandomize=True)
+def test_limit_on_the_ints_matches_cancel_then_evaluate(case, a, b, orders):
+    lo, hi = orders
+    i, j = {"equal": (lo, lo), "num_higher": (hi, lo), "den_higher": (lo, hi)}[case]
+    a, b = _nonvanishing_at_one(a), _nonvanishing_at_one(b)
+    # (BIG_PRIME q + 1) in den: neither normal-form denominator is 1
+    num = _ref_mul(a, _q_minus_one_to(i))
+    den = _ref_mul(_ref_mul(b, [Fraction(1), Fraction(BIG_PRIME)]), _q_minus_one_to(j))
+    f = RatFuncQ(UniPoly(num), UniPoly(den))
+    assert f.num.den != 1 and f.den.den != 1
+    _check_limit(f)
+    if case == "den_higher":
+        return
+    expect = _ref_eval(a, Fraction(1)) / (_ref_eval(b, Fraction(1)) * (BIG_PRIME + 1))
+    assert _frac(limit_at_one(f)) == (expect if i == j else 0)
+
+
+def _formal_limit_values():
+    """The formal values whose limits the Stirling tables below (2, 2, 1)
+    and the alpha-limits below (2, 2) take."""
+    from qtspecials.partitions import enumerate_sub
+    from qtspecials.specials import bernoulli, catalan, u_coeff, v_coeff
+    from qtspecials.wcore import FormalQ
+
+    inner = FormalQ(Rational(5, 3))  # (1/q, 1/t0) at t0 = 3/5
+    for nu in enumerate_sub((2, 2, 1)):
+        for lam in enumerate_sub(nu):
+            yield u_coeff(nu, lam, inner)
+            yield v_coeff(nu, lam, inner)
+    for alpha in (1, 2):
+        mode = FormalQ.alpha(alpha)
+        for lam in enumerate_sub((2, 2)):
+            yield bernoulli(lam, mode)
+            if lam[-1] > 0:
+                yield catalan(lam, mode)
+
+
+def test_limit_on_the_ints_matches_on_workload_values():
+    values = [f for f in _formal_limit_values() if isinstance(f, RatFuncQ)]
+    assert len(values) >= 90
+    assert max(f.den.degree for f in values) >= 150
+    for f in values:
+        _check_limit(f)
+
+
+# ---------------------------------------------------------------------------
+# Rational operands of * and == against the lifted operand
+# ---------------------------------------------------------------------------
+
+def _parts(f):
+    return f.num.ints, f.num.den, f.den.ints, f.den.den
+
+
+@given(polys, polys, st.integers(-9, 9))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_rational_operands_give_the_normal_form_of_the_lifted_operand(a, b, x):
+    p = UniPoly(b) if _ref_trim(b) else UniPoly([2, 1])
+    k = Rational(x, 7)
+    f = RatFuncQ(UniPoly(a), p)
+    constant = RatFuncQ(p * UniPoly([k]), p)  # k, with the common factor kept
+    big = [Rational(3 ** 200, 2 ** 150 + 1), Rational(-(2 ** 300 + 1), 3 ** 90)]
+    for g, value in ((f, f(3) if p(3) != 0 else k), (constant, k), (f - f, Rational(0))):
+        for c in [0, 1, -1, Rational(0), Rational(-1), value, k] + big:
+            lifted = RatFuncQ.from_rational(c)
+            expect = _parts(g * lifted)
+            assert _parts(g * c) == expect and _parts(c * g) == expect, c
+            _assert_normal(g * c)
+            assert (g == c) == (g == lifted) and (g != c) == (g != lifted), c
+    assert constant == k and constant != k + 1 and f - f == 0
 
 
 @given(polys, polys)
