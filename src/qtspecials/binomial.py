@@ -13,11 +13,11 @@ from .errors import LengthMismatch, NotAPartition, check_sizes
 from .partitions import check_partition, contains, n_prime_stat, n_stat, weight
 from .wcore import (
     ScalarMode,
-    guarded_div,
+    cargs,
+    coef,
     memo,
     norm_weight,
     pair_ratio,
-    poch,
     pochm,
     prod_ratio,
     sum_prods,
@@ -84,7 +84,7 @@ def binom_e1(lam, mode: ScalarMode):
 
 def q_number(m: int, mode: ScalarMode):
     """[m]_q = (1 - q^m) / (1 - q)."""
-    return guarded_div(mode.one - mode.qpow(m), mode.one - mode.q, "q-number")
+    return prod_ratio([pochm(m, 0, 1, mode)], [pochm(1, 0, 1, mode)], mode, "q-number")
 
 
 def gaussian_binomial(m: int, k: int, mode: ScalarMode):
@@ -98,16 +98,15 @@ def gaussian_binomial(m: int, k: int, mode: ScalarMode):
 def qt_bracket(z, mode: ScalarMode):
     """Multi-part q-number: prod_i (1 - q^{z_i} t^{n-i}) / (1 - q t^{n-i})."""
     n = len(z)
-    num = [mode.one - mode.qpow(zi) * mode.tpow(n - i) for i, zi in enumerate(z, start=1)]
-    den = [mode.one - mode.q * mode.tpow(n - i) for i in range(1, n + 1)]
-    return prod_ratio(num, den, mode, "qt-bracket")
+    return prod_ratio([pochm(zi, n - i, 1, mode) for i, zi in enumerate(z, start=1)],
+                      [pochm(1, n - i, 1, mode) for i in range(1, n + 1)], mode, "qt-bracket")
 
 
 def poch_reciprocal(x, mu, mode: ScalarMode):
     """The reciprocal-base partition product (x; 1/q, 1/t)_mu, expanded as
     prod_i (x t^{i-1} q^{1-mu_i}; q)_{mu_i}."""
-    return prod_ratio([poch(prod_ratio([x, mode.tpow(i), mode.qpow(1 - m)], [], mode), m, mode)
-                       for i, m in enumerate(mu) if m], [], mode)
+    cx = cargs(coef(x, mode))
+    return prod_ratio([pochm(1 - m, i, m, mode, *cx) for i, m in enumerate(mu) if m], [], mode)
 
 
 def qt_bracket_shifted(Q, mu, mode: ScalarMode):
@@ -115,6 +114,5 @@ def qt_bracket_shifted(Q, mu, mode: ScalarMode):
     q^{n(mu')} (Q; 1/q, 1/t)_mu / prod_i (1 - q t^{n-i})^{mu_i}."""
     n = len(mu)
     return prod_ratio([mode.qpow(n_prime_stat(mu)), poch_reciprocal(mode.lift(Q), mu, mode)],
-                      [(mode.one - mode.q * mode.tpow(n - i)) ** m
-                       for i, m in enumerate(mu, start=1) if m],
+                      [pochm(1, n - i, 1, mode) ** m for i, m in enumerate(mu, start=1) if m],
                       mode, "shifted bracket")

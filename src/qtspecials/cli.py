@@ -217,7 +217,7 @@ def _cmd_sequence(args) -> int:
     name = args.command
     fn = getattr(specials, name)
     if name == "bernoulli" and args.alpha is not None:  # exact limits, not formal q
-        fn = specials._bernoulli_limit
+        fn = lambda lam, _mode: specials.bernoulli_alpha(lam, args.alpha)
     shape = parse_partition(args.lam if args.lam else args.bound)
     lams = [shape] if args.lam else enumerate_sub(shape)
     # window covers the doubled index that the Catalan ratio reaches
@@ -280,7 +280,7 @@ def _density_spec(args):
 
 
 def _cmd_density(args) -> int:
-    from .distributions import _poisson_tail, support_masses
+    from .distributions import poisson_tail, support_masses
 
     spec = _density_spec(args)
     masses = support_masses(spec)
@@ -290,7 +290,7 @@ def _cmd_density(args) -> int:
     payload = {"command": "density", "kind": args.kind, "z": args.z,
                "q": args.q, "t": args.t, "masses": shown, "total": shown_total}
     if args.kind == "poisson":
-        payload["tail_bound"] = format_rational(_poisson_tail(spec, total))
+        payload["tail_bound"] = format_rational(poisson_tail(spec, total))
     rows = [*shown.items(), ("total", shown_total)]
     _emit(args, payload, (("partition", "mass"), rows))
     return 0

@@ -14,11 +14,12 @@ family's monomial step times the change of norm_weight * pair_ratio(., 0)
 (and of 1 / (z; q, t)_mu for the Poisson masses) when one box is added at
 part m of row k: one factor 1 - q^{1+m} t^{n-k} of the normalizing product,
 and per pair of rows two factors of each pair ratio.  Each factor
-1 - c q^a t^b is carried as a pair of ints, the factors of one step are
-multiplied as ints, and each step costs one Rational.  A factor of a
-denominator of the direct formula that vanishes raises
-DegenerateParameters, as the direct formula does; a vanishing numerator
-factor is counted, so a term is zero exactly while its count is positive.
+1 - c q^a t^b is the ``pochm`` value (c q^a t^b; q)_1, read as a pair of
+ints; the factors of one step are multiplied as ints, and each step costs
+one Rational.  A factor of a denominator of the direct formula that
+vanishes raises DegenerateParameters, as the direct formula does; a
+vanishing numerator factor is counted, so a term is zero exactly while its
+count is positive.
 ``density`` keeps the direct formula for a single mass.
 """
 
@@ -33,8 +34,9 @@ from .errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
                      UnsupportedRegime, check_sizes)
 from .partitions import (check_partition, contains, enumerate_sub, format_partition,
                          n_prime_stat, n_stat, weight)
-from .scalars import Rational, as_rational, format_rational, sum_rationals
-from .wcore import QtPoint, norm_weight, pair_ratio, poch_partition, prod_ratio
+from .scalars import Rational, as_rational, format_rational, prod_ints, sum_rationals
+from .wcore import (QtPoint, cargs, coef, norm_weight, pair_ratio, poch_partition, pochm,
+                    prod_ratio)
 
 DENSITY_KINDS = ("binomial_g", "binomial_f", "poisson")
 
@@ -182,11 +184,12 @@ def poisson_normalization(spec: DensitySpec):
     estimate, not a guarantee.
     """
     total = sum_rationals([m] for m in poisson_masses(spec).values())
-    return total, _poisson_tail(spec, total)
+    return total, poisson_tail(spec, total)
 
 
-def _poisson_tail(spec: DensitySpec, total) -> Rational:
-    """The tail bound of poisson_normalization for a given total mass."""
+def poisson_tail(spec: DensitySpec, total) -> Rational:
+    """The tail bound |total| n r^(part_cap+1) / (1 - r), r = series_ratio of
+    z, of a poisson density whose truncated masses add up to ``total``."""
     r = series_ratio(spec.z, spec.point, spec.n)
     return abs(total) * spec.n * r ** (spec.part_cap + 1) / (1 - r)
 
@@ -210,13 +213,6 @@ class ExpResult(NamedTuple):
     difference: Rational
 
 
-def _int_power(x, e: int) -> tuple:
-    """x^e of a nonzero rational x as an unreduced pair of ints."""
-    if e >= 0:
-        return x.numerator ** e, x.denominator ** e
-    return x.denominator ** -e, x.numerator ** -e
-
-
 def _term_walk(mode, n: int, part_cap: int, z, root, step, z_rows: bool) -> dict:
     """{mu: term(mu)} for every mu with at most n parts, each at most part_cap,
     where term(0) = root and
@@ -228,22 +224,19 @@ def _term_walk(mode, n: int, part_cap: int, z, root, step, z_rows: bool) -> dict
     multiplies it by z q^a t^b, (a, b) = step(k, m).  mode is an AtPoint;
     the int pairs below are memoized for this walk only.
     """
-    q, t = mode.q, mode.t
+    cz = cargs(coef(z, mode))
 
     @cache
-    def mono(a: int, b: int, times_z=False) -> tuple:
-        """q^a t^b, or z q^a t^b, as an unreduced pair of ints (a flag, not
-        z, in the key: hashing a Fraction costs about two products)."""
-        (qa, qd), (tb, td) = _int_power(q, a), _int_power(t, b)
-        if times_z:
-            return z.numerator * qa * tb, z.denominator * qd * td
-        return qa * tb, qd * td
+    def mono(a: int, b: int) -> tuple:
+        """z q^a t^b as an unreduced pair of ints."""
+        return prod_ints([z, mode.qpow(a), mode.tpow(b)])
 
     @cache
     def factor(a: int, b: int, times_z=False) -> tuple:
-        """1 - q^a t^b, or 1 - z q^a t^b, as an unreduced pair of ints."""
-        num, den = mono(a, b, times_z)
-        return den - num, den
+        """1 - q^a t^b, or 1 - z q^a t^b, as the ints of its pochm value (a flag,
+        not z, in the key: hashing a Fraction costs about two products)."""
+        f = pochm(a, b, 1, mode, *(cz if times_z else ()))
+        return f.numerator, f.denominator
 
     @cache
     def pair_step(d: int, b: int) -> tuple:
@@ -270,7 +263,7 @@ def _term_walk(mode, n: int, part_cap: int, z, root, step, z_rows: bool) -> dict
 
     def ratio(mu, k: int, m: int) -> tuple:
         """(num, den, zeros) of term(mu + e_k) / term(mu), where mu_k = m."""
-        num, den = mono(*step(k, m), True)
+        num, den = mono(*step(k, m))
         num, den = divide(num, den, factor(1 + m, n - 1 - k), "the normalizing product")
         if z_rows:
             num, den = divide(num, den, factor(m, -k, True), "(z; q, t)_mu")

@@ -132,10 +132,7 @@ def _sub(lam, weight_filter) -> tuple:
             rec(i + 1, v, acc, w + v)
             acc.pop()
 
-    if n:
-        rec(0, lam[0], [], 0)
-    else:
-        out.append(())
+    rec(0, max(lam, default=0), [], 0)
     out.sort(key=_revlex_key)
     return tuple(out)
 

@@ -34,8 +34,11 @@ from .scalars import Rational, limit_at_one, sum_rationals
 from .wcore import (
     FormalQ,
     ScalarMode,
+    cargs,
+    coef,
     memo,
     norm_weight,
+    pochm,
     prod_ratio,
     sum_prods,
     w_principal,
@@ -105,7 +108,7 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
         s, u_lim, v_lim = n - 1, True, False
         qe, te = -n_prime_stat(mu), 2 * n_stat(nu) - s * weight(nu)
     pref = prod_ratio([mode.qpow(qe), mode.tpow(te)],
-                      [(mode.one - mode.q * mode.tpow(n - i)) ** (v - m)
+                      [pochm(1, n - i, 1, mode) ** (v - m)
                        for i, (v, m) in enumerate(zip(nu, mu), start=1) if v != m],
                       mode, "Stirling prefactor")
     terms = []
@@ -133,9 +136,9 @@ def stirling_expansion_residual(lam, Q, mode: ScalarMode):
     Q = mode.lift(Q)
     n = len(lam)
     lhs = qt_bracket_shifted(Q, lam, mode)
-    brackets = [prod_ratio([mode.one - Q * mode.tpow(n - i)],
-                           [mode.one - mode.q * mode.tpow(n - i)], mode, "bracket-power basis")
-                for i in range(1, n + 1)]
+    cq = cargs(coef(Q, mode))
+    brackets = [prod_ratio([pochm(0, n - i, 1, mode, *cq)], [pochm(1, n - i, 1, mode)], mode,
+                           "bracket-power basis") for i in range(1, n + 1)]
     rhs = sum_prods([[stirling("first", lam, mu, mode),
                       mode.tpow(2 * n_stat(mu) + (1 - n) * weight(mu))]
                      + [b ** m for b, m in zip(brackets, mu) if m]

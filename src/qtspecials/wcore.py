@@ -16,12 +16,16 @@ are computed only through the variable-peeling recurrence over horizontal
 strips.  Each W argument and the scalar s travel as a ``Mono`` c q^a t^b: a
 scalar x is (x, 0, 0), the principal argument is (1, lam_i, n-1-i), and a
 peel shifts b by -ell.  Every factor is then one product (c q^i t^j; q)_m
-from ``pochm``.  One decorator, ``memo(kind, at)``, memoizes values in the
-cache of the mode at argument ``at``, keyed by kind and the other arguments:
-("poch", i, j, m) (and c unless c = 1), ("partition", a, lam) for
-(a; q, t)_lam, ("weight", mu), ("h", lam, mu), ("skew", kind, lam, mu, x, s)
-and ("W", kind, lam, mu, z, s); ``identities`` adds ("wsum", lam, k) for
-its weighted binomial sums and ("cocycle", nu, lam, s, r) for the (nu, lam)
+from ``pochm``, and so is every factor 1 - c q^a t^b of the library: only
+``poch`` writes 1 - ..., only ``pochm`` calls it, and c = 1 is never passed
+(``cargs``), so each factor has one key; the term walk of ``distributions``
+reads the ints of its factors off their pochm values.  One decorator,
+``memo(kind, at)``, memoizes values in the cache of the mode at argument
+``at``, keyed by kind and the other arguments: ("poch", i, j, m) (and c
+unless c = 1), ("partition", a, lam) for (a; q, t)_lam, ("weight", mu),
+("h", lam, mu), ("skew", kind, lam, mu, x, s) and
+("W", kind, lam, mu, z, s); ``identities`` adds ("wsum", lam, k) for its
+weighted binomial sums and ("cocycle", nu, lam, s, r) for the (nu, lam)
 half of its weak-cocycle terms.
 
 Every product of factors in the library, here and in ``binomial``,
@@ -110,8 +114,8 @@ def coef(c, mode: "ScalarMode") -> Coef:
     return UNIT if num == den else Coef(v, (num.ints, num.den, den.ints, den.den))
 
 
-def _cargs(c: Coef) -> tuple:
-    """The c argument of ``pochm``: none for 1, so each factor has one key."""
+def cargs(c: Coef) -> tuple:
+    """The c arguments of ``pochm``: none for 1, so each factor has one key."""
     return () if c is UNIT else (c,)
 
 
@@ -411,8 +415,8 @@ def poch_partition(a, lam, mode: ScalarMode):
 
 @memo("partition", 2)
 def _poch_partition(a: Coef, lam, mode: ScalarMode):
-    cargs = _cargs(a)
-    return prod_ratio([pochm(0, -i, m, mode, *cargs) for i, m in enumerate(lam) if m], [],
+    ca = cargs(a)
+    return prod_ratio([pochm(0, -i, m, mode, *ca) for i, m in enumerate(lam) if m], [],
                       mode)
 
 
@@ -500,7 +504,7 @@ def _peel_scalars(kind: str, lam, x: Mono, mode: ScalarMode, s):
     if kind != "ab":
         return cinv, None, []
     sc = s.c if cinv is UNIT else coef(s.c.value * cinv.value, mode)
-    i0, j0, scargs = s.a + 1 - a, s.b - b, _cargs(sc)
+    i0, j0, scargs = s.a + 1 - a, s.b - b, cargs(sc)
     den = [pochm(i0, j0 + 1 - i, m, mode, *scargs) for i, m in enumerate(lam, start=1) if m]
     return cinv, (i0, j0, scargs), den
 
@@ -511,10 +515,10 @@ def _w_skew(kind: str, lam, mu, x: Mono, mode: ScalarMode, s):
         return mode.zero
     c, a, b = x
     cinv, ab, den = _peel_scalars(kind, lam, x, mode, s)
-    cargs = _cargs(cinv)
+    ca = cargs(cinv)
     # (1/x)_lam / (1/x)_mu, telescoped to prod_i (x^{-1} t^{-i} q^{mu_i}; q)_{lam_i - mu_i}
     num = [h_factor(lam, mu, mode)]
-    num += [pochm(mi - a, -b - i, li - mi, mode, *cargs)
+    num += [pochm(mi - a, -b - i, li - mi, mode, *ca)
             for i, (li, mi) in enumerate(zip(lam, mu)) if li != mi]
     e = 0
     if kind == "s_up":
@@ -600,15 +604,14 @@ def w_rectangular(kind: str, k: int, z, mode: ScalarMode, s=None):
     if k == 0:
         return mode.one
     if kind == "s_up":
-        base = mode.qpow(1 - k)
-        return prod_ratio([mode.qpow(-len(z) * k)] + [poch(base * zi, k, mode) for zi in z],
+        return prod_ratio([mode.qpow(-len(z) * k)]
+                          + [pochm(1 - k, 0, k, mode, *cargs(coef(zi, mode))) for zi in z],
                           [], mode)
     num, den = [], []
-    qs = mode.q * s if kind == "ab" else None
-    for zi in z:
+    for zi in map(mode.lift, z):
         if zi == 0:
             raise DegenerateParameters("W argument must be nonzero")
-        num.append(poch(zi ** -1, k, mode))
+        num.append(pochm(0, 0, k, mode, *cargs(coef(zi ** -1, mode))))
         if kind == "ab":
-            den.append(poch(qs * zi ** -1, k, mode))
+            den.append(pochm(1, 0, k, mode, *cargs(coef(s * zi ** -1, mode))))
     return prod_ratio(num, den, mode, "rectangular W^ab")

@@ -440,3 +440,37 @@ def test_the_library_imports_no_dataclasses():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_the_cli_uses_no_private_name_of_the_library():
+    """cli.py imports no `_`-prefixed name from the package and reads none
+    off a package module it imported (`specials._name`, or getattr with such
+    a literal)."""
+    import ast
+    import pathlib
+
+    import qtspecials.cli
+
+    tree = ast.parse(pathlib.Path(qtspecials.cli.__file__).read_text())
+    modules, offenders = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or
+                                                 (node.module or "").startswith("qtspecials")):
+            for alias in node.names:
+                if alias.name.startswith("_"):
+                    offenders.append(f"{node.lineno}: imports {alias.name}")
+                if node.module is None or node.module == "qtspecials":  # a module itself
+                    modules.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name for alias in node.names
+                        if alias.name.startswith("qtspecials")}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) \
+                and node.value.id in modules and node.attr.startswith("_"):
+            offenders.append(f"{node.lineno}: reads {node.value.id}.{node.attr}")
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "getattr" \
+                and isinstance(node.args[1], ast.Constant) \
+                and str(node.args[1].value).startswith("_"):
+            offenders.append(f"{node.lineno}: getattr of {node.args[1].value}")
+    assert "specials" in modules
+    assert not offenders, "\n".join(offenders)

@@ -88,6 +88,18 @@ GOLDEN = [
      "15c398e506f912bfbdf2d60cd49157430eb0670003bde7db70d0aa4fc5091085"),
     (("fibonacci", "--bound", "2,2", "--alpha", "2"),
      "ec4d000cc7df4d0b2d731af034d433cfbd90fbc5f87fc410c20c63611e48c764"),
+    # recorded before every factor 1 - c q^a t^b came from wcore.pochm: the
+    # Catalan brackets, the term walk at a negative q, the walk's (z; q, t)_mu
+    # rows, and a three-part Stirling prefactor
+    (("catalan", "--bound", "3,3", "--alpha", "2"),
+     "7674598d42d0734204a846a89412fb7a684fbe3a0c3d6cbdd4154a0eb19fee81"),
+    (("exp", "--n", "3", "--z", "1/20", "--q=-1/3", "--t", "7/5", "--part-cap", "8"),
+     "18230a870a2ba6f884a80b4a826b1bc36ad5dd5a454a5758d453ef6a7d3b8d86"),
+    (("density", "--kind", "poisson", "--n", "3", "--z", "1/30", "--q", "1/3", "--t", "1/2",
+      "--part-cap", "6"),
+     "84ee02d033f537e5ec96e33d21f6d48f4e0e9c5e59052b51cc69e9164ffdbac9"),
+    (("stirling", "--kind", "first", "--bound", "2,2,1", "--q", "2/7", "--t", "5/11"),
+     "d66835b2cc99347ac33c5d1df3ef7a7f8de40a3055cf15fcac139926759c1aa8"),
 ]
 
 

@@ -5,8 +5,10 @@ import random
 import pytest
 
 from qtspecials.binomial import gaussian_binomial
-from qtspecials.errors import ConvergenceViolated, DegenerateParameters, InvalidArgument
+from qtspecials.errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
+                               NotARational)
 from qtspecials.identities import (
+    IdentityCheck,
     check_2phi1,
     check_binomial_theorem,
     check_density_normalization,
@@ -163,6 +165,24 @@ def test_formal_checks_leave_their_scalars_out_of_the_params(check, params):
     c = check(FormalQ(Rational(3, 5)))
     assert c.residual == 0 and c.passed
     assert c.params == params
+
+
+def test_a_formal_residual_constant_in_q_is_recorded_as_that_rational():
+    c = check_2phi1((2, 1), Rational(1, 5), Rational(2, 3), FormalQ(Rational(3, 5)))
+    assert c.to_record()["residual"] == "0/1"
+    mode = FormalQ(Rational(3, 5))
+    for residual, shown in ((mode.one - mode.q + mode.q, "1/1"),
+                            (mode.q / mode.q * Rational(-2, 7), "-2/7")):
+        assert IdentityCheck("constant", 0, 0, residual, {}).to_record()["residual"] == shown
+
+
+@pytest.mark.parametrize("residual", [lambda m: m.q, lambda m: m.one / (m.q - 1)],
+                         ids=["q", "pole at 1"])
+def test_a_formal_residual_that_varies_with_q_has_no_record(residual):
+    mode = FormalQ(Rational(3, 5))
+    check = IdentityCheck("varying", 0, 0, residual(mode), {})
+    with pytest.raises(NotARational, match="varying"):
+        check.to_record()
 
 
 def test_geometric_stated_point():

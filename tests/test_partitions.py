@@ -74,6 +74,20 @@ def test_enumerate_sub_goldens():
     assert enumerate_sub((0, 0)) == [(0, 0)]
 
 
+def test_enumerate_sub_of_the_empty_partition_honours_the_weight_filter():
+    """The empty partition has weight 0, so only k = 0 keeps it."""
+    assert enumerate_sub((), weight_filter=0) == [()]
+    assert enumerate_sub((), weight_filter=5) == []
+    assert enumerate_sub((2, 1), weight_filter=5) == []
+
+
+@pytest.mark.parametrize("lam", [(), (0,), (2, 1)])
+def test_enumerate_sub_weight_filter_keeps_the_partitions_of_that_weight(lam):
+    for k in range(-1, weight(lam) + 3):
+        assert enumerate_sub(lam, weight_filter=k) == [
+            mu for mu in enumerate_sub(lam) if weight(mu) == k]
+
+
 @pytest.mark.parametrize("lam", [(1, 2), (2, -1), (0, 1, 0)])
 def test_enumerate_sub_refuses_an_index_that_is_not_a_partition(lam):
     with pytest.raises(NotAPartition):

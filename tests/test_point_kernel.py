@@ -42,7 +42,7 @@ def _seq_skew(kind, lam, mu, x, mode, s):
         return mode.zero
     c, a, b = x
     cinv = UNIT if c is UNIT else wcore.coef(guarded_div(mode.one, c.value, "W argument"), mode)
-    cargs = wcore._cargs(cinv)
+    cargs = wcore.cargs(cinv)
     val = _seq_h(lam, mu, mode)
     for i, (li, mi) in enumerate(zip(lam, mu)):
         if li != mi:
@@ -57,7 +57,7 @@ def _seq_skew(kind, lam, mu, x, mode, s):
         val = val * mode.tpow(-n_stat(lam) + weight(mu) + n_stat(mu))
     if kind == "ab":
         sc = s.c if cinv is UNIT else wcore.coef(s.c.value * cinv.value, mode)
-        scargs = wcore._cargs(sc)
+        scargs = wcore.cargs(sc)
         i0, j0 = s.a + 1 - a, s.b - b
         num = den = mode.one
         for i, m in enumerate(mu, start=1):

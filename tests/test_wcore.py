@@ -259,6 +259,13 @@ def test_w_rectangular_single_box(mode):
     assert w_rectangular("s_up", 0, (x, x), mode) == 1
 
 
+def test_w_rectangular_takes_int_arguments(mode):
+    """An int argument is the rational it names (its inverse is no float)."""
+    for kind, s in (("s_up", None), ("s_down", None), ("ab", 3)):
+        assert w_rectangular(kind, 2, (2, -3), mode, s) == \
+            w_rectangular(kind, 2, (Rational(2), Rational(-3)), mode, s)
+
+
 def test_weyl_specialization_pins_recurrence_shifts(mode):
     """The principal value at a rectangle has a closed form that fixes both
     the s-shift of the "ab" peel and the t-prefactor of the "s_up" peel."""
@@ -688,16 +695,15 @@ PRODUCTS = {
 
 def test_every_product_of_factors_goes_through_prod_ratio():
     """Keep one product primitive: outside the identity checks, guarded_div
-    is called only by prod_ratio and for the single quotients (the inverse
-    of a W argument in _peel_scalars, q_number), and no function of
+    is called only by prod_ratio and for the single quotient (the inverse
+    of a W argument in _peel_scalars), and no function of
     PRODUCTS chains two products (a * b * c) anywhere or multiplies or
     divides an accumulator in a loop.  The identity checks keep guarded_div
     for their single quotients."""
     import ast
     import pathlib
 
-    single = {("wcore.py", "prod_ratio"), ("wcore.py", "_peel_scalars"),
-              ("binomial.py", "q_number")}
+    single = {("wcore.py", "prod_ratio"), ("wcore.py", "_peel_scalars")}
     src = pathlib.Path(wcore.__file__).parent
     offenders, found = [], set()
     for path in sorted(src.glob("*.py")):
@@ -719,6 +725,63 @@ def test_every_product_of_factors_goes_through_prod_ratio():
                                       for node in ast.walk(loop) if _accumulates(node)]
     assert found == {(f, name) for f, names in PRODUCTS.items() for name in names}
     assert not offenders, "\n".join(offenders)
+
+
+def test_every_factor_comes_from_pochm():
+    """Keep one factor primitive: in the library `X.one - ...` (a factor
+    1 - c q^a t^b) is written only in wcore.poch, and poch is called only
+    by pochm, so every factor and every (c q^i t^j; q)_m is a pochm value."""
+    import ast
+    import pathlib
+
+    src = pathlib.Path(wcore.__file__).parent
+    one_minus, poch_calls = set(), set()
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> its innermost function: ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            site = (path.name, owner.get(node))
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Sub) \
+                    and getattr(node.left, "attr", None) == "one":
+                one_minus.add(site)
+            if isinstance(node, ast.Call) and "poch" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                poch_calls.add(site)
+    assert one_minus == {("wcore.py", "poch")}
+    assert poch_calls == {("wcore.py", "pochm")}
+
+
+def test_the_term_walk_reads_its_factors_from_pochm(monkeypatch):
+    """The partition-series walk of exp_E and poisson_masses takes every
+    factor 1 - c q^a t^b from pochm: afterwards the mode's cache holds each
+    factor it multiplied under its ("poch", a, b, 1) key (with c = z for
+    the rows of (z; q, t)_mu)."""
+    from qtspecials import distributions
+
+    point = QtPoint(Rational(1, 2), Rational(1, 3), n=2, max_part=5)
+    mode, z, cap = point.mode, Rational(1, 20), 3
+    seen = []
+
+    def recording(*args):
+        seen.append((args, pochm(*args)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(distributions, "pochm", recording)
+    distributions.exp_E(z, point, 2, cap, 10)
+    distributions.poisson_masses(
+        distributions.DensitySpec("poisson", z, point, part_cap=cap, trunc=10))
+    cz = wcore.coef(z, mode)
+    expected = [(1 + m, 1 - k, ()) for m in range(cap) for k in range(2)]  # normalizing
+    expected += [(m, -k, (cz,)) for m in range(cap) for k in range(2)]  # (z; q, t)_mu
+    for a, b, c in expected:
+        scale = z if c else 1
+        assert mode.cache[("poch", a, b, 1) + c] == 1 - scale * mode.qpow(a) * mode.tpow(b)
+    assert seen
+    for (i, j, m, _, *c), value in seen:
+        assert m == 1 and mode.cache[("poch", i, j, m, *c)] is value
 
 
 def _sums_into_itself(node) -> set:
