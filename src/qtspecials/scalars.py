@@ -161,6 +161,31 @@ def sum_rationals(terms) -> Rational:
     return Rational(sum(n * (den // d) for n, d in parts), den)
 
 
+# Products whose shorter operand is longer than this are one big-int product:
+# on the q -> 1 limits, cutoffs 10 to 14 were equally fast, 8 and 16 slower.
+_KRONECKER_MIN = 12
+
+
+def _kronecker_mul(a, b) -> list:
+    """The ints of a * b by Kronecker substitution: both int lists are read
+    as integers at q = 2^w and multiplied once, w whole bytes and every
+    product coefficient below 2^(w - 1) in absolute value.  With 2^(w - 1)
+    added to every w-bit slot each slot is a nonnegative digit, read off
+    without a borrow."""
+    k = (max(map(abs, a)).bit_length() + max(map(abs, b)).bit_length()
+         + min(len(a), len(b)).bit_length() + 1)
+    nb = (k + 7) // 8  # whole bytes per slot
+    half, from_bytes = 1 << (8 * nb - 1), int.from_bytes
+    halves = (b"\0" * (nb - 1) + b"\x80") * (len(a) + len(b) - 1)  # half in every slot
+
+    def pack(p):
+        return (from_bytes(b"".join([(c + half).to_bytes(nb, "little") for c in p]), "little")
+                - from_bytes(halves[:nb * len(p)], "little"))
+
+    digits = (pack(a) * pack(b) + from_bytes(halves, "little")).to_bytes(len(halves), "little")
+    return [from_bytes(digits[i:i + nb], "little") - half for i in range(0, len(digits), nb)]
+
+
 class UniPoly:
     """Dense univariate polynomial in q with Rational coefficients.
 
@@ -244,6 +269,8 @@ class UniPoly:
             return UniPoly()
         if len(a) < len(b):
             a, b = b, a
+        if len(b) > _KRONECKER_MIN:
+            return UniPoly._of(_kronecker_mul(a, b), self.den * other.den)
         out = [0] * (len(a) + len(b) - 1)
         for i, cb in enumerate(b):
             if cb:
@@ -327,6 +354,13 @@ class RatFuncQ:
 
     # -- helpers -----------------------------------------------------------
 
+    @classmethod
+    def _normal(cls, num: UniPoly, den: UniPoly) -> "RatFuncQ":
+        """num / den, already in normal form."""
+        out = cls.__new__(cls)
+        out.num, out.den = num, den
+        return out
+
     @staticmethod
     def _coerce(x):
         if isinstance(x, RatFuncQ):
@@ -371,17 +405,18 @@ class RatFuncQ:
 
     def __mul__(self, other):
         if isinstance(other, (int, Rational)):  # c num / den is already normal
-            out = RatFuncQ.__new__(RatFuncQ)
-            out.num = UniPoly._of([c * int(other.numerator) for c in self.num.ints],
-                                  self.num.den * int(other.denominator))
-            out.den = self.den if other else _POLY_ONE
-            return out
+            num = UniPoly._of([c * int(other.numerator) for c in self.num.ints],
+                              self.num.den * int(other.denominator))
+            return RatFuncQ._normal(num, self.den if other else _POLY_ONE)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
         if self.is_zero() or o.is_zero():
             return RatFuncQ(UniPoly())
-        return RatFuncQ(self.num * o.num, self.den * o.den)
+        num, den = self.num * o.num, self.den * o.den
+        if not (num.ints[0] or den.ints[0]):  # a common power of q to strip
+            return RatFuncQ(num, den)
+        return RatFuncQ._normal(num, den)  # monic times monic is monic
 
     __rmul__ = __mul__
 

@@ -3,7 +3,8 @@
 ``perfbench/spans.py`` replaces library functions by name at every binding
 site and reads some of their arguments by position, so a renamed function
 or a moved argument breaks the traced benchmark run.  This runs the tracer
-around a small identity suite.
+around a small identity suite (point mode) and around a small Stirling
+table and one alpha-limit (the formal-q kernel).
 """
 
 import importlib
@@ -11,6 +12,9 @@ import importlib.util
 from pathlib import Path
 
 from qtspecials.identities import run_identity_suite
+from qtspecials import specials
+from qtspecials.scalars import Rational
+from qtspecials.wcore import AtPoint, QtPoint
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -36,20 +40,40 @@ def _bindings(spans):
     return found
 
 
-def test_tracer_wraps_the_identity_suite_and_restores_every_binding():
+def _traced(run):
+    """Run ``run()`` under the tracer; its result, the span summary, and a
+    check that every binding the tracer touched is restored."""
     spans = _load_spans()
     before = _bindings(spans)
     tracer = spans.Tracer()
     tracer.install()
     try:
-        report = run_identity_suite((2, 1), points=1, seed=3)
+        result = run()
     finally:
         tracer.uninstall()
-    assert report.all_pass
-    summary = tracer.summary()["spans"]
-    assert summary["wcore.w_skew"]["calls"] > 0
-    assert summary["wcore.w_multi"]["calls"] > 0
-    assert summary["binomial.qt_binomial"]["calls"] > 0
     after = _bindings(spans)
     assert after.keys() == before.keys()
     assert all(after[k] is before[k] for k in before)
+    return result, tracer.summary()["spans"]
+
+
+def test_tracer_wraps_the_identity_suite_and_restores_every_binding():
+    report, summary = _traced(lambda: run_identity_suite((2, 1), points=1, seed=3))
+    assert report.all_pass
+    assert summary["wcore.w_skew"]["calls"] > 0
+    assert summary["wcore.w_multi"]["calls"] > 0
+    assert summary["binomial.qt_binomial"]["calls"] > 0
+
+
+def test_tracer_wraps_the_formal_kernel_and_restores_every_binding():
+    def run():
+        mode = AtPoint(QtPoint(Rational(2, 7), Rational(3, 5), n=2))
+        table = specials.StirlingTable.build("first", (2, 1), mode)
+        # through the module, whose binding the tracer replaces
+        return table, specials.alpha_limit(lambda m: specials.catalan((2, 1), m), 1)
+
+    (table, limit), summary = _traced(run)
+    assert table.entries and limit > 0
+    assert summary["scalars.unipoly_mul"]["calls"] > 0
+    assert summary["scalars.limit_at_one"]["calls"] > 0
+    assert summary["specials.alpha_limit"]["calls"] == 1

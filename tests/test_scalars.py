@@ -8,7 +8,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qtspecials
@@ -337,6 +337,42 @@ def test_unipoly_kernel_matches_fraction_reference(a, b, c, x):
     assert _coeffs(pa.shift_down(k)) == ra[k:]
 
 
+# Products on both sides of the Kronecker cutoff: operand lengths from one
+# term to 200, signed coefficients up to 2^300, interior zeros, sparse
+# operands and per-coefficient denominators.
+CUT = scalars._KRONECKER_MIN
+BIG = 2 ** 300
+big_ints = st.one_of(st.just(0), st.integers(-9, 9), st.integers(-BIG, BIG))
+lengths = st.one_of(st.sampled_from([1, 2, CUT - 1, CUT, CUT + 1, CUT + 2]), st.integers(1, 200))
+
+
+@st.composite
+def long_polys(draw):
+    """A Fraction list of a drawn length with a nonzero leading coefficient:
+    dense, or with one or two terms."""
+    n = draw(lengths)
+    if draw(st.booleans()):
+        ints = draw(st.lists(big_ints, min_size=n, max_size=n))
+    else:
+        ints = [0] * n
+        ints[draw(st.integers(0, n - 1))] = draw(big_ints)
+    ints[-1] = ints[-1] or draw(st.integers(-BIG, BIG).filter(bool))
+    return [Fraction(c, draw(st.sampled_from([1, 1, 3, 10, 2 ** 70 + 1]))) for c in ints]
+
+
+@given(long_polys(), long_polys())
+@settings(max_examples=100, deadline=None, derandomize=True)
+@example([Fraction(BIG)] * 200, [Fraction(BIG)] * 200)  # every slot at its largest
+@example([Fraction(-BIG)] * 200, [Fraction(BIG)] * (CUT + 1))
+@example([Fraction(BIG), Fraction(-BIG)] * 100, [Fraction(-1)] * (CUT + 1))
+@example([Fraction(0)] * (CUT + 1) + [Fraction(1)], [Fraction(1, 3)] * (CUT + 1))
+def test_products_on_both_sides_of_the_cutoff_match_fraction_reference(a, b):
+    ref = _ref_mul(a, b)
+    for p in (UniPoly(a) * UniPoly(b), UniPoly(b) * UniPoly(a)):
+        _assert_canonical(p)
+        assert _coeffs(p) == ref
+
+
 def _div_linear(p, root):
     """p / (q - root) by one exact ``_div_root``: b s over p's denominator."""
     k, s, rem = scalars._div_root(p.ints, root, 1)
@@ -485,7 +521,7 @@ def _formal_limit_values():
     """The formal values whose limits the Stirling tables below (2, 2, 1)
     and the alpha-limits below (2, 2) take."""
     from qtspecials.partitions import enumerate_sub
-    from qtspecials.specials import bernoulli, catalan, u_coeff, v_coeff
+    from qtspecials.specials import u_coeff, v_coeff
     from qtspecials.wcore import FormalQ
 
     inner = FormalQ(Rational(5, 3))  # (1/q, 1/t0) at t0 = 3/5
@@ -493,6 +529,16 @@ def _formal_limit_values():
         for lam in enumerate_sub(nu):
             yield u_coeff(nu, lam, inner)
             yield v_coeff(nu, lam, inner)
+    yield from _alpha_values()
+
+
+def _alpha_values():
+    """bernoulli and catalan with t = q^alpha below (2, 2), alpha 1 and 2:
+    the largest formal values of the limits workload."""
+    from qtspecials.partitions import enumerate_sub
+    from qtspecials.specials import bernoulli, catalan
+    from qtspecials.wcore import FormalQ
+
     for alpha in (1, 2):
         mode = FormalQ.alpha(alpha)
         for lam in enumerate_sub((2, 2)):
@@ -533,6 +579,23 @@ def test_rational_operands_give_the_normal_form_of_the_lifted_operand(a, b, x):
             _assert_normal(g * c)
             assert (g == c) == (g == lifted) and (g != c) == (g != lifted), c
     assert constant == k and constant != k + 1 and f - f == 0
+
+
+@given(polys, polys, polys, polys, st.integers(0, 3), st.integers(0, 3), coefficients)
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_ratfunc_product_is_the_constructor_normal_form(a, b, c, d, i, j, k):
+    b = b if _ref_trim(b) else [Fraction(2), Fraction(1)]
+    d = d if _ref_trim(d) else [Fraction(1), Fraction(0), Fraction(3)]
+    f = RatFuncQ(UniPoly(a) * UniPoly.monomial(1, i), UniPoly(b))  # q^i a / b
+    g = RatFuncQ(UniPoly(c), UniPoly(d) * UniPoly.monomial(1, j))  # c / (q^j d)
+    operands = [f, g, f - f, Rational(k.numerator, k.denominator), 0, 3]
+    for x in operands[:3]:
+        for y in operands:
+            ly = y if isinstance(y, RatFuncQ) else RatFuncQ.from_rational(y)
+            expect = _parts(RatFuncQ(x.num * ly.num, x.den * ly.den))
+            for h in (x * y, y * x):
+                assert _parts(h) == expect
+                _assert_normal(h)
 
 
 @given(polys, polys)
@@ -591,17 +654,18 @@ def _workload_values():
         for lam in enumerate_sub((2, 2)):
             for mu in enumerate_sub(lam):
                 yield qt_binomial(lam, mu, FormalQ.alpha(alpha))
+    yield from _alpha_values()
 
 
 def test_limits_match_sympy_on_workload_values():
     sympy = pytest.importorskip("sympy")
     q = sympy.Symbol("q")
-    seen = 0
+    seen = []
     for f in _workload_values():
         if not isinstance(f, RatFuncQ) or f.is_zero():
             continue
         expected = sympy.cancel(_sympy_poly(f.num, q) / _sympy_poly(f.den, q)).subs(q, 1)
         lim = limit_at_one(f)
         assert sympy.Rational(int(lim.numerator), int(lim.denominator)) == expected
-        seen += 1
-    assert seen >= 40
+        seen.append(f.den.degree)
+    assert len(seen) >= 90 and max(seen) >= 150
