@@ -37,7 +37,7 @@ elif _BACKEND == "fractions":
 else:  # pragma: no cover
     raise ImportError(f"unknown QTSPECIALS_BACKEND {_BACKEND!r}")
 
-from .errors import DivisionByZero, InvalidLiteral, NotARational, PoleAtOne
+from .errors import DivisionByZero, InvalidArgument, InvalidLiteral, NotARational, PoleAtOne
 
 ONE = Rational(1)
 
@@ -225,6 +225,8 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
+        if k < 0:
+            raise InvalidArgument(f"monomial power must be at least 0, got {k}")
         c = as_rational(c)
         return cls._of([0] * k + [int(c.numerator)], int(c.denominator))
 
@@ -244,7 +246,11 @@ class UniPoly:
         return 0
 
     def shift_down(self, k: int) -> "UniPoly":
-        """Divide by q^k; only valid when the valuation is at least k."""
+        """Divide by q^k, for k from 0 up to the valuation (checked on the k
+        lowest coefficients only)."""
+        if k < 0 or any(self.ints[:k]):
+            raise InvalidArgument(
+                f"q^{k} does not divide a polynomial of valuation {self.valuation()}")
         return UniPoly._of(list(self.ints[k:]), self.den)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
@@ -264,11 +270,16 @@ class UniPoly:
         return self + (-other)
 
     def __mul__(self, other: "UniPoly") -> "UniPoly":
+        if len(self.ints) < len(other.ints):
+            self, other = other, self
         a, b = self.ints, other.ints
-        if not a or not b:
-            return UniPoly()
-        if len(a) < len(b):
-            a, b = b, a
+        if not b:
+            return other
+        if len(b) == 1:  # a constant scales the other operand; 1 leaves it as it is
+            c = b[0]
+            if c == 1 and other.den == 1:
+                return self
+            return UniPoly._of([x * c for x in a], self.den * other.den)
         if len(b) > _KRONECKER_MIN:
             return UniPoly._of(_kronecker_mul(a, b), self.den * other.den)
         out = [0] * (len(a) + len(b) - 1)

@@ -73,6 +73,13 @@ SCALAR_CASES = [
     ("zero to a negative power", DivisionByZero, ZeroDivisionError,
      lambda: (Q - Q) ** -1),
     ("evaluation at a pole", DivisionByZero, ZeroDivisionError, lambda: (1 / (Q - 1))(1)),
+    ("monomial negative power", InvalidArgument, ValueError, lambda: UniPoly.monomial(5, -2)),
+    ("shift_down negative power", InvalidArgument, ValueError,
+     lambda: UniPoly((1, 2, 3)).shift_down(-1)),
+    ("shift_down past the valuation", InvalidArgument, ValueError,
+     lambda: UniPoly((1, 2, 3)).shift_down(5)),
+    ("shift_down past a nonzero term", InvalidArgument, ValueError,
+     lambda: UniPoly((0, 2, 3)).shift_down(2)),
 ]
 
 

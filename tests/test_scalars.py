@@ -373,6 +373,36 @@ def test_products_on_both_sides_of_the_cutoff_match_fraction_reference(a, b):
         assert _coeffs(p) == ref
 
 
+@given(polys, polys, coefficients.filter(bool), st.sampled_from([2, 3, 10, 2 ** 70 + 1]))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_products_with_a_constant_match_fraction_reference(a, b, c, d):
+    ra = _ref_trim(a)
+    pa = UniPoly(a)
+    for k in (1, -1, c, -c, Fraction(1, d), Fraction(-7, d), 0):
+        ref = _ref_mul(ra, _ref_trim([Fraction(k)]))
+        for p in (pa * UniPoly([k]), UniPoly([k]) * pa):
+            _assert_canonical(p)
+            assert _coeffs(p) == ref, k
+    # two polynomials: 1 times 1 stays the canonical denominator
+    h = RatFuncQ(pa) * RatFuncQ(UniPoly(b))
+    _assert_normal(h)
+    assert (h.den.ints, h.den.den) == ((1,), 1)
+    assert _coeffs(h.num) == _ref_mul(ra, _ref_trim(b))
+
+
+def test_product_by_one_does_no_arithmetic(monkeypatch):
+    one, zero = UniPoly([1]), UniPoly()
+    ps = [UniPoly([Fraction(1, 3), 0, -2]), UniPoly.monomial(5, 4), UniPoly([2 ** 70 + 1] * 40)]
+
+    def no_of(cls, ints, den=1):
+        raise AssertionError("a product by 1 or 0 built a polynomial")
+
+    monkeypatch.setattr(UniPoly, "_of", classmethod(no_of))
+    for p in ps:
+        assert p * one == p and one * p == p
+        assert p * zero == zero and zero * p == zero
+
+
 def _div_linear(p, root):
     """p / (q - root) by one exact ``_div_root``: b s over p's denominator."""
     k, s, rem = scalars._div_root(p.ints, root, 1)
