@@ -44,7 +44,7 @@ class InvalidLiteral(QtError, ValueError):
 
 class DivisionByZero(QtError, ZeroDivisionError):
     """An exact division by zero: a zero denominator in a rational literal or
-    a rational function, a pole hit by evaluation, or 0 to a negative power."""
+    a rational function, or 0 to a negative power."""
 
 
 class NotAStrip(QtError):

@@ -11,8 +11,9 @@ Two scalar carriers are used throughout the package:
   ``QTSPECIALS_BACKEND=fractions`` to force the fallback.
 
 * ``RatFuncQ`` -- a quotient of two polynomials in a single formal variable
-  q with Rational coefficients.  Used to carry values symbolically in q so
-  that limits at q = 1 can be taken exactly by cancelling (q - 1) factors.
+  q with Rational coefficients.  It carries a value in q only so that its
+  limit at q = 1 can be taken exactly, by counting the (q - 1) factors of
+  numerator and denominator; it is never evaluated at any other point.
   Its polynomials (``UniPoly``) are Python ints over one common denominator.
 
 No floating point enters any computation here.
@@ -225,8 +226,8 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, c, k: int) -> "UniPoly":
-        if k < 0:
-            raise InvalidArgument(f"monomial power must be at least 0, got {k}")
+        if not isinstance(k, int) or k < 0:
+            raise InvalidArgument(f"monomial power must be an integer at least 0, got {k!r}")
         c = as_rational(c)
         return cls._of([0] * k + [int(c.numerator)], int(c.denominator))
 
@@ -248,9 +249,9 @@ class UniPoly:
     def shift_down(self, k: int) -> "UniPoly":
         """Divide by q^k, for k from 0 up to the valuation (checked on the k
         lowest coefficients only)."""
-        if k < 0 or any(self.ints[:k]):
+        if not isinstance(k, int) or k < 0 or any(self.ints[:k]):
             raise InvalidArgument(
-                f"q^{k} does not divide a polynomial of valuation {self.valuation()}")
+                f"q^{k!r} does not divide a polynomial of valuation {self.valuation()}")
         return UniPoly._of(list(self.ints[k:]), self.den)
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
@@ -289,16 +290,6 @@ class UniPoly:
                     out[j] += ca * cb
         return UniPoly._of(out, self.den * other.den)
 
-    def __call__(self, x):
-        """Evaluate at a rational a/b by homogeneous integer Horner."""
-        x = as_rational(x)
-        a, b = int(x.numerator), int(x.denominator)
-        acc, bk = 0, 1
-        for c in reversed(self.ints):
-            acc = acc * a + c * bk
-            bk *= b
-        return Rational(acc * b, self.den * bk)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, UniPoly):
             return self.ints == other.ints and self.den == other.den
@@ -322,10 +313,9 @@ class RatFuncQ:
 
     The representation is normalized only lightly: any common power of q is
     stripped, the denominator is made monic (``den.ints[-1] == den.den``)
-    and zero is 0 / 1.  No polynomial GCD is taken during arithmetic; common
-    (q - q0) factors are divided out lazily, by :meth:`cancel_at` when
-    evaluating at a common root, while :func:`limit_at_one` counts the
-    (q - 1) factors on the coefficient ints.  An int or Rational operand of
+    and zero is 0 / 1.  No polynomial GCD is taken: the only use of a value
+    is its limit at q = 1, and :func:`limit_at_one` counts the (q - 1)
+    factors on the coefficient ints.  An int or Rational operand of
     ``*`` and ``==`` is used as it is, never lifted to a RatFuncQ, and gives
     the normal form the lifted operand would.  ``==`` compares values (by
     cross-multiplication, or by ``is_zero`` when either side is zero);
@@ -487,63 +477,25 @@ class RatFuncQ:
     def __hash__(self) -> int:
         return hash((self.num, self.den))
 
-    def __call__(self, q0):
-        """Evaluate at an exact rational point; the point must avoid poles."""
-        q0 = as_rational(q0)
-        d = self.den(q0)
-        if d == 0:
-            n = self.num(q0)
-            if n == 0:
-                # Remove the common root and retry.
-                return self.cancel_at(q0)(q0)
-            raise DivisionByZero(f"pole at q = {q0}")
-        return self.num(q0) / d
-
-    def cancel_at(self, q0) -> "RatFuncQ":
-        """Divide out all common (q - q0) factors of num and den."""
-        q0 = as_rational(q0)
-        if self.is_zero():
-            return self
-        k = min(_div_root(p.ints, q0)[0] for p in (self.num, self.den))
-        b = int(q0.denominator) ** k  # p / (q - a/b)^k = b^k s
-        return RatFuncQ(*(UniPoly._of([b * c for c in reversed(_div_root(p.ints, q0, k)[1])],
-                                      p.den) for p in (self.num, self.den)))
-
     def __repr__(self) -> str:
         return f"RatFuncQ({self.num!r} / {self.den!r})"
 
 
-def _div_root(ints, root, times=None) -> tuple:
-    """Divide the nonzero polynomial sum(ints[k] q^k) by (b q - a), for
-    root = a/b: ``times`` times, or while it vanishes at the root.
+def _order_at_one(ints) -> tuple:
+    """(k, s(1)) for the nonzero polynomial sum(ints[j] q^j) = (q - 1)^k s(q)
+    with s(1) != 0.
 
-    By Gauss's lemma each quotient s is integral, and it comes top down by
-    exact integer division; at root 1 that is a running sum whose last entry
-    is the value at 1, so one pass both decides a division and proves it
-    exact.  Returns (k, s, r): the divisions made, the ints of the last
-    quotient, highest power first, and the remainder that stopped them,
-    s(1) at root 1 (0 once ``times`` are made).  A remainder in a division
-    that ``times`` asks for is a program fault.
+    Each division by (q - 1) is a running sum over the coefficients, highest
+    power first; its last entry is the value at 1, so one pass both decides
+    a division and makes it.
     """
-    a, b = int(root.numerator), int(root.denominator)
     s, k = ints[::-1], 0
-    while k != times:
-        if a == b:  # root 1
-            quot = list(accumulate(s))
-            rem = quot.pop()
-        else:
-            quot, c, rem = [], 0, 0
-            for x in s:
-                c, r = divmod(x + a * c, b)
-                quot.append(c)
-                rem = rem or r
-            rem = rem or quot.pop()
-        if rem:
-            if times is None:
-                return k, s, rem
-            raise ArithmeticError(f"polynomial does not vanish at q = {root}")
+    while True:
+        quot = list(accumulate(s))
+        v = quot.pop()
+        if v:
+            return k, v
         s, k = quot, k + 1
-    return k, s, 0
 
 
 def limit_at_one(f):
@@ -557,8 +509,8 @@ def limit_at_one(f):
         return as_rational(f)
     if f.is_zero():
         return Rational(0)
-    kn, _, n1 = _div_root(f.num.ints, ONE)
-    kd, _, d1 = _div_root(f.den.ints, ONE)
+    kn, n1 = _order_at_one(f.num.ints)
+    kd, d1 = _order_at_one(f.den.ints)
     if kn < kd:
         raise PoleAtOne("no finite limit at q = 1")
     if kn > kd:

@@ -295,14 +295,13 @@ class FormalQ(ScalarMode):
     is_point = False
     _alpha_modes: dict = {}  # a -> the one FormalQ.alpha(a) of the process
 
-    def __init__(self, t0=None, *, _t_value=None, _label=None):
+    def __init__(self, t0=None):
         super().__init__()
         self.q = RatFuncQ.generator()
+        self._t_value, self._label = None, "raw"
         if t0 is not None:
             self.t0 = as_rational(t0)
-            _t_value = RatFuncQ.from_rational(self.t0)
-        self._t_value = _t_value
-        self._label = _label or (f"t0={self.t0}" if t0 is not None else "raw")
+            self._t_value, self._label = RatFuncQ.from_rational(self.t0), f"t0={self.t0}"
         self.one = RatFuncQ.from_rational(1)
         self.zero = RatFuncQ.from_rational(0)
 
@@ -314,8 +313,8 @@ class FormalQ(ScalarMode):
             raise UnsupportedRegime(f"alpha must be a positive integer, got {a!r}")
         mode = cls._alpha_modes.get(a)
         if mode is None:
-            mode = cls._alpha_modes[a] = cls(
-                _t_value=RatFuncQ.generator() ** a, _label=f"t=q^{a}")
+            mode = cls._alpha_modes[a] = cls()
+            mode._t_value, mode._label = mode.q ** a, f"t=q^{a}"
         return mode
 
     @property

@@ -339,18 +339,13 @@ def test_library_fault_is_an_internal_error(capsys, monkeypatch):
 def test_div_root_fault_is_an_internal_error(capsys, monkeypatch):
     from qtspecials import scalars
 
-    divide = scalars._div_root
+    def broken(ints):
+        raise ArithmeticError("(q - 1) counter broken on purpose")
 
-    def once_too_often(ints, root, times=None):
-        # every polynomial is divided once more than it vanishes at the root
-        if times is None:
-            times = divide(ints, root)[0] + 1
-        return divide(ints, root, times)
-
-    monkeypatch.setattr(scalars, "_div_root", once_too_often)
+    monkeypatch.setattr(scalars, "_order_at_one", broken)
     record = _internal_record(capsys, "catalan", "--lambda", "2", "--alpha", "1")
     assert record == {"error": {"type": "ArithmeticError",
-                                "message": "polynomial does not vanish at q = 1",
+                                "message": "(q - 1) counter broken on purpose",
                                 "internal": True}}
 
 

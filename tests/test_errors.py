@@ -72,8 +72,12 @@ SCALAR_CASES = [
     ("division by zero", DivisionByZero, ZeroDivisionError, lambda: Q / 0),
     ("zero to a negative power", DivisionByZero, ZeroDivisionError,
      lambda: (Q - Q) ** -1),
-    ("evaluation at a pole", DivisionByZero, ZeroDivisionError, lambda: (1 / (Q - 1))(1)),
     ("monomial negative power", InvalidArgument, ValueError, lambda: UniPoly.monomial(5, -2)),
+    ("monomial fractional power", InvalidArgument, ValueError,
+     lambda: UniPoly.monomial(1, 1.5)),
+    ("monomial string power", InvalidArgument, ValueError, lambda: UniPoly.monomial(1, "2")),
+    ("shift_down fractional power", InvalidArgument, ValueError,
+     lambda: UniPoly((1, 2, 3)).shift_down(1.5)),
     ("shift_down negative power", InvalidArgument, ValueError,
      lambda: UniPoly((1, 2, 3)).shift_down(-1)),
     ("shift_down past the valuation", InvalidArgument, ValueError,

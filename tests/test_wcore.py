@@ -370,15 +370,29 @@ def test_w_layer_argument_errors_are_qt_value_errors(mode):
         w_rectangular("s_up", -1, (x,), mode)
 
 
+def _horner(p, x):
+    """p(x) for a UniPoly p, by Horner over its Fraction coefficients."""
+    acc = Fraction(0)
+    for c in reversed(p.coeffs):
+        acc = acc * x + Fraction(int(c.numerator), int(c.denominator))
+    return acc
+
+
 def test_formal_mode_coheres_with_points():
-    t0 = Rational(3, 5)
+    from qtspecials.binomial import qt_binomial, v_coeff
+    from qtspecials.specials import u_coeff
+
+    t0, q0 = Rational(3, 5), Fraction(2, 7)
     fmode = FormalQ(t0)
     pmode = AtPoint(QtPoint(Rational(2, 7), t0))
-    for lam in enumerate_sub((2, 2)):
-        for mu in enumerate_sub(lam):
-            formal = w_principal("s_up", mu, lam, fmode)
-            val = formal(Rational(2, 7)) if isinstance(formal, RatFuncQ) else formal
-            assert val == w_principal("s_up", mu, lam, pmode)
+    fns = [lambda lam, mu, m: w_principal("s_up", mu, lam, m), qt_binomial, u_coeff, v_coeff]
+    for fn in fns:
+        for lam in enumerate_sub((2, 2)):
+            for mu in enumerate_sub(lam):
+                formal, point = fn(lam, mu, fmode), fn(lam, mu, pmode)
+                assert isinstance(formal, RatFuncQ)
+                val = _horner(formal.num, q0) / _horner(formal.den, q0)
+                assert val == Fraction(int(point.numerator), int(point.denominator))
 
 
 def test_formal_alpha_mode_ties_t_to_q():
