@@ -9,8 +9,8 @@ componentwise order.
 
 from __future__ import annotations
 
-from .errors import LengthMismatch, NotAPartition, check_sizes
-from .partitions import check_partition, contains, n_prime_stat, n_stat, weight
+from .errors import check_sizes
+from .partitions import check_decreasing, check_partition, contains, n_prime_stat, n_stat, weight
 from .wcore import (
     ScalarMode,
     cargs,
@@ -25,20 +25,19 @@ from .wcore import (
 )
 
 
-@memo("binom", 2)
 def qt_binomial(lam, mu, mode: ScalarMode):
     """The qt-binomial coefficient of lam over mu.
 
     mu may be a generalized (weakly decreasing, possibly negative)
     integer vector; any negative part forces the value 0, as does
-    mu not contained in lam.
+    mu not contained in lam.  Both are checked before the cache is read.
     """
-    if len(lam) != len(mu):
-        raise LengthMismatch("lam and mu must have the same length")
-    check_partition(lam)
-    if any(a < b for a, b in zip(mu, mu[1:])):
-        raise NotAPartition(f"parts not weakly decreasing: {mu}")
-    if (mu and mu[-1] < 0) or not contains(lam, mu):
+    return _qt_binomial(check_partition(lam), check_decreasing(mu), mode)
+
+
+@memo("binom", 2)
+def _qt_binomial(lam, mu, mode: ScalarMode):
+    if not contains(lam, mu) or (mu and mu[-1] < 0):
         return mode.zero
     n = len(mu)
     w = weight(mu)

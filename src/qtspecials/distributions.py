@@ -32,8 +32,8 @@ from typing import NamedTuple
 from .binomial import qt_binomial
 from .errors import (ConvergenceViolated, DegenerateParameters, InvalidArgument,
                      UnsupportedRegime, check_sizes)
-from .partitions import (check_partition, contains, enumerate_sub, format_partition,
-                         n_prime_stat, n_stat, weight)
+from .partitions import (contains, enumerate_sub, format_partition, n_prime_stat, n_stat,
+                         partition, weight)
 from .scalars import Rational, as_rational, format_rational, prod_ints, sum_rationals
 from .wcore import (QtPoint, cargs, coef, norm_weight, pair_ratio, poch_partition, pochm,
                     prod_ratio)
@@ -62,7 +62,7 @@ class DensitySpec:
         elif lam is None:
             raise InvalidArgument(f"{kind} density requires lam")
         else:
-            check_partition(lam)
+            lam = partition(lam)
         init = object.__setattr__
         init(self, "kind", kind)
         init(self, "z", z)
@@ -405,6 +405,7 @@ def sample(spec: DensitySpec, count: int, seed: int) -> PartitionSample:
     Requires the positivity regime (0 < q, t, z < 1, z < t); every mass is
     checked nonnegative before the cumulative table is built.
     """
+    check_sizes(0, count=count)
     if not spec.in_positivity_regime():
         raise UnsupportedRegime(
             "sampling requires 0 < q, t, z < 1 with z < t"

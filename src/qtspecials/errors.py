@@ -24,8 +24,10 @@ class InvalidArgument(QtError, ValueError):
 
 
 def check_sizes(least: int, **sizes: int) -> None:
-    """Raise InvalidArgument unless every keyword size is at least ``least``."""
+    """Raise InvalidArgument unless every keyword size is an int at least ``least``."""
     for name, value in sizes.items():
+        if type(value) is not int:
+            raise InvalidArgument(f"{name} must be an int, got {value!r}")
         if value < least:
             raise InvalidArgument(f"{name} must be at least {least}, got {value}")
 

@@ -353,9 +353,9 @@ class VerificationReport:
 
 def _start(bound, points: int, seed: int, report):
     """(bound, n, rng, report) of a suite run; a new report unless given."""
-    check_sizes(1, points=points)
     bound = tuple(bound)
     n = len(bound)
+    check_sizes(1, points=points, n=n)
     if report is None:
         report = VerificationReport(n=n, bound=bound, points=points, seed=seed)
     return bound, n, random.Random(seed), report

@@ -1,15 +1,19 @@
 """Fixed-length partitions, their statistics, orderings and enumerators.
 
 A partition is represented as a plain tuple of n weakly decreasing
-nonnegative integers; zeros are kept so that the length is always exactly n
+nonnegative ints; zeros are kept so that the length is always exactly n
 (the surrounding formulas weight part i by powers of t^(n-i), so n matters).
 Generalized partitions relax nonnegativity but keep the weak decrease.
+Only check_partition, check_decreasing and _require_same_length state these
+rules: a float, bool or str part is refused, never rounded.  partition()
+builds the tuple; a memoized function refuses a list (InvalidArgument).
 """
 
 from __future__ import annotations
 
-from itertools import product
+from itertools import combinations_with_replacement, product
 from math import comb
+from operator import ge, sub
 
 from .errors import InvalidArgument, LengthMismatch, NotAPartition
 
@@ -17,25 +21,36 @@ Parts = tuple  # tuple[int, ...]; kept loose for 3.10 ergonomics
 
 
 def partition(parts) -> Parts:
-    """Validate and normalize an iterable of parts into a partition tuple."""
-    return check_partition(tuple(int(x) for x in parts))
+    """Validate an iterable of int parts into a partition tuple."""
+    return check_partition(tuple(parts))
+
+
+def check_decreasing(p) -> Parts:
+    """p itself if a generalized partition (int parts, not bools, weakly
+    decreasing, negatives allowed), else NotAPartition.  Reads p uncopied."""
+    prev = None
+    for x in p:
+        if type(x) is not int:
+            raise NotAPartition(f"part {x!r} is not an int: {p}")
+        if prev is not None and prev < x:
+            raise NotAPartition(f"parts not weakly decreasing: {p}")
+        prev = x
+    return p
 
 
 def check_partition(p) -> Parts:
-    """p itself if weakly decreasing with no negative part, else
-    NotAPartition.  Reads p without copying it: enumerate_sub checks every
-    upper index it is given."""
-    for i in range(1, len(p)):
-        if p[i - 1] < p[i]:
-            raise NotAPartition(f"parts not weakly decreasing: {p}")
-    if p and p[-1] < 0:
+    """p itself if a generalized partition with no negative part, else NotAPartition."""
+    if check_decreasing(p) and p[-1] < 0:
         raise NotAPartition(f"negative part in partition: {p}")
     return p
 
 
 def is_partition(parts) -> bool:
-    p = tuple(parts)
-    return all(a >= b for a, b in zip(p, p[1:])) and (not p or p[-1] >= 0)
+    try:
+        check_partition(tuple(parts))
+    except NotAPartition:
+        return False
+    return True
 
 
 def parse_partition(text: str) -> Parts:
@@ -77,19 +92,14 @@ def _require_same_length(lam, mu):
 def contains(lam, mu) -> bool:
     """Inclusion ordering: mu_i <= lam_i for all i."""
     _require_same_length(lam, mu)
-    return all(m <= l for l, m in zip(lam, mu))
+    return all(map(ge, lam, mu))
 
 
 def is_horizontal_strip(lam, mu) -> bool:
-    """Interlacing test lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... >= mu_n >= 0."""
+    """Interlacing test lam_1 >= mu_1 >= lam_2 >= mu_2 >= ... >= mu_n >= 0:
+    lam_i >= mu_i >= lam_{i+1}, with lam_{n+1} = 0."""
     _require_same_length(lam, mu)
-    n = len(lam)
-    for i in range(n):
-        if not (lam[i] >= mu[i]):
-            return False
-        if i + 1 < n and not (mu[i] >= lam[i + 1]):
-            return False
-    return mu[-1] >= 0 if n else True
+    return all(map(ge, lam, mu)) and all(map(ge, mu, (*lam[1:], 0)))
 
 
 def _revlex_key(p):
@@ -108,33 +118,15 @@ _STRIPS: dict = {}
 def enumerate_sub(lam, weight_filter: int | None = None) -> list:
     """All partitions mu contained in lam, in ascending weight then
     descending lexicographic order; optionally restricted to |mu| = k."""
-    key = (tuple(lam), weight_filter)
+    key = lam, k = tuple(lam), weight_filter
     subs = _SUBS.get(key)
     if subs is None:
-        subs = _SUBS[key] = _sub(*key)
+        # the weakly decreasing n-tuples of parts in [0, lam_1], kept if inside lam
+        top = lam[0] if check_partition(lam) else 0
+        subs = (mu for mu in combinations_with_replacement(range(top, -1, -1), len(lam))
+                if contains(lam, mu) and (k is None or sum(mu) == k))
+        subs = _SUBS[key] = tuple(sorted(subs, key=_revlex_key))
     return list(subs)
-
-
-def _sub(lam, weight_filter) -> tuple:
-    n = len(check_partition(lam))
-    out = []
-
-    def rec(i, prev, acc, w):
-        if i == n:
-            if weight_filter is None or w == weight_filter:
-                out.append(tuple(acc))
-            return
-        hi = min(lam[i], prev)
-        for v in range(hi + 1):
-            if weight_filter is not None and w + v > weight_filter:
-                break
-            acc.append(v)
-            rec(i + 1, v, acc, w + v)
-            acc.pop()
-
-    rec(0, max(lam, default=0), [], 0)
-    out.sort(key=_revlex_key)
-    return tuple(out)
 
 
 def enumerate_strips(lam, mu=None) -> list:
@@ -157,23 +149,15 @@ def enumerate_strips(lam, mu=None) -> list:
 
 def sum_decompositions(lam) -> list:
     """All pairs (nu, mu) of partitions with nu_i + mu_i = lam_i for all i."""
-    out = []
-    for nu in enumerate_sub(lam):
-        mu = tuple(l - v for l, v in zip(lam, nu))
-        if is_partition(mu):
-            out.append((nu, mu))
-    return out
+    pairs = ((nu, tuple(map(sub, lam, nu))) for nu in enumerate_sub(lam))
+    return [(nu, mu) for nu, mu in pairs if is_partition(mu)]
 
 
 def bump(lam, i: int) -> Parts:
     """lam + e_i (i counted from 1); error when the result is not a partition."""
     if not (1 <= i <= len(lam)):
         raise InvalidArgument(f"bump index {i} out of range for length {len(lam)}")
-    parts = list(lam)
-    parts[i - 1] += 1
-    if i >= 2 and parts[i - 1] > parts[i - 2]:
-        raise NotAPartition(f"{lam} + e_{i} is not a partition")
-    return tuple(parts)
+    return check_partition((*lam[:i - 1], lam[i - 1] + 1, *lam[i:]))
 
 
 def valid_bumps(lam) -> list:

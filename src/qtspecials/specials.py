@@ -18,7 +18,7 @@ cache), the alpha-binomials and alpha-Bernoulli numbers in
 from __future__ import annotations
 
 from .binomial import qt_binomial, qt_bracket, qt_bracket_shifted, v_coeff
-from .errors import DegenerateParameters, InvalidArgument, LengthMismatch, UnsupportedRegime
+from .errors import DegenerateParameters, InvalidArgument, UnsupportedRegime
 from .partitions import (
     bump,
     check_partition,
@@ -91,8 +91,6 @@ def stirling(kind: str, nu, mu, mode: ScalarMode):
     first kind takes v and the second u as the inner limit."""
     if kind not in STIRLING_KINDS:
         raise InvalidArgument(f"kind must be one of {STIRLING_KINDS}")
-    if len(nu) != len(mu):
-        raise LengthMismatch("nu and mu must have the same length")
     if not contains(check_partition(nu), mu):
         return mode.zero
     n = len(nu)

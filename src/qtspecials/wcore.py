@@ -334,15 +334,18 @@ class FormalQ(ScalarMode):
 
 def memo(kind: str, at: int):
     """Memoize a function of positional arguments in the cache of its mode
-    ``args[at]``, under (kind, *the other arguments).  The mode stays out of
-    the key, which would otherwise keep a dropped point's mode alive in a
-    cycle; a call that raises stores nothing."""
+    ``args[at]``, under (kind, *the other arguments), refusing an unhashable
+    argument.  The mode stays out of the key, which would otherwise keep a
+    dropped point's mode alive in a cycle; a call that raises stores nothing."""
     def decorate(fn):
         @wraps(fn)
         def cached(*args):
             key = (kind,) + args[:at] + args[at + 1:]
             cache = args[at].cache
-            hit = cache.get(key)
+            try:
+                hit = cache.get(key)
+            except TypeError as exc:
+                raise InvalidArgument(f"{fn.__name__}: arguments must be hashable: {exc}") from None
             if hit is None:
                 hit = cache[key] = fn(*args)
             return hit

@@ -4,13 +4,17 @@ a QtError, never with a bare builtin exception."""
 import pytest
 
 from qtspecials.binomial import binom_rect_lower, binom_rect_upper, qt_binomial
-from qtspecials.distributions import DensitySpec, density, distribution_F, exp_E, exp_e
+from qtspecials.distributions import (DensitySpec, density, distribution_F, exp_E, exp_e,
+                                      sample)
 from qtspecials.errors import (DegenerateParameters, DivisionByZero, InvalidArgument,
-                               InvalidLiteral, LengthMismatch, NotARational, QtError)
-from qtspecials.identities import check_density_normalization, check_geometric, check_pascal
+                               InvalidLiteral, LengthMismatch, NotAPartition, NotARational,
+                               QtError)
+from qtspecials.identities import (check_density_normalization, check_geometric, check_pascal,
+                                   run_identity_suite, run_specials_suite)
+from qtspecials.partitions import check_partition, partition
 from qtspecials.scalars import RatFuncQ, Rational, UniPoly, as_rational, parse_rational
-from qtspecials.specials import catalan, stirling
-from qtspecials.wcore import QtPoint, poch, pochm
+from qtspecials.specials import bell, binomial_alpha, catalan, stirling
+from qtspecials.wcore import AtPoint, QtPoint, poch, pochm
 
 POINT = QtPoint(Rational(1, 3), Rational(1, 2), n=2, max_part=6)
 Z = Rational(1, 100)
@@ -48,6 +52,33 @@ CASES = [
     ("QtPoint n", InvalidArgument, lambda m: QtPoint(Rational(1, 3), Rational(1, 2), n=-1)),
     ("QtPoint max_part", InvalidArgument,
      lambda m: QtPoint(Rational(1, 3), Rational(1, 2), max_part=-5)),
+    # a part is an int: none is rounded, and a float index is refused
+    # whether or not the equal int index is already cached
+    ("partition float part", NotAPartition, lambda m: partition([2.7, 1])),
+    ("check_partition float part", NotAPartition, lambda m: check_partition((2.5, 1))),
+    ("check_partition str parts", NotAPartition, lambda m: check_partition(("b", "a"))),
+    ("qt_binomial float index, warm mode", NotAPartition,
+     lambda m: (qt_binomial((2, 1), (1, 0), m), qt_binomial((2.0, 1.0), (1, 0), m))),
+    ("qt_binomial float index, fresh mode", NotAPartition,
+     lambda m: qt_binomial((2.0, 1.0), (1, 0), AtPoint(QtPoint(Rational(2, 7), Rational(3, 5))))),
+    # a memoized function refuses an argument it cannot key
+    ("qt_binomial list", InvalidArgument, lambda m: qt_binomial([2, 1], [1, 0], m)),
+    ("stirling list", InvalidArgument, lambda m: stirling("first", [2, 1], [1, 0], m)),
+    ("bell list", InvalidArgument, lambda m: bell([2, 1], m)),
+    ("catalan list", InvalidArgument, lambda m: catalan([1, 1], m)),
+    ("binomial_alpha list", InvalidArgument, lambda m: binomial_alpha([2, 1], [1, 0], 1)),
+    # a size is an int (not a bool)
+    ("QtPoint float n", InvalidArgument, lambda m: QtPoint(Rational(1, 3), Rational(1, 2), n=2.5)),
+    ("QtPoint bool n", InvalidArgument, lambda m: QtPoint(Rational(1, 3), Rational(1, 2), n=True)),
+    ("exp_E float part_cap", InvalidArgument, lambda m: exp_E(Z, POINT, 2, part_cap=3.0)),
+    ("DensitySpec float part_cap", InvalidArgument,
+     lambda m: _spec(kind="poisson", lam=None, part_cap=2.5)),
+    ("run_identity_suite float points", InvalidArgument,
+     lambda m: run_identity_suite((1,), points=1.5)),
+    ("binom_rect_lower float k", InvalidArgument, lambda m: binom_rect_lower((2, 1), 1.0, m)),
+    ("run_identity_suite empty bound", InvalidArgument, lambda m: run_identity_suite(())),
+    ("run_specials_suite empty bound", InvalidArgument, lambda m: run_specials_suite(())),
+    ("sample negative count", InvalidArgument, lambda m: sample(_spec(), -1, 0)),
 ]
 
 
@@ -58,6 +89,12 @@ def test_bad_argument_raises_a_qt_error(error, call):
     assert isinstance(info.value, QtError)
     # argument errors stay ValueErrors for callers that catch those
     assert error is DegenerateParameters or isinstance(info.value, ValueError)
+
+
+def test_a_list_lam_is_stored_as_a_partition():
+    spec = _spec(lam=[2, 1])
+    assert type(spec.lam) is tuple and spec.lam == (2, 1)
+    assert density(spec, (1, 0)) == density(_spec(), (1, 0))
 
 
 Q = RatFuncQ.generator()

@@ -193,6 +193,81 @@ def test_sum_decompositions():
 def test_bump():
     assert bump((2, 1), 1) == (3, 1)
     assert bump((2, 1), 2) == (2, 2)
-    with pytest.raises(NotAPartition):
+    assert bump([2, 1], 1) == (3, 1)
+    with pytest.raises(NotAPartition, match=r"not weakly decreasing: \(2, 3\)"):
         bump((2, 2), 2)
     assert valid_bumps((2, 2, 1)) == [1, 3]
+
+
+def test_is_partition_is_the_boolean_form_of_check_partition():
+    for p in [(), (0,), (2, 1), [3, 3, 0]]:
+        assert is_partition(p)
+    for p in [(1, 2), (2, -1), (2.5, 1), (2.0, 1), (True, 0), ("b", "a"), (2, None)]:
+        assert not is_partition(p)
+        with pytest.raises(NotAPartition):
+            check_partition(p)
+
+
+def _by_definition(p) -> bool:
+    """A partition, written out: int parts, each at least the next, the
+    last at least 0."""
+    return (all(type(x) is int for x in p)
+            and all(p[i] >= p[i + 1] for i in range(len(p) - 1))
+            and (len(p) == 0 or p[-1] >= 0))
+
+
+@st.composite
+def _index_and_weight(draw):
+    lam = tuple(sorted(draw(st.lists(st.integers(0, 6), max_size=4)), reverse=True))
+    return lam, draw(st.none() | st.integers(0, weight(lam)))
+
+
+@given(_index_and_weight(), st.lists(st.integers(-1, 7), min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_the_partition_rule_and_its_enumerators_match_the_written_out_definitions(case, raw):
+    """enumerate_sub(lam, k) is the brute-force list of partitions inside lam
+    of weight k, sorted by weight and then in descending lexicographic
+    order; is_horizontal_strip is the interlacing inequalities; is_partition
+    is the definition, so the same parts as floats are refused."""
+    lam, k = case
+    n = len(lam)
+    inside = [mu for mu in product(*(range(x + 1) for x in lam))
+              if _by_definition(mu) and all(mu[i] <= lam[i] for i in range(n))]
+    expect = sorted(sorted((mu for mu in inside if k is None or sum(mu) == k), reverse=True),
+                    key=sum)
+    assert enumerate_sub(lam, k) == expect
+    strips = enumerate_strips(lam)
+    for mu in (*inside, tuple(raw[:n])):
+        interlaced = (all(lam[i] >= mu[i] for i in range(n))
+                      and all(mu[i] >= lam[i + 1] for i in range(n - 1))
+                      and (n == 0 or mu[-1] >= 0))
+        assert is_horizontal_strip(lam, mu) == interlaced
+        assert (mu in strips) == interlaced
+        assert is_partition(mu) == _by_definition(mu)
+        assert is_partition(tuple(map(float, mu))) == (n == 0)
+
+
+def test_the_partition_and_length_rules_are_raised_only_in_partitions():
+    """Write each rule once: NotAPartition is raised only in partitions.py
+    and LengthMismatch only in partitions._require_same_length, so that a
+    check added there holds for every index of the library."""
+    import ast
+    import pathlib
+
+    from qtspecials import partitions
+
+    sites = {"NotAPartition": set(), "LengthMismatch": set()}
+    for path in sorted(pathlib.Path(partitions.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        owner = {}  # node -> its innermost function: ast.walk visits outer ones first
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                owner.update((node, fn.name) for node in ast.walk(fn))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                name = getattr(exc, "id", None) or getattr(exc, "attr", None)
+                if name in sites:
+                    sites[name].add((path.name, owner.get(node)))
+    assert {path for path, _ in sites["NotAPartition"]} == {"partitions.py"}
+    assert sites["LengthMismatch"] == {("partitions.py", "_require_same_length")}

@@ -698,8 +698,9 @@ def _chained(node) -> bool:
 PRODUCTS = {
     "wcore.py": {"poch", "_poch_partition", "poch_norm", "pair_ratio", "norm_weight",
                  "h_factor", "_w_skew", "_w_multi", "w_rectangular"},
-    "binomial.py": {"qt_binomial", "v_coeff", "binom_rect_lower", "binom_rect_upper",
-                    "gaussian_binomial", "qt_bracket", "poch_reciprocal", "qt_bracket_shifted"},
+    "binomial.py": {"qt_binomial", "_qt_binomial", "v_coeff", "binom_rect_lower",
+                    "binom_rect_upper", "gaussian_binomial", "qt_bracket", "poch_reciprocal",
+                    "qt_bracket_shifted"},
     "specials.py": {"u_coeff", "stirling", "stirling_expansion_residual", "_bernoulli_weight"},
     "distributions.py": {"g_mass", "f_mass", "_poisson_mass"},
     "identities.py": {"_cocycle_term", "check_2phi1", "_weighted_binom_sum", "check_pascal",
