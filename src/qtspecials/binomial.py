@@ -52,6 +52,8 @@ def v_coeff(lam, mu, mode: ScalarMode):
     (-1)^{|mu|} q^{n(mu')} t^{-n(mu)}.
     """
     b = qt_binomial(lam, mu, mode)  # first: it refuses an index that is no partition
+    if b == 0:  # also where a negative part of mu leaves n(mu') undefined
+        return mode.zero
     val = prod_ratio([mode.qpow(n_prime_stat(mu)), mode.tpow(-n_stat(mu)), b], [], mode)
     return -val if weight(mu) % 2 else val
 
@@ -78,12 +80,7 @@ def binom_rect_upper(k: int, mu, mode: ScalarMode):
 
 def binom_e1(lam, mode: ScalarMode):
     """Sum form of the binomial at mu = e_1: sum_i [lam_i]_q t^{1-i}."""
-    return sum_prods([[q_number(m, mode), mode.tpow(-i)] for i, m in enumerate(lam)], mode)
-
-
-def q_number(m: int, mode: ScalarMode):
-    """[m]_q = (1 - q^m) / (1 - q)."""
-    return prod_ratio([pochm(m, 0, 1, mode)], [pochm(1, 0, 1, mode)], mode, "q-number")
+    return sum_prods([[qt_bracket((m,), mode), mode.tpow(-i)] for i, m in enumerate(lam)], mode)
 
 
 def gaussian_binomial(m: int, k: int, mode: ScalarMode):

@@ -23,12 +23,12 @@ class InvalidArgument(QtError, ValueError):
     """An unknown W kind, a missing auxiliary scalar, or a size too small."""
 
 
-def check_sizes(least: int, **sizes: int) -> None:
-    """Raise InvalidArgument unless every keyword size is an int at least ``least``."""
+def check_sizes(least: int | None, **sizes: int) -> None:
+    """Raise InvalidArgument unless every keyword size is an int, at least ``least`` if given."""
     for name, value in sizes.items():
         if type(value) is not int:
             raise InvalidArgument(f"{name} must be an int, got {value!r}")
-        if value < least:
+        if least is not None and value < least:
             raise InvalidArgument(f"{name} must be at least {least}, got {value}")
 
 

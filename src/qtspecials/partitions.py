@@ -15,7 +15,7 @@ from itertools import combinations_with_replacement, product
 from math import comb
 from operator import ge, sub
 
-from .errors import InvalidArgument, LengthMismatch, NotAPartition
+from .errors import InvalidArgument, LengthMismatch, NotAPartition, check_sizes
 
 Parts = tuple  # tuple[int, ...]; kept loose for 3.10 ergonomics
 
@@ -110,7 +110,7 @@ def _revlex_key(p):
 # Each enumeration is pure combinatorial data, kept as a tuple for the life of
 # the process: by (lam, weight_filter) in _SUBS, by (lam, mu) in _STRIPS.
 # Keys and entries hold only ints, tuples and None.  Each call returns a new
-# list; a refused index is never stored, so it is refused on every call.
+# list; an index is checked before the lookup, so its float twin is refused.
 _SUBS: dict = {}
 _STRIPS: dict = {}
 
@@ -118,11 +118,13 @@ _STRIPS: dict = {}
 def enumerate_sub(lam, weight_filter: int | None = None) -> list:
     """All partitions mu contained in lam, in ascending weight then
     descending lexicographic order; optionally restricted to |mu| = k."""
-    key = lam, k = tuple(lam), weight_filter
+    key = lam, k = check_partition(tuple(lam)), weight_filter
+    if k is not None:
+        check_sizes(None, weight_filter=k)
     subs = _SUBS.get(key)
     if subs is None:
         # the weakly decreasing n-tuples of parts in [0, lam_1], kept if inside lam
-        top = lam[0] if check_partition(lam) else 0
+        top = lam[0] if lam else 0
         subs = (mu for mu in combinations_with_replacement(range(top, -1, -1), len(lam))
                 if contains(lam, mu) and (k is None or sum(mu) == k))
         subs = _SUBS[key] = tuple(sorted(subs, key=_revlex_key))
@@ -133,12 +135,12 @@ def enumerate_strips(lam, mu=None) -> list:
     """All nu with lam/nu a horizontal strip (nu interlaces below lam), in
     the order of enumerate_sub; given mu, only those containing mu:
     nu_i in [max(lam_{i+1}, mu_i), lam_i].  lam must be a partition, and mu
-    of its length."""
-    key = (tuple(lam), None if mu is None else tuple(mu))
+    weakly decreasing of its length."""
+    key = (check_partition(tuple(lam)), None if mu is None else check_decreasing(tuple(mu)))
     strips = _STRIPS.get(key)
     if strips is None:
         lam, mu = key
-        low = check_partition(lam)[1:] + (0,)
+        low = lam[1:] + (0,)
         if mu is not None:
             _require_same_length(lam, mu)
             low = map(max, low, mu)
@@ -155,9 +157,9 @@ def sum_decompositions(lam) -> list:
 
 def bump(lam, i: int) -> Parts:
     """lam + e_i (i counted from 1); error when the result is not a partition."""
-    if not (1 <= i <= len(lam)):
-        raise InvalidArgument(f"bump index {i} out of range for length {len(lam)}")
-    return check_partition((*lam[:i - 1], lam[i - 1] + 1, *lam[i:]))
+    if type(i) is not int or not 1 <= i <= len(lam):
+        raise InvalidArgument(f"bump index {i!r} out of range for length {len(lam)}")
+    return check_partition((*lam[:i - 1], check_decreasing(lam)[i - 1] + 1, *lam[i:]))
 
 
 def valid_bumps(lam) -> list:

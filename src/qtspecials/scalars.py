@@ -381,8 +381,6 @@ class RatFuncQ:
             return NotImplemented
         if self.is_zero():
             return o
-        if o.is_zero():
-            return self
         if self.den == o.den:
             return RatFuncQ(self.num + o.num, self.den)
         return RatFuncQ(self.num * o.den + o.num * self.den, self.den * o.den)
@@ -438,8 +436,6 @@ class RatFuncQ:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             return NotImplemented
-        if k == 0:
-            return RatFuncQ.from_rational(ONE)
         base = self
         if k < 0:
             if base.is_zero():

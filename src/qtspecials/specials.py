@@ -6,7 +6,7 @@ coefficient evaluated at parameters (1/q, 1/t) as q tends to 1.  A limit
 at q = 1 does not change under q -> 1/q, so that limit is taken exactly
 in the plain formal mode ``FormalQ(1/t)``: the coefficient is built as a
 rational function of q with t specialized first, and (q - 1) factors are
-cancelled.
+cancelled.  With t = q^a it is taken, for one part only, in ``FormalQ(1)``.
 
 Every cached q -> 1 limit goes through ``_limit``, which keeps it in the
 cache of the formal mode it was taken in: the Stirling inner limits in the
@@ -21,6 +21,7 @@ from .binomial import qt_binomial, qt_bracket, qt_bracket_shifted, v_coeff
 from .errors import DegenerateParameters, InvalidArgument, UnsupportedRegime
 from .partitions import (
     bump,
+    check_decreasing,
     check_partition,
     contains,
     enumerate_sub,
@@ -62,8 +63,10 @@ def u_coeff(lam, mu, mode: ScalarMode):
 
 @memo("inner", 0)
 def _inner_mode(mode: ScalarMode) -> FormalQ:
-    """The one FormalQ(1/t0) of ``mode`` (FormalQ() when t0 is None)."""
-    return FormalQ(None if mode.t0 is None else 1 / mode.t0)
+    """The one FormalQ(1/t0) of ``mode``; FormalQ(1) when t = q^a, which
+    ``stirling`` lets through for one-part partitions only: a one-part
+    coefficient has no power of t."""
+    return FormalQ(1 if mode.t0 is None else 1 / mode.t0)
 
 
 @memo("limit", 2)
@@ -84,14 +87,19 @@ def _coeff(fn, args, limit: bool, mode: ScalarMode):
     return fn(*args, mode)
 
 
-@memo("stirling", 3)
 def stirling(kind: str, nu, mu, mode: ScalarMode):
     """qt-Stirling number of the first or second kind at (nu, mu): a prefactor
     times sum_{mu <= lam <= nu} u(nu, lam) t^{s|lam|} v(lam, mu), where the
-    first kind takes v and the second u as the inner limit."""
+    first kind takes v and the second u as the inner limit.  Checks come
+    before the cache: nu a partition, mu weakly decreasing (0 if negative)."""
     if kind not in STIRLING_KINDS:
         raise InvalidArgument(f"kind must be one of {STIRLING_KINDS}")
-    if not contains(check_partition(nu), mu):
+    return _stirling(kind, check_partition(nu), check_decreasing(mu), mode)
+
+
+@memo("stirling", 3)
+def _stirling(kind: str, nu, mu, mode: ScalarMode):
+    if not contains(nu, mu) or (mu and mu[-1] < 0):
         return mode.zero
     n = len(nu)
     if n > 1 and mode.t0 is None:
@@ -196,15 +204,19 @@ def _bernoulli_weight(lam1, mu, mode: ScalarMode):
     return prod_ratio([mode.tpow(-n_stat(mu)), mode.qpow(n_prime_stat(mu)), b], [], mode)
 
 
-@memo("bernoulli", 1)
 def bernoulli(lam, mode: ScalarMode):
     """qt-Bernoulli number, from the triangular recurrence with value 1 at 0^n.
 
     Each partition of positive weight introduces exactly one new unknown,
     so the defining relation
     sum_{mu <= lam} t^{-n(mu)} q^{n(mu')} B(lam+e_1, mu) beta_mu = 0
-    solves uniquely for beta_lam.
+    solves uniquely for beta_lam.  lam is checked before the cache.
     """
+    return _bernoulli(check_partition(lam), mode)
+
+
+@memo("bernoulli", 1)
+def _bernoulli(lam, mode: ScalarMode):
     if weight(lam) == 0:
         return mode.one
     lam1 = bump(lam, 1)
@@ -263,7 +275,8 @@ def alpha_limit(quantity, alpha: int):
 
 def binomial_alpha(lam, mu, alpha: int) -> Rational:
     """alpha-binomial coefficient: the t = q^alpha, q -> 1 limit."""
-    return _limit(qt_binomial, (lam, mu), FormalQ.alpha(alpha))
+    return _limit(qt_binomial, (check_partition(lam), check_decreasing(mu)),
+                  FormalQ.alpha(alpha))
 
 
 def bernoulli_alpha(lam, alpha: int) -> Rational:
@@ -274,7 +287,7 @@ def bernoulli_alpha(lam, alpha: int) -> Rational:
     limits (the monomial weights tend to 1); solving over exact rationals
     avoids any large formal denominators.
     """
-    return _bernoulli_limit(lam, FormalQ.alpha(alpha))
+    return _bernoulli_limit(check_partition(lam), FormalQ.alpha(alpha))
 
 
 @memo("bernoulli_limit", 1)

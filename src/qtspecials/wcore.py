@@ -230,7 +230,7 @@ class ScalarMode:
 
     Each mode owns a cache, which every layer fills only through ``memo``;
     all cached values are immutable, so concurrent reads/inserts under one
-    mode are safe.
+    mode are safe.  A power of q or t missing from its table needs an int k.
     """
 
     def __init__(self):
@@ -238,22 +238,22 @@ class ScalarMode:
         self._qp: dict = {}
         self._tp: dict = {}
 
-    # subclasses provide: q, t, one, zero, lift(r), is_point
-    t0 = None  # the rational t, or None when t is formal
+    # subclasses provide the attributes q, t, one, zero and is_point, and lift(r)
+    t0 = None  # the rational t, or None when t = q^a
 
     def qpow(self, k: int):
         v = self._qp.get(k)
-        if v is None:
-            v = self._qp[k] = self.q ** k
-        return v
+        return _power(self._qp, self.q, k) if v is None else v
 
     def tpow(self, k: int):
-        if k == 0:
-            return self.one
         v = self._tp.get(k)
-        if v is None:
-            v = self._tp[k] = self.t ** k
-        return v
+        return _power(self._tp, self.t, k) if v is None else v
+
+
+def _power(table: dict, x, k: int):
+    check_sizes(None, exponent=k)
+    v = table[k] = x ** k
+    return v
 
 
 class AtPoint(ScalarMode):
@@ -282,10 +282,8 @@ class FormalQ(ScalarMode):
     Variants:
 
     * ``FormalQ(t0)``        -- t specialized to the rational t0;
-    * ``FormalQ()``          -- no value for t: any computation that touches
-      t raises instead of silently using a wrong value;
     * ``FormalQ.alpha(a)``   -- t = q^a for a positive integer a (the
-      specialization used for ordinary-limit computations).
+      specialization used for ordinary-limit computations), with t0 None.
 
     q is the generator in every variant.  A limit at q = 1 does not change
     under q -> 1/q, so the limit of a formula at parameters (1/q, 1/t0) is
@@ -295,13 +293,11 @@ class FormalQ(ScalarMode):
     is_point = False
     _alpha_modes: dict = {}  # a -> the one FormalQ.alpha(a) of the process
 
-    def __init__(self, t0=None):
+    def __init__(self, t0):
         super().__init__()
         self.q = RatFuncQ.generator()
-        self._t_value, self._label = None, "raw"
-        if t0 is not None:
-            self.t0 = as_rational(t0)
-            self._t_value, self._label = RatFuncQ.from_rational(self.t0), f"t0={self.t0}"
+        self.t0 = as_rational(t0)
+        self.t = RatFuncQ.from_rational(self.t0)
         self.one = RatFuncQ.from_rational(1)
         self.zero = RatFuncQ.from_rational(0)
 
@@ -313,15 +309,9 @@ class FormalQ(ScalarMode):
             raise UnsupportedRegime(f"alpha must be a positive integer, got {a!r}")
         mode = cls._alpha_modes.get(a)
         if mode is None:
-            mode = cls._alpha_modes[a] = cls()
-            mode._t_value, mode._label = mode.q ** a, f"t=q^{a}"
+            mode = cls._alpha_modes[a] = cls(1)
+            mode.t0, mode.t = None, mode.q ** a
         return mode
-
-    @property
-    def t(self):
-        if self._t_value is None:
-            raise UnsupportedRegime("this formal mode carries no value for t")
-        return self._t_value
 
     def lift(self, r):
         if isinstance(r, RatFuncQ):
@@ -329,7 +319,8 @@ class FormalQ(ScalarMode):
         return RatFuncQ.from_rational(as_rational(r))
 
     def __repr__(self):
-        return f"FormalQ({self._label})"
+        t = self.t0 if self.t0 is not None else f"q^{self.t.num.degree}"
+        return f"FormalQ(t={t})"
 
 
 def memo(kind: str, at: int):
@@ -403,10 +394,11 @@ def poch(a, m: int, mode: ScalarMode):
 
 @memo("poch", 3)
 def pochm(i: int, j: int, m: int, mode: ScalarMode, c: Coef = UNIT):
-    """(c q^i t^j; q)_m for integer exponents and a Coef c, memoized on the
-    mode; c = 1 is left out, never passed, so that it has one key."""
+    """(c q^i t^j; q)_m for ints i, j, m and a Coef c, memoized on the mode;
+    c = 1 is left out, never passed, so that it has one key."""
     if not isinstance(c, Coef):  # a raw scalar would key the cache by itself
         raise InvalidArgument(f"pochm takes c as a Coef (wcore.coef), got {c!r}")
+    check_sizes(None, i=i, j=j, m=m)
     return poch(c.value * mode.qpow(i) * mode.tpow(j), m, mode)
 
 
@@ -550,7 +542,7 @@ def w_multi(kind: str, lam, mu, z, mode: ScalarMode, s=None):
     of the "ab" kind are shifted by t^{-ell}, and the "s_up" kind gains
     t^{ell(|lam|-|nu|)}.  Only strips nu containing mu enter, so the value
     vanishes for mu not contained in lam; lam must be a partition, and mu
-    of its length.  Each strip's inner value W_{nu/mu}(z_2, ...) comes
+    weakly decreasing of its length.  Each strip's inner value W_{nu/mu}(z_2, ...) comes
     first, and its skew value W_{lam/nu}(z_1) is computed only when that is
     nonzero.  The divisors a skipped skew value would have checked still
     raise: 1/c of z_1 and (s q / z_1)_lam once per value with a strip, and

@@ -9,7 +9,6 @@ from qtspecials.binomial import (
     binom_rect_lower,
     binom_rect_upper,
     gaussian_binomial,
-    q_number,
     qt_binomial,
     qt_bracket,
     qt_bracket_shifted,
@@ -100,14 +99,15 @@ def test_e1_sum_form(mode):
 
 
 def test_q_number(mode):
-    assert q_number(0, mode) == 0
-    assert q_number(5, mode) == sum(mode.qpow(k) for k in range(5))
+    """[m]_q is the one-part bracket, the geometric sum of q^k for k < m."""
+    for m in (0, 1, 5):
+        assert qt_bracket((m,), mode) == sum((mode.qpow(k) for k in range(m)), mode.zero)
 
 
 def test_qt_bracket(unit_mode):
     m = unit_mode
     assert qt_bracket((1, 1, 1), m) == 1
-    assert qt_bracket((4,), m) == q_number(4, m)
+    assert qt_bracket((4,), m) == sum(m.qpow(k) for k in range(4))
     m2 = AtPoint(QtPoint(Rational(1, 2), Rational(1, 3)))
     assert qt_bracket((2, 1), m2) == Rational(11, 10)
 

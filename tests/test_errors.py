@@ -2,8 +2,12 @@
 a QtError, never with a bare builtin exception."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qtspecials.binomial import binom_rect_lower, binom_rect_upper, qt_binomial
+from qtspecials import partitions
+from qtspecials.binomial import (binom_rect_lower, binom_rect_upper, poch_reciprocal,
+                                 qt_binomial, qt_bracket, v_coeff)
 from qtspecials.distributions import (DensitySpec, density, distribution_F, exp_E, exp_e,
                                       sample)
 from qtspecials.errors import (DegenerateParameters, DivisionByZero, InvalidArgument,
@@ -11,10 +15,11 @@ from qtspecials.errors import (DegenerateParameters, DivisionByZero, InvalidArgu
                                QtError)
 from qtspecials.identities import (check_density_normalization, check_geometric, check_pascal,
                                    run_identity_suite, run_specials_suite)
-from qtspecials.partitions import check_partition, partition
+from qtspecials.partitions import bump, check_partition, enumerate_strips, enumerate_sub, partition
 from qtspecials.scalars import RatFuncQ, Rational, UniPoly, as_rational, parse_rational
-from qtspecials.specials import bell, binomial_alpha, catalan, stirling
-from qtspecials.wcore import AtPoint, QtPoint, poch, pochm
+from qtspecials.specials import (bell, bernoulli, bernoulli_alpha, binomial_alpha, catalan,
+                                 fibonacci, stirling)
+from qtspecials.wcore import AtPoint, QtPoint, norm_weight, poch, poch_partition, pochm
 
 POINT = QtPoint(Rational(1, 3), Rational(1, 2), n=2, max_part=6)
 Z = Rational(1, 100)
@@ -67,6 +72,12 @@ CASES = [
     ("bell list", InvalidArgument, lambda m: bell([2, 1], m)),
     ("catalan list", InvalidArgument, lambda m: catalan([1, 1], m)),
     ("binomial_alpha list", InvalidArgument, lambda m: binomial_alpha([2, 1], [1, 0], 1)),
+    ("stirling mu not decreasing", NotAPartition,
+     lambda m: stirling("first", (2, 1), (0, 3), m)),
+    ("bump float index", InvalidArgument, lambda m: bump((2, 1), 1.5)),
+    ("bump str index", InvalidArgument, lambda m: bump((2, 1), "1")),
+    ("enumerate_sub float weight", InvalidArgument, lambda m: enumerate_sub((3, 1), 2.5)),
+    ("enumerate_sub bool weight", InvalidArgument, lambda m: enumerate_sub((3, 1), True)),
     # a size is an int (not a bool)
     ("QtPoint float n", InvalidArgument, lambda m: QtPoint(Rational(1, 3), Rational(1, 2), n=2.5)),
     ("QtPoint bool n", InvalidArgument, lambda m: QtPoint(Rational(1, 3), Rational(1, 2), n=True)),
@@ -95,6 +106,145 @@ def test_a_list_lam_is_stored_as_a_partition():
     spec = _spec(lam=[2, 1])
     assert type(spec.lam) is tuple and spec.lam == (2, 1)
     assert density(spec, (1, 0)) == density(_spec(), (1, 0))
+
+
+def _fresh_mode():
+    return QtPoint(Rational(1, 3), Rational(2, 7), n=2, max_part=6).mode
+
+
+def _int_keys_only(mode):
+    """The power tables of ``mode`` and the enumeration memo hold int keys."""
+    def ints(p):
+        return p is None or all(type(x) is int for x in p)
+
+    assert all(type(k) is int for k in (*mode._qp, *mode._tp))
+    assert all(ints(lam) and (k is None or type(k) is int) for lam, k in partitions._SUBS)
+    assert all(ints(lam) and ints(mu) for lam, mu in partitions._STRIPS)
+
+
+# a float index is refused before any cache is read: with the int twin
+# (2, 1) computed first ("warm") as on a fresh mode
+FLOAT_INDEX_CASES = [
+    ("stirling", lambda lam, m: stirling("first", lam, (1, 0), m)),
+    ("bernoulli", bernoulli),
+    ("binomial_alpha", lambda lam, m: binomial_alpha(lam, (1, 0), 1)),
+    ("bernoulli_alpha", lambda lam, m: bernoulli_alpha(lam, 1)),
+    ("fibonacci", fibonacci),
+    ("enumerate_sub", lambda lam, m: enumerate_sub(lam)),
+    ("enumerate_strips", lambda lam, m: enumerate_strips(lam)),
+    ("enumerate_strips mu", lambda mu, m: enumerate_strips((2, 1), mu)),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("call", [c[1] for c in FLOAT_INDEX_CASES],
+                         ids=[c[0] for c in FLOAT_INDEX_CASES])
+def test_a_float_index_is_refused_before_the_cache(call, warm):
+    mode = _fresh_mode()
+    if warm:
+        call((2, 1), mode)
+    with pytest.raises(NotAPartition):
+        call((2.0, 1), mode)
+
+
+# an exponent or order that is no int never enters a power table or a factor
+FLOAT_EXPONENT_CASES = [
+    ("qt_bracket", qt_bracket),
+    ("poch_partition", lambda lam, m: poch_partition(Z, lam, m)),
+    ("norm_weight", norm_weight),
+    ("poch_reciprocal", lambda lam, m: poch_reciprocal(Z, lam, m)),
+]
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm"])
+@pytest.mark.parametrize("call", [c[1] for c in FLOAT_EXPONENT_CASES],
+                         ids=[c[0] for c in FLOAT_EXPONENT_CASES])
+def test_a_float_exponent_is_refused_on_a_miss(call, warm):
+    mode = _fresh_mode()
+    if not warm:
+        with pytest.raises(InvalidArgument):
+            call((2.0, 1), mode)
+    else:
+        expect = call((2, 1), mode)
+        try:
+            got = call((2.0, 1), mode)
+        except QtError:
+            pass
+        else:
+            assert type(got) is type(expect) and got == expect
+    _int_keys_only(mode)
+
+
+def test_a_refused_float_exponent_leaves_the_point_usable():
+    """A refused call stores nothing: q^2 of the point stays exact."""
+    mode = _fresh_mode()
+    with pytest.raises(InvalidArgument):
+        qt_bracket((2.0, 1), mode)
+    assert catalan((1, 1), mode) == catalan((1, 1), _fresh_mode()) == Rational(4, 3)
+    _int_keys_only(mode)
+
+
+@pytest.mark.parametrize("kind", ["first", "second"])
+def test_a_negative_part_of_mu_gives_zero(kind):
+    """mu may be weakly decreasing with a negative part: the binomial, v and
+    the Stirling numbers are then 0, with no n(mu') to take."""
+    mode = _fresh_mode()
+    assert v_coeff((0,), (-1,), mode) == 0
+    assert stirling(kind, (1, 0), (0, -1), mode) == 0
+
+
+# parts of a malformed index: ints, floats equal to ints, bools, strs and
+# negative ints; the int twin of a part is int(part), and a str is its own
+_PART = (st.integers(0, 2) | st.integers(0, 2).map(float) | st.booleans()
+         | st.sampled_from(["1", "a"]) | st.integers(-2, -1))
+
+SWEEP = {
+    "qt_binomial": lambda lam, mu, kind, m: qt_binomial(lam, mu, m),
+    "stirling": lambda lam, mu, kind, m: stirling(kind, lam, mu, m),
+    "bernoulli": lambda lam, mu, kind, m: bernoulli(lam, m),
+    "bell": lambda lam, mu, kind, m: bell(lam, m),
+    "catalan": lambda lam, mu, kind, m: catalan(lam, m),
+    "fibonacci": lambda lam, mu, kind, m: fibonacci(lam, m),
+    "binomial_alpha": lambda lam, mu, kind, m: binomial_alpha(lam, mu, 1),
+    "poch_partition": lambda lam, mu, kind, m: poch_partition(Z, lam, m),
+    "qt_bracket": lambda lam, mu, kind, m: qt_bracket(lam, m),
+    "enumerate_sub": lambda lam, mu, kind, m: enumerate_sub(lam),
+}
+
+
+def _outcome(call, *args):
+    """call(*args), or the QtError it raises; any other exception escapes."""
+    try:
+        return call(*args)
+    except QtError as exc:
+        return exc
+
+
+@st.composite
+def _malformed_case(draw):
+    n = draw(st.integers(1, 2))
+    parts = st.lists(_PART, min_size=n, max_size=n).map(tuple)
+    return (draw(st.sampled_from(sorted(SWEEP))), draw(parts), draw(parts),
+            draw(st.sampled_from(["first", "second"])))
+
+
+@given(_malformed_case())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_a_malformed_index_gives_the_int_value_or_a_qt_error(case):
+    """On a fresh mode, and on a warm one where the int twin came first, a
+    call returns the twin's exact value or raises a QtError, and leaves only
+    int keys in the power tables and the enumeration memo."""
+    name, lam, mu, kind = case
+    call = SWEEP[name]
+    twins = [tuple(x if type(x) is str else int(x) for x in p) for p in (lam, mu)]
+    warm = _fresh_mode()
+    expect = _outcome(call, *twins, kind, warm)
+    for mode in (_fresh_mode(), warm):
+        got = _outcome(call, lam, mu, kind, mode)
+        if not isinstance(got, QtError):
+            assert not isinstance(expect, QtError), (name, lam, mu)
+            assert type(got) is type(expect) and got == expect, (name, lam, mu)
+        _int_keys_only(mode)
 
 
 Q = RatFuncQ.generator()

@@ -265,18 +265,21 @@ def test_second_stirling_build_on_one_mode_reuses_every_coefficient(monkeypatch)
 class _ReciprocalMode(FormalQ):
     """Formal mode whose slots hold (1/q, 1/t0): the parameters at which the
     Stirling inner limit is defined, typed out as the reference for the
-    plain FormalQ(1/t0) that computes it.  No t0 leaves t unavailable."""
+    plain FormalQ(1/t0) that computes it."""
 
-    def __init__(self, t0=None):
-        super().__init__(None if t0 is None else 1 / t0)
+    def __init__(self, t0):
+        super().__init__(1 / t0)
         self.q = RatFuncQ.generator() ** -1
 
 
 def _inner_limit_cases():
     for t0 in (Rational(3, 5), Rational(7, 2)):
         yield FormalQ(t0), _ReciprocalMode(t0), (2, 2, 1)
+    # t = q^a has no rational t0: its one-part inner limits, taken at t0 = 1,
+    # equal the reference at two t0, so they do not depend on t
     for a in (1, 2):
-        yield FormalQ.alpha(a), _ReciprocalMode(), (4,)
+        for t0 in (Rational(1), Rational(7, 2)):
+            yield FormalQ.alpha(a), _ReciprocalMode(t0), (4,)
 
 
 def test_inner_limits_match_the_reciprocal_mode():

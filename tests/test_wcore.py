@@ -406,15 +406,6 @@ def test_formal_alpha_mode_ties_t_to_q():
         (1 - fmode.qpow(-2)) * (1 - fmode.qpow(-1)))
 
 
-def test_formal_mode_without_t_guards_t():
-    from qtspecials.errors import UnsupportedRegime
-
-    fmode = FormalQ()
-    assert fmode.tpow(0) == 1  # never touches t
-    with pytest.raises(UnsupportedRegime):
-        fmode.tpow(1)
-
-
 def test_strip_vanishing_sweep(mode):
     """w_skew is zero exactly off horizontal strips over a full small box."""
     from qtspecials.partitions import is_horizontal_strip
