@@ -62,3 +62,10 @@ class UnsupportedRegime(QtError):
     """The operation is only defined for a restricted parameter regime
     (e.g. sampling requires the positivity regime, a limit mode is not
     available for this input)."""
+
+
+def check_alpha(alpha) -> None:
+    """Raise UnsupportedRegime unless alpha is a positive integer, the only
+    alpha for which t = q^alpha keeps every scalar a rational function of q."""
+    if not (isinstance(alpha, int) and alpha >= 1):
+        raise UnsupportedRegime(f"alpha must be a positive integer, got {alpha!r}")

@@ -3,22 +3,30 @@ numbers, plus the integer-alpha ordinary limits (t = q^alpha, q -> 1).
 
 The Stirling formulas contain an inner limit: a change-of-basis
 coefficient evaluated at parameters (1/q, 1/t) as q tends to 1.  A limit
-at q = 1 does not change under q -> 1/q, so that limit is taken exactly
-in the plain formal mode ``FormalQ(1/t)``: the coefficient is built as a
-rational function of q with t specialized first, and (q - 1) factors are
-cancelled.  With t = q^a it is taken, for one part only, in ``FormalQ(1)``.
+at q = 1 does not change under q -> 1/q, so the inner limit of u is taken
+exactly in the plain formal mode ``FormalQ(1/t)``: the coefficient is built
+as a rational function of q with t specialized first, and (q - 1) factors
+are cancelled.  With t = q^a it is taken, for one part only, in
+``FormalQ(1)``.  The inner limit of v is not built formally: u and v are
+inverse triangular matrices (U V = I), the limits keep that identity, and
+v's limits are solved from u's in Rationals.  So each inner mode builds one
+formal family, u, for both Stirling kinds.
 
 Every cached q -> 1 limit goes through ``_limit``, which keeps it in the
 cache of the formal mode it was taken in: the Stirling inner limits in the
 one ``FormalQ(1/t)`` of the outer mode (itself kept in the outer mode's
-cache), the alpha-binomials and alpha-Bernoulli numbers in
-``FormalQ.alpha(a)``, which lives as long as the process.
+cache, as are the solved limits of v), the alpha-binomials and
+alpha-Bernoulli numbers in ``FormalQ.alpha(a)``, which lives as long as the
+process.
 """
 
 from __future__ import annotations
 
+from math import prod
+
 from .binomial import qt_binomial, qt_bracket, qt_bracket_shifted, v_coeff
-from .errors import DegenerateParameters, InvalidArgument, UnsupportedRegime
+from .errors import (DegenerateParameters, InvalidArgument, UnsupportedRegime, check_alpha,
+                     check_sizes)
 from .partitions import (
     bump,
     check_decreasing,
@@ -76,15 +84,34 @@ def _limit(fn, args, mode: FormalQ):
     return limit_at_one(fn(*args, mode))
 
 
+@memo("v_limit", 2)
+def _v_limit(lam, mu, inner: FormalQ) -> Rational:
+    """Inner limit of v(lam, mu), solved from those of u, cached in ``inner``.
+
+    u and v are inverse triangular matrices, and the limits keep U V = I:
+    sum_{mu <= kappa <= lam} u(lam, kappa) v(kappa, mu) = delta(lam, mu),
+    triangular in kappa with the unknown v(lam, mu) at kappa = lam.  Its
+    leading coefficient u(lam, lam) is a signed power of t, never 0.  Called
+    on mu <= lam only.
+    """
+    if lam == mu:
+        return 1 / _limit(u_coeff, (lam, lam), inner)
+    return _solve_recurrence(
+        lam, lambda kappa: _limit(u_coeff, (lam, kappa), inner) if contains(kappa, mu) else 0,
+        lambda kappa: _v_limit(kappa, mu, inner), sum_rationals)
+
+
 STIRLING_KINDS = ("first", "second")
 
 
 def _coeff(fn, args, limit: bool, mode: ScalarMode):
     """fn(*args) in ``mode``, or if ``limit`` its inner limit at (1/q, 1/t),
-    taken in ``_inner_mode(mode)`` and lifted back into ``mode``."""
-    if limit:
-        return mode.lift(_limit(fn, args, _inner_mode(mode)))
-    return fn(*args, mode)
+    taken in ``_inner_mode(mode)`` and lifted back into ``mode``: v's is
+    solved from u's, any other is taken formally."""
+    if not limit:
+        return fn(*args, mode)
+    inner = _inner_mode(mode)
+    return mode.lift(_v_limit(*args, inner) if fn is v_coeff else _limit(fn, args, inner))
 
 
 def stirling(kind: str, nu, mu, mode: ScalarMode):
@@ -185,7 +212,7 @@ def _solve_recurrence(lam, coeff, value, total):
     lead = coeff(lam)
     if lead == 0:
         raise DegenerateParameters(
-            f"leading binomial of the recurrence vanishes at {lam}"
+            f"leading coefficient of the recurrence vanishes at {lam}"
         )
     terms = []
     for mu in enumerate_sub(lam):
@@ -300,5 +327,16 @@ def _bernoulli_limit(lam, mode: FormalQ) -> Rational:
 
 
 def bracket_alpha(z, alpha: int) -> Rational:
-    """alpha-limit of the bracket: prod_i (z_i + alpha(n-i)) / (1 + alpha(n-i))."""
-    return alpha_limit(lambda m: qt_bracket(tuple(z), m), alpha)
+    """alpha-limit of the bracket: prod_i (z_i + alpha(n-i)) / (1 + alpha(n-i)).
+
+    At t = q^alpha the i-th factor of ``qt_bracket`` is
+    (1 - q^{z_i + alpha(n-i)}) / (1 - q^{1 + alpha(n-i)}), and
+    (1 - q^a) / (1 - q^b) tends to a / b at q = 1 for every int a and b != 0.
+    """
+    check_alpha(alpha)
+    z = tuple(z)
+    for zi in z:
+        check_sizes(None, z_i=zi)
+    n = len(z)
+    return Rational(prod(zi + alpha * (n - i) for i, zi in enumerate(z, start=1)),
+                    prod(1 + alpha * (n - i) for i in range(1, n + 1)))

@@ -63,7 +63,7 @@ from operator import add, mul
 from typing import NamedTuple
 
 from .errors import (DegenerateParameters, InvalidArgument, NotAStrip,
-                     UnsupportedRegime, check_sizes)
+                     check_alpha, check_sizes)
 from .partitions import (
     check_partition,
     enumerate_strips,
@@ -305,8 +305,7 @@ class FormalQ(ScalarMode):
     def alpha(cls, a: int) -> "FormalQ":
         """Mode with t = q^a (positive integer a); one per a, kept with its
         cache for the life of the process."""
-        if not (isinstance(a, int) and a >= 1):
-            raise UnsupportedRegime(f"alpha must be a positive integer, got {a!r}")
+        check_alpha(a)
         mode = cls._alpha_modes.get(a)
         if mode is None:
             mode = cls._alpha_modes[a] = cls(1)
@@ -383,8 +382,10 @@ def sum_prods(terms, mode: ScalarMode):
 def poch(a, m: int, mode: ScalarMode):
     """Finite product (a; q)_m = prod_{k=0}^{m-1} (1 - a q^k).
 
-    Negative order inverts: (a; q)_{-k} = 1 / (a q^{-k}; q)_k.
+    Negative order inverts: (a; q)_{-k} = 1 / (a q^{-k}; q)_k.  The order
+    is an int.
     """
+    check_sizes(None, m=m)
     if m >= 0:
         return prod_ratio([mode.one - a * mode.qpow(k) for k in range(m)], [], mode)
     a = a * mode.qpow(m)
@@ -398,7 +399,7 @@ def pochm(i: int, j: int, m: int, mode: ScalarMode, c: Coef = UNIT):
     c = 1 is left out, never passed, so that it has one key."""
     if not isinstance(c, Coef):  # a raw scalar would key the cache by itself
         raise InvalidArgument(f"pochm takes c as a Coef (wcore.coef), got {c!r}")
-    check_sizes(None, i=i, j=j, m=m)
+    check_sizes(None, i=i, j=j)  # poch checks m
     return poch(c.value * mode.qpow(i) * mode.tpow(j), m, mode)
 
 

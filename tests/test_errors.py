@@ -17,8 +17,8 @@ from qtspecials.identities import (check_density_normalization, check_geometric,
                                    run_identity_suite, run_specials_suite)
 from qtspecials.partitions import bump, check_partition, enumerate_strips, enumerate_sub, partition
 from qtspecials.scalars import RatFuncQ, Rational, UniPoly, as_rational, parse_rational
-from qtspecials.specials import (bell, bernoulli, bernoulli_alpha, binomial_alpha, catalan,
-                                 fibonacci, stirling)
+from qtspecials.specials import (bell, bernoulli, bernoulli_alpha, binomial_alpha,
+                                 bracket_alpha, catalan, fibonacci, stirling)
 from qtspecials.wcore import AtPoint, QtPoint, norm_weight, poch, poch_partition, pochm
 
 POINT = QtPoint(Rational(1, 3), Rational(1, 2), n=2, max_part=6)
@@ -49,6 +49,12 @@ CASES = [
      lambda m: check_geometric((0,), Z, -1, 10, QtPoint(Rational(1, 3), Rational(1, 2)))),
     ("poch negative order, vanishing factor", DegenerateParameters,
      lambda m: poch(m.q, -1, m)),
+    ("poch float order", InvalidArgument, lambda m: poch(Rational(1, 5), 2.0, m)),
+    ("poch str order", InvalidArgument, lambda m: poch(Rational(1, 5), "2", m)),
+    ("poch None order", InvalidArgument, lambda m: poch(Rational(1, 5), None, m)),
+    ("bracket_alpha float part", InvalidArgument, lambda m: bracket_alpha((2.5, 1), 2)),
+    ("bracket_alpha str part", InvalidArgument, lambda m: bracket_alpha((2, "1"), 2)),
+    ("bracket_alpha bool part", InvalidArgument, lambda m: bracket_alpha((True, 0), 2)),
     ("pochm raw scalar", InvalidArgument, lambda m: pochm(1, 0, 2, m, Rational(2, 9))),
     ("catalan of the empty partition", InvalidArgument, lambda m: catalan((), m)),
     ("pascal bump index", InvalidArgument, lambda m: check_pascal((2, 1), 5, 0, m)),

@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from qtspecials.binomial import poch_reciprocal, qt_binomial
+from qtspecials.binomial import poch_reciprocal, qt_binomial, qt_bracket
 from qtspecials.errors import DegenerateParameters, NotAPartition, UnsupportedRegime
 from qtspecials.identities import random_qt_point
 from qtspecials.partitions import (
@@ -262,6 +262,43 @@ def test_second_stirling_build_on_one_mode_reuses_every_coefficient(monkeypatch)
         assert StirlingTable.build(kind, (2, 2, 1), mode).entries == first[kind].entries
 
 
+def test_both_stirling_builds_take_no_formal_limit_of_v(monkeypatch):
+    """v's inner limits are solved from u's, so on a fresh point the only
+    formal family that both tables build is u."""
+    import qtspecials.specials as specials
+
+    formal = {"u_coeff": 0, "v_coeff": 0}
+
+    def counting(name, fn):
+        def call(lam, mu, mode):
+            formal[name] += not mode.is_point
+            return fn(lam, mu, mode)
+        return call
+
+    monkeypatch.setattr(specials, "u_coeff", counting("u_coeff", u_coeff))
+    monkeypatch.setattr(specials, "v_coeff", counting("v_coeff", v_coeff))
+    mode = _stirling_point().mode
+    for kind in STIRLING_KINDS:
+        StirlingTable.build(kind, (2, 2, 1), mode)
+    assert formal["v_coeff"] == 0
+    assert formal["u_coeff"] > 0
+
+
+def test_direct_inner_limits_of_u_and_v_are_inverse_matrices():
+    """sum_kappa u_lim(lam, kappa) v_lim(kappa, mu) = delta, both limits
+    taken directly: the identity from which the Stirling sum solves v's."""
+    from qtspecials.specials import _limit
+
+    for t0 in (Rational(5, 11), Rational(-7, 3)):
+        inner = FormalQ(1 / t0)
+        for lam in enumerate_sub((3, 2, 1)):
+            for mu in enumerate_sub(lam):
+                total = sum(_limit(u_coeff, (lam, kappa), inner)
+                            * _limit(v_coeff, (kappa, mu), inner)
+                            for kappa in enumerate_sub(lam) if contains(kappa, mu))
+                assert total == (lam == mu), (t0, lam, mu)
+
+
 class _ReciprocalMode(FormalQ):
     """Formal mode whose slots hold (1/q, 1/t0): the parameters at which the
     Stirling inner limit is defined, typed out as the reference for the
@@ -373,6 +410,8 @@ def _exact_form(x):
                  (2, 2, 1), id="point-2/7-5/11"),
     pytest.param(lambda: AtPoint(QtPoint(Rational(-3, 4), Rational(7, 3), n=3, max_part=4)),
                  (2, 2, 1), id="point--3/4-7/3"),
+    pytest.param(lambda: AtPoint(QtPoint(Rational(2, 7), Rational(5, 11), n=3, max_part=5)),
+                 (3, 2, 1), id="point-2/7-5/11-321"),
     pytest.param(lambda: FormalQ(Rational(3, 5)), (2, 2, 1), id="formal-t0"),
     pytest.param(lambda: FormalQ.alpha(1), (4,), id="alpha-1"),
     pytest.param(lambda: FormalQ.alpha(2), (4,), id="alpha-2"),
@@ -518,12 +557,20 @@ def test_alpha_binomial_is_classical_at_alpha_one():
 
 
 def test_alpha_bracket_formula():
-    # prod_i (z_i + alpha(n-i)) / (1 + alpha(n-i)), from the factorwise limit
-    for alpha in (1, 2):
-        for z in [(3, 1), (2, 2), (4, 0)]:
+    # prod_i (z_i + alpha(n-i)) / (1 + alpha(n-i)), from the factorwise limit,
+    # and the formal limit of the bracket itself
+    for alpha in (1, 2, 3):
+        for z in [(3, 1), (2, 2), (4, 0)] + enumerate_sub((3, 2, 1)):
             n = len(z)
             expect = Rational(1)
             for i in range(1, n + 1):
                 expect *= Rational(z[i - 1] + alpha * (n - i), 1 + alpha * (n - i))
-            assert bracket_alpha(z, alpha) == expect
+            assert bracket_alpha(z, alpha) == expect, (alpha, z)
+            assert bracket_alpha(z, alpha) == alpha_limit(lambda m: qt_bracket(z, m), alpha)
+
+
+@pytest.mark.parametrize("alpha", [0, -1, 1.0, "1", None])
+def test_alpha_bracket_refuses_an_alpha_that_is_no_positive_int(alpha):
+    with pytest.raises(UnsupportedRegime, match="alpha must be a positive integer"):
+        bracket_alpha((2, 1), alpha)
 
