@@ -7,17 +7,18 @@ at q = 1 does not change under q -> 1/q, so the inner limit of u is taken
 exactly in the plain formal mode ``FormalQ(1/t)``: the coefficient is built
 as a rational function of q with t specialized first, and (q - 1) factors
 are cancelled.  With t = q^a it is taken, for one part only, in
-``FormalQ(1)``.  The inner limit of v is not built formally: u and v are
-inverse triangular matrices (U V = I), the limits keep that identity, and
-v's limits are solved from u's in Rationals.  So each inner mode builds one
-formal family, u, for both Stirling kinds.
+``FormalQ(1)``.  v is not built from its own W family (``s_up``, through
+the binomial), neither at a point nor as an inner limit: u and v are
+inverse triangular matrices (U V = I), at a point and in the limit, and v
+is solved from u in Rationals.  So a Stirling sum at a point builds one W
+family, ``s_down``, and each inner mode one formal family, u.  A formal
+outer mode calls ``u_coeff`` and ``v_coeff`` itself.
 
-Every cached q -> 1 limit goes through ``_limit``, which keeps it in the
-cache of the formal mode it was taken in: the Stirling inner limits in the
-one ``FormalQ(1/t)`` of the outer mode (itself kept in the outer mode's
-cache, as are the solved limits of v), the alpha-binomials and
-alpha-Bernoulli numbers in ``FormalQ.alpha(a)``, which lives as long as the
-process.
+u and v are cached by ``_u`` and ``_v`` in the mode they are taken in: the
+point, or the one ``FormalQ(1/t)`` of the outer mode, itself kept in the
+outer mode's cache.  The alpha-binomials and alpha-Bernoulli numbers take
+their q -> 1 limits through ``_limit``, which keeps each in the cache of
+``FormalQ.alpha(a)``, alive as long as the process.
 """
 
 from __future__ import annotations
@@ -79,39 +80,48 @@ def _inner_mode(mode: ScalarMode) -> FormalQ:
 
 @memo("limit", 2)
 def _limit(fn, args, mode: FormalQ):
-    """lim_{q -> 1} of fn(*args, mode) as an exact Rational; cached in the
-    formal ``mode``."""
+    """lim_{q -> 1} of fn(*args, mode) as an exact Rational, cached in the
+    formal ``mode``: the alpha-binomials and alpha-Bernoulli numbers."""
     return limit_at_one(fn(*args, mode))
 
 
-@memo("v_limit", 2)
-def _v_limit(lam, mu, inner: FormalQ) -> Rational:
-    """Inner limit of v(lam, mu), solved from those of u, cached in ``inner``.
+@memo("u", 2)
+def _u(lam, kappa, mode: ScalarMode) -> Rational:
+    """u(lam, kappa) at a point, or in the inner ``FormalQ(1/t0)`` its limit at
+    q = 1; cached in ``mode``."""
+    u = u_coeff(lam, kappa, mode)
+    return u if mode.is_point else limit_at_one(u)
 
-    u and v are inverse triangular matrices, and the limits keep U V = I:
+
+@memo("v", 2)
+def _v(lam, mu, mode: ScalarMode) -> Rational:
+    """v(lam, mu) solved from ``_u`` in the same mode, cached in ``mode``.
+
+    u and v are inverse triangular matrices, at a point and in the limit:
     sum_{mu <= kappa <= lam} u(lam, kappa) v(kappa, mu) = delta(lam, mu),
     triangular in kappa with the unknown v(lam, mu) at kappa = lam.  Its
-    leading coefficient u(lam, lam) is a signed power of t, never 0.  Called
-    on mu <= lam only.
+    leading coefficient u(lam, lam) = 1 / v(lam, lam) is a signed monomial in
+    q and t, never 0.  Called on mu <= lam only.
     """
     if lam == mu:
-        return 1 / _limit(u_coeff, (lam, lam), inner)
+        return 1 / _u(lam, lam, mode)
     return _solve_recurrence(
-        lam, lambda kappa: _limit(u_coeff, (lam, kappa), inner) if contains(kappa, mu) else 0,
-        lambda kappa: _v_limit(kappa, mu, inner), sum_rationals)
+        lam, lambda kappa: _u(lam, kappa, mode) if contains(kappa, mu) else 0,
+        lambda kappa: _v(kappa, mu, mode), sum_rationals)
 
 
 STIRLING_KINDS = ("first", "second")
 
 
 def _coeff(fn, args, limit: bool, mode: ScalarMode):
-    """fn(*args) in ``mode``, or if ``limit`` its inner limit at (1/q, 1/t),
-    taken in ``_inner_mode(mode)`` and lifted back into ``mode``: v's is
-    solved from u's, any other is taken formally."""
-    if not limit:
+    """fn(*args) in ``mode`` (fn is u_coeff or v_coeff), or if ``limit`` its
+    inner limit at (1/q, 1/t), taken in ``_inner_mode(mode)`` and lifted back
+    into ``mode``.  At a point and in the inner mode v is solved from u; a
+    formal outer mode calls fn itself."""
+    if not (limit or mode.is_point):
         return fn(*args, mode)
-    inner = _inner_mode(mode)
-    return mode.lift(_v_limit(*args, inner) if fn is v_coeff else _limit(fn, args, inner))
+    value = (_v if fn is v_coeff else _u)(*args, _inner_mode(mode) if limit else mode)
+    return mode.lift(value)
 
 
 def stirling(kind: str, nu, mu, mode: ScalarMode):

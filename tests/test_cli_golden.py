@@ -100,6 +100,14 @@ GOLDEN = [
      "84ee02d033f537e5ec96e33d21f6d48f4e0e9c5e59052b51cc69e9164ffdbac9"),
     (("stirling", "--kind", "first", "--bound", "2,2,1", "--q", "2/7", "--t", "5/11"),
      "d66835b2cc99347ac33c5d1df3ef7a7f8de40a3055cf15fcac139926759c1aa8"),
+    # recorded while the point side of the Stirling sum still built v from
+    # the s_up family: second-kind tables at n >= 2, at two points
+    (("stirling", "--kind", "second", "--bound", "3,2,1", "--q", "2/7", "--t", "5/11"),
+     "9172e8c1174aa3814b7db2d49a9d376592de6b241a9f9e72cad9ff6499f8e8c9"),
+    (("bell", "--bound", "2,2,1", "--q", "2/7", "--t", "5/11"),
+     "9a4d43c883cec6677588c843c70b54bead256d0d1b7297c41a092b30ee755c68"),
+    (("stirling", "--kind", "second", "--bound", "2,2", "--q=-3/5", "--t", "7/4"),
+     "dc74741f64ca9a31dfc02aedb11c03801c7f25b93aaf6a2a0bd02c2b89ca4374"),
 ]
 
 

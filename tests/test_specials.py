@@ -284,6 +284,42 @@ def test_both_stirling_builds_take_no_formal_limit_of_v(monkeypatch):
     assert formal["u_coeff"] > 0
 
 
+UV_POINTS = [
+    pytest.param(Rational(2, 7), Rational(5, 11), id="2/7-5/11"),
+    pytest.param(Rational(-3, 5), Rational(7, 4), id="-3/5-7/4"),
+]
+
+
+@pytest.mark.parametrize("q,t", UV_POINTS)
+def test_solved_point_v_matches_the_s_up_family(q, t):
+    """v solved from u at a point against v_coeff, a monomial times the
+    binomial of the independent s_up family, computed in a fresh mode; on
+    the diagonal, u(lam, lam) v_coeff(lam, lam) = 1."""
+    from qtspecials.specials import _v
+
+    solved = QtPoint(q, t, n=4, max_part=4).mode
+    direct = AtPoint(QtPoint(q, t, n=4, max_part=4))
+    pairs = {(lam, mu) for bound in ((3, 2, 1), (2, 2, 2), (3, 3), (3, 2, 1, 1))
+             for lam in enumerate_sub(bound) for mu in enumerate_sub(lam)}
+    for lam, mu in sorted(pairs):
+        v = v_coeff(lam, mu, direct)
+        assert _v(lam, mu, solved) == v, (lam, mu)
+        if lam == mu:
+            assert u_coeff(lam, lam, direct) * v == 1, lam
+
+
+def test_both_stirling_builds_at_a_point_build_no_s_up_family():
+    """At a point v is solved from u, so both tables leave no binomial and
+    no s_up W value in the point's cache."""
+    mode = _stirling_point().mode
+    for kind in STIRLING_KINDS:
+        StirlingTable.build(kind, (2, 2, 1), mode)
+    kinds = {key[0] for key in mode.cache}
+    assert "binom" not in kinds
+    assert not [key for key in mode.cache if key[0] in ("W", "skew") and key[1] == "s_up"]
+    assert {"u", "v", "W", "skew"} <= kinds
+
+
 def test_direct_inner_limits_of_u_and_v_are_inverse_matrices():
     """sum_kappa u_lim(lam, kappa) v_lim(kappa, mu) = delta, both limits
     taken directly: the identity from which the Stirling sum solves v's."""

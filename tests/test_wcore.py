@@ -522,8 +522,10 @@ def _memo_cases():
         ("w_multi", wcore, "w_skew", lambda m: w_multi("ab", (2, 1), (0, 0), (x, y), m, y)),
         ("qt_binomial", binomial, "w_principal",
          lambda m: binomial.qt_binomial((3, 2), (1, 1), m)),
-        ("stirling", specials, "_limit",
+        ("stirling", specials, "u_coeff",
          lambda m: specials.stirling("second", (2, 1), (1, 0), m)),
+        ("_u", specials, "u_coeff", lambda m: specials._u((2, 1), (1, 0), m)),
+        ("_v", specials, "_u", lambda m: specials._v((2, 1), (1, 0), m)),
         ("bernoulli", specials, "qt_binomial", lambda m: specials.bernoulli((2, 1), m)),
         ("_limit", specials, "limit_at_one",
          lambda m: specials._limit(specials.u_coeff, ((2, 1), (1, 0)),
