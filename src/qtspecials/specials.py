@@ -3,22 +3,28 @@ numbers, plus the integer-alpha ordinary limits (t = q^alpha, q -> 1).
 
 The Stirling formulas contain an inner limit: a change-of-basis
 coefficient evaluated at parameters (1/q, 1/t) as q tends to 1.  A limit
-at q = 1 does not change under q -> 1/q, so the inner limit of u is taken
-exactly in the plain formal mode ``FormalQ(1/t)``: the coefficient is built
-as a rational function of q with t specialized first, and (q - 1) factors
-are cancelled.  With t = q^a it is taken, for one part only, in
-``FormalQ(1)``.  v is not built from its own W family (``s_up``, through
-the binomial), neither at a point nor as an inner limit: u and v are
-inverse triangular matrices (U V = I), at a point and in the limit, and v
-is solved from u in Rationals.  So a Stirling sum at a point builds one W
-family, ``s_down``, and each inner mode one formal family, u.  A formal
-outer mode calls ``u_coeff`` and ``v_coeff`` itself.
+at q = 1 does not change under q -> 1/q, so the inner limit is a limit in
+the plain formal mode ``FormalQ(T)``, T = 1/t (``FormalQ(1)`` when t = q^a,
+for one part only), but no formal family is built for it: it is taken in
+Rationals.  The limit b(lam, mu) of the qt-binomial comes from the q -> 1
+limit of the one-box recursion of the binomial, the analogue of the Jack
+and Macdonald binomial recursions (Lassalle, J. Funct. Anal. 158 (1998);
+Okounkov, Math. Res. Lett. 4 (1997)), see ``_b``; only a pair whose
+recursion has D = 0 takes the formal limit of ``qt_binomial``.  The limit
+of v is a signed power of T times b, and u is solved from it.  At a point
+the roles swap: u is ``u_coeff``, built from the W family ``s_down``, and v
+is solved from it; v is never built from its own W family ``s_up``.  Both
+solves use that u and v are inverse triangular matrices (U V = I), at a
+point and in the limit.  So a Stirling sum at a point builds one W family,
+``s_down``, and, away from D = 0, no formal value.  A formal outer mode
+calls ``u_coeff`` and ``v_coeff`` itself.
 
 u and v are cached by ``_u`` and ``_v`` in the mode they are taken in: the
-point, or the one ``FormalQ(1/t)`` of the outer mode, itself kept in the
-outer mode's cache.  The alpha-binomials and alpha-Bernoulli numbers take
-their q -> 1 limits through ``_limit``, which keeps each in the cache of
-``FormalQ.alpha(a)``, alive as long as the process.
+point, or the one ``FormalQ(T)`` of the outer mode, itself kept in the
+outer mode's cache, which also holds b ("b").  The alpha-binomials and
+alpha-Bernoulli numbers take their q -> 1 limits through ``_limit``, which
+keeps each in the cache of ``FormalQ.alpha(a)``, alive as long as the
+process.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .partitions import (
     n_stat,
     scale,
     sum_decompositions,
+    valid_bumps,
     weight,
 )
 from .scalars import Rational, limit_at_one, sum_rationals
@@ -72,37 +79,89 @@ def u_coeff(lam, mu, mode: ScalarMode):
 
 @memo("inner", 0)
 def _inner_mode(mode: ScalarMode) -> FormalQ:
-    """The one FormalQ(1/t0) of ``mode``; FormalQ(1) when t = q^a, which
-    ``stirling`` lets through for one-part partitions only: a one-part
-    coefficient has no power of t."""
+    """The one FormalQ(1/t0) of ``mode``, in whose cache the Stirling inner
+    limits are kept as Rationals (``_b``, ``_u``, ``_v``); FormalQ(1) when
+    t = q^a, which ``stirling`` lets through for one-part partitions only: a
+    one-part coefficient has no power of t."""
     return FormalQ(1 if mode.t0 is None else 1 / mode.t0)
 
 
 @memo("limit", 2)
 def _limit(fn, args, mode: FormalQ):
     """lim_{q -> 1} of fn(*args, mode) as an exact Rational, cached in the
-    formal ``mode``: the alpha-binomials and alpha-Bernoulli numbers."""
+    formal ``mode``: the alpha-binomials and alpha-Bernoulli numbers, and the
+    Stirling inner limits of the binomial at D = 0 (``_b``)."""
     return limit_at_one(fn(*args, mode))
+
+
+@memo("b", 2)
+def _b(lam, mu, mode: FormalQ) -> Rational:
+    """b(lam, mu), the limit at q = 1 of ``qt_binomial(lam, mu)`` in the inner
+    ``FormalQ(T)``, T = t0, in Rationals; cached in ``mode``.  Called on
+    mu <= lam only.
+
+    The one-box recursion of the binomial (the analogue of the Jack and
+    Macdonald binomial recursions, Lassalle 1998, Okounkov 1997) in the
+    limit: D b(lam, mu) = sum_i T^{1-i} b(lam, nu) b(nu, mu) over the
+    partitions nu = mu + e_i inside lam, D = sum_i (lam_i - mu_i) T^{1-i},
+    top-down from b(lam, lam) = 1, with the one-box value
+    b(nu, mu) = (nu_i - nu_{i+1}) T^{1-i} [i]_T, nu_{n+1} = 0.  Both are
+    observed, not proved here: tests/test_specials.py checks them against the
+    formal limit.  A pair with D = 0 takes the formal limit of the binomial
+    instead.
+    """
+    if lam == mu:
+        return Rational(1)
+    s = 1 / mode.t0  # T^{1-i} = s^{i-1}, and T^{1-i} [i]_T = 1 + s + ... + s^{i-1}
+    d = sum_rationals([[li - mi, s ** (i - 1)]
+                       for i, (li, mi) in enumerate(zip(lam, mu), start=1) if li != mi])
+    if d == 0:
+        return _limit(qt_binomial, (lam, mu), mode)
+    terms = []
+    for i in valid_bumps(mu):
+        nu = bump(mu, i)
+        if contains(lam, nu):
+            # T^{1-i} b(lam, nu) b(nu, mu) as i terms: b(nu, mu) = box (1 + ... + s^{i-1})
+            box = nu[i - 1] - (nu[i] if i < len(nu) else 0)
+            terms.extend([box, s ** (i - 1 + k), _b(lam, nu, mode)] for k in range(i))
+    return sum_rationals(terms) / d
 
 
 @memo("u", 2)
 def _u(lam, kappa, mode: ScalarMode) -> Rational:
-    """u(lam, kappa) at a point, or in the inner ``FormalQ(1/t0)`` its limit at
-    q = 1; cached in ``mode``."""
-    u = u_coeff(lam, kappa, mode)
-    return u if mode.is_point else limit_at_one(u)
+    """u(lam, kappa), cached in ``mode``: ``u_coeff`` at a point; in the inner
+    ``FormalQ(T)`` its limit at q = 1, solved from ``_v`` there.
+
+    u and v are inverse triangular matrices, at a point and in the limit:
+    sum_{kappa <= rho <= lam} v(lam, rho) u(rho, kappa) = delta(lam, kappa),
+    triangular in rho with the unknown u(lam, kappa) at rho = lam and the
+    leading coefficient v(lam, lam) = (-1)^{|lam|} T^{-n(lam)}, never 0.
+    Called on kappa <= lam only.
+    """
+    if mode.is_point:
+        return u_coeff(lam, kappa, mode)
+    if lam == kappa:
+        return 1 / _v(lam, lam, mode)
+    return _solve_recurrence(
+        lam, lambda rho: _v(lam, rho, mode) if contains(rho, kappa) else 0,
+        lambda rho: _u(rho, kappa, mode), sum_rationals)
 
 
 @memo("v", 2)
 def _v(lam, mu, mode: ScalarMode) -> Rational:
-    """v(lam, mu) solved from ``_u`` in the same mode, cached in ``mode``.
+    """v(lam, mu), cached in ``mode``: in the inner ``FormalQ(T)`` the limit of
+    ``v_coeff``, (-1)^{|mu|} T^{-n(mu)} b(lam, mu); at a point solved from
+    ``_u``.
 
-    u and v are inverse triangular matrices, at a point and in the limit:
+    u and v are inverse triangular matrices:
     sum_{mu <= kappa <= lam} u(lam, kappa) v(kappa, mu) = delta(lam, mu),
     triangular in kappa with the unknown v(lam, mu) at kappa = lam.  Its
     leading coefficient u(lam, lam) = 1 / v(lam, lam) is a signed monomial in
     q and t, never 0.  Called on mu <= lam only.
     """
+    if not mode.is_point:
+        v = _b(lam, mu, mode) / mode.t0 ** n_stat(mu)
+        return -v if weight(mu) % 2 else v
     if lam == mu:
         return 1 / _u(lam, lam, mode)
     return _solve_recurrence(
@@ -116,8 +175,8 @@ STIRLING_KINDS = ("first", "second")
 def _coeff(fn, args, limit: bool, mode: ScalarMode):
     """fn(*args) in ``mode`` (fn is u_coeff or v_coeff), or if ``limit`` its
     inner limit at (1/q, 1/t), taken in ``_inner_mode(mode)`` and lifted back
-    into ``mode``.  At a point and in the inner mode v is solved from u; a
-    formal outer mode calls fn itself."""
+    into ``mode``.  At a point v is solved from u, in the inner mode u from
+    v; a formal outer mode calls fn itself."""
     if not (limit or mode.is_point):
         return fn(*args, mode)
     value = (_v if fn is v_coeff else _u)(*args, _inner_mode(mode) if limit else mode)

@@ -108,6 +108,15 @@ GOLDEN = [
      "9a4d43c883cec6677588c843c70b54bead256d0d1b7297c41a092b30ee755c68"),
     (("stirling", "--kind", "second", "--bound", "2,2", "--q=-3/5", "--t", "7/4"),
      "dc74741f64ca9a31dfc02aedb11c03801c7f25b93aaf6a2a0bd02c2b89ca4374"),
+    # recorded while the Stirling inner limits were still taken of the formal
+    # u family; at t = -2 and t = -1/2 the one-box recursion has pairs with
+    # D = 0, which take the formal binomial limit instead
+    (("stirling", "--kind", "first", "--bound", "3,2,1", "--q", "2/7", "--t=-2"),
+     "b39cb43955e90f1836bad1183f370b0c93e811708afc86fde3efbeb7e5ffda0f"),
+    (("stirling", "--kind", "second", "--bound", "3,2,1", "--q", "2/7", "--t=-1/2"),
+     "95bf6bcd1a0d5c9f7a33f64962748f54d4861ae99c25d5120008a1b8dba38d1d"),
+    (("bell", "--bound", "2,2,1", "--q", "2/7", "--t=-2"),
+     "37f935f66c662c431b012f98a11900cfcc3556ab770a159dbd2efedd2a748d77"),
 ]
 
 

@@ -262,26 +262,40 @@ def test_second_stirling_build_on_one_mode_reuses_every_coefficient(monkeypatch)
         assert StirlingTable.build(kind, (2, 2, 1), mode).entries == first[kind].entries
 
 
+def _d_vanishes(lam, mu, t0):
+    """D = sum_i (lam_i - mu_i) T^{1-i} of the one-box recursion, T = 1/t0,
+    is 0: the pairs whose inner limit takes the formal binomial."""
+    return sum((li - mi) * t0 ** i for i, (li, mi) in enumerate(zip(lam, mu))) == 0
+
+
 def test_both_stirling_builds_take_no_formal_limit_of_v(monkeypatch):
-    """v's inner limits are solved from u's, so on a fresh point the only
-    formal family that both tables build is u."""
+    """The inner limits of u and v are Rational recursions: at a generic
+    point both tables run no formal u_coeff, v_coeff or qt_binomial; at
+    t = -2 the formal qt_binomial runs once on each pair with D = 0, and on
+    no other."""
     import qtspecials.specials as specials
 
-    formal = {"u_coeff": 0, "v_coeff": 0}
+    formal = []
 
     def counting(name, fn):
         def call(lam, mu, mode):
-            formal[name] += not mode.is_point
+            if not mode.is_point:
+                formal.append((name, lam, mu))
             return fn(lam, mu, mode)
         return call
 
-    monkeypatch.setattr(specials, "u_coeff", counting("u_coeff", u_coeff))
-    monkeypatch.setattr(specials, "v_coeff", counting("v_coeff", v_coeff))
-    mode = _stirling_point().mode
-    for kind in STIRLING_KINDS:
-        StirlingTable.build(kind, (2, 2, 1), mode)
-    assert formal["v_coeff"] == 0
-    assert formal["u_coeff"] > 0
+    for name in ("u_coeff", "v_coeff", "qt_binomial"):
+        monkeypatch.setattr(specials, name, counting(name, getattr(specials, name)))
+    bound = (2, 2, 1)
+    for t, expect_formal in ((STIRLING_T, False), (Rational(-2), True)):
+        formal.clear()
+        mode = QtPoint(STIRLING_Q, t, n=3, max_part=4).mode
+        for kind in STIRLING_KINDS:
+            StirlingTable.build(kind, bound, mode)
+        expect = sorted(("qt_binomial", lam, mu) for lam in enumerate_sub(bound)
+                        for mu in enumerate_sub(lam) if lam != mu and _d_vanishes(lam, mu, t))
+        assert bool(expect) == expect_formal, t
+        assert sorted(formal) == expect, t
 
 
 UV_POINTS = [
@@ -322,7 +336,8 @@ def test_both_stirling_builds_at_a_point_build_no_s_up_family():
 
 def test_direct_inner_limits_of_u_and_v_are_inverse_matrices():
     """sum_kappa u_lim(lam, kappa) v_lim(kappa, mu) = delta, both limits
-    taken directly: the identity from which the Stirling sum solves v's."""
+    taken directly: the identity by which the Stirling sum solves the inner
+    u from the inner v."""
     from qtspecials.specials import _limit
 
     for t0 in (Rational(5, 11), Rational(-7, 3)):
@@ -338,7 +353,7 @@ def test_direct_inner_limits_of_u_and_v_are_inverse_matrices():
 class _ReciprocalMode(FormalQ):
     """Formal mode whose slots hold (1/q, 1/t0): the parameters at which the
     Stirling inner limit is defined, typed out as the reference for the
-    plain FormalQ(1/t0) that computes it."""
+    plain FormalQ(1/t0) in which it is taken."""
 
     def __init__(self, t0):
         super().__init__(1 / t0)
@@ -366,6 +381,63 @@ def test_inner_limits_match_the_reciprocal_mode():
                     expect = limit_at_one(coeff(lam, mu, recip))
                     got = _limit(coeff, (lam, mu), inner)
                     assert got == expect, (outer, coeff.__name__, lam, mu)
+
+
+# Two identities of the inner limits, observed here rather than proved.  Let
+# b(lam, mu) be the limit at q = 1 of qt_binomial(lam, mu) in FormalQ(T).
+# (1) One box: for nu = mu + e_i, b(nu, mu) = (nu_i - nu_{i+1}) T^{1-i} [i]_T
+#     with nu_{n+1} = 0.  test_one_box_limit: 64 one-box pairs at each of
+#     five T, 320 cases, 0 failures.
+# (2) The recursion D b(lam, mu) = sum_i T^{1-i} b(lam, mu + e_i) b(mu + e_i, mu)
+#     over partitions mu + e_i inside lam, D = sum_i (lam_i - mu_i) T^{1-i},
+#     with the formal limit where D = 0, and u solved from v by V U = I.
+#     test_recursive_inner_limits_match_the_formal_family: 286 pairs at
+#     each of four points, u and v, 2288 cases, 0 failures.
+ONE_BOX_T = [Rational(1, 3), Rational(11, 5), Rational(-7, 3), Rational(-1, 2), Rational(-2)]
+
+
+def _one_box_pairs(bounds):
+    pairs = set()
+    for bound in bounds:
+        for nu in enumerate_sub(bound):
+            for i in range(len(nu)):
+                mu = nu[:i] + (nu[i] - 1,) + nu[i + 1:]
+                if nu[i] and is_partition(mu):
+                    pairs.add((nu, mu, i + 1))
+    return sorted(pairs)
+
+
+@pytest.mark.parametrize("T", ONE_BOX_T, ids=str)
+def test_one_box_limit(T):
+    pairs = _one_box_pairs([(3, 2, 1), (2, 2, 2, 1), (3, 3, 1), (5, 2)])
+    assert len(pairs) == 64
+    inner = FormalQ(T)
+    for nu, mu, i in pairs:
+        nxt = nu[i] if i < len(nu) else 0
+        expect = (nu[i - 1] - nxt) * T ** (1 - i) * sum(T ** k for k in range(i))
+        assert limit_at_one(qt_binomial(nu, mu, inner)) == expect, (T, nu, mu)
+
+
+@pytest.mark.parametrize("q,t", [
+    pytest.param(Rational(2, 7), Rational(5, 11), id="2/7-5/11"),
+    pytest.param(Rational(-3, 5), Rational(7, 4), id="-3/5-7/4"),
+    pytest.param(Rational(2, 7), Rational(-2), id="2/7--2"),
+    pytest.param(Rational(2, 7), Rational(-1, 2), id="2/7--1/2"),
+])
+def test_recursive_inner_limits_match_the_formal_family(q, t):
+    """The inner u and v of a point, from the one-box recursion and the
+    solve, against the limits of u_coeff and v_coeff built formally in a
+    fresh FormalQ(1/t)."""
+    from qtspecials.specials import _inner_mode, _u, _v
+
+    inner = _inner_mode(QtPoint(q, t, n=4, max_part=4).mode)
+    direct = FormalQ(1 / t)
+    pairs = sorted({(lam, mu) for bound in ((3, 2, 1), (2, 2, 2), (3, 3), (3, 2, 1, 1))
+                    for lam in enumerate_sub(bound) for mu in enumerate_sub(lam)})
+    assert len(pairs) == 286
+    for lam, mu in pairs:
+        assert _u(lam, mu, inner) == limit_at_one(u_coeff(lam, mu, direct)), (lam, mu)
+        assert _v(lam, mu, inner) == limit_at_one(v_coeff(lam, mu, direct)), (lam, mu)
 
 
 def _old_v_coeff(lam, mu, mode):

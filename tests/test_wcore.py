@@ -526,6 +526,10 @@ def _memo_cases():
          lambda m: specials.stirling("second", (2, 1), (1, 0), m)),
         ("_u", specials, "u_coeff", lambda m: specials._u((2, 1), (1, 0), m)),
         ("_v", specials, "_u", lambda m: specials._v((2, 1), (1, 0), m)),
+        ("_u_inner", specials, "_v",
+         lambda m: specials._u((2, 1), (1, 0), specials._inner_mode(m))),
+        ("_b", specials, "valid_bumps",
+         lambda m: specials._b((2, 1), (0, 0), specials._inner_mode(m))),
         ("bernoulli", specials, "qt_binomial", lambda m: specials.bernoulli((2, 1), m)),
         ("_limit", specials, "limit_at_one",
          lambda m: specials._limit(specials.u_coeff, ((2, 1), (1, 0)),
