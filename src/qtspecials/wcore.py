@@ -52,8 +52,13 @@ takes a modular inverse, which costs about two products of rationals of the
 same size (``timeit``, 57-bit operands).  So a scalar changes form once,
 where it enters the W layer (``w_skew``, ``w_multi``, ``w_principal``,
 ``poch_partition``): ``coef`` makes it a ``Coef``, which keeps the value for
-the arithmetic and stands in the keys by its (numerator, denominator), or
-by the ints of a ``RatFuncQ``, hashed once.
+the arithmetic.  Each mode interns its Coefs by the ints of the value, its
+(numerator, denominator) or the normal form of a ``RatFuncQ``, so equal
+scalars of one mode are one object, and a key that holds a Coef, alone or in
+a ``Mono``, is hashed and compared by identity, in C.  A Coef belongs to the
+mode that interned it: in another mode it would key apart from that mode's
+own Coef of the same value.  Only the Coef of 1, ``UNIT``, is shared by
+every mode.
 """
 
 from __future__ import annotations
@@ -79,39 +84,38 @@ W_KINDS = ("ab", "s_up", "s_down")
 
 
 class Coef:
-    """A scalar as the W layer carries it: ``value`` for the arithmetic, and
-    ``key`` for equality and the hash.  The key holds ints: (numerator,
-    denominator) of a Rational, or the normal form of a RatFuncQ (which,
-    like ``RatFuncQ.__hash__``, follows the representation)."""
+    """A scalar as the W layer carries it: ``value`` for the arithmetic.
+    ``coef`` interns it, one object per value and mode, so a Coef is equal
+    only to itself and hashes by identity."""
 
-    __slots__ = ("value", "key", "_hash")
+    __slots__ = ("value",)
 
-    def __init__(self, value, key):
-        self.value, self.key, self._hash = value, key, hash(key)
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, Coef) and self.key == other.key
+    def __init__(self, value):
+        self.value = value
 
     def __repr__(self):
         return f"Coef({self.value})"
 
 
-UNIT = Coef(ONE, 1)  # c = 1: every scalar equal to 1 becomes this one
+UNIT = Coef(ONE)  # c = 1: every scalar equal to 1, in every mode, becomes this one
 
 
 def coef(c, mode: "ScalarMode") -> Coef:
-    """The scalar c of ``mode`` as a Coef; a Coef is returned unchanged."""
+    """The scalar c of ``mode`` as the one Coef of its value in ``mode``;
+    a Coef is returned unchanged."""
     if isinstance(c, Coef):
         return c
     v = mode.lift(c)
     if mode.is_point:
-        return UNIT if v == 1 else Coef(v, (v.numerator, v.denominator))
-    num, den = v.num, v.den
-    # num == den is value 1, as both are canonical and den is monic
-    return UNIT if num == den else Coef(v, (num.ints, num.den, den.ints, den.den))
+        if v == 1:
+            return UNIT
+        key = v.numerator, v.denominator
+    else:
+        num, den = v.num, v.den
+        if num == den:  # value 1, as both are canonical and den is monic
+            return UNIT
+        key = num.ints, num.den, den.ints, den.den
+    return mode._coefs.setdefault(key, Coef(v))
 
 
 def cargs(c: Coef) -> tuple:
@@ -237,6 +241,7 @@ class ScalarMode:
         self.cache: dict = {}
         self._qp: dict = {}
         self._tp: dict = {}
+        self._coefs: dict = {}  # a scalar's ints -> its one Coef (``coef``)
 
     # subclasses provide the attributes q, t, one, zero and is_point, and lift(r)
     t0 = None  # the rational t, or None when t = q^a

@@ -852,8 +852,8 @@ def test_every_sum_goes_through_the_one_sum():
     assert {site[:3] for site in found} >= SEQUENTIAL_SUMS
 
 
-def _suite_modes(monkeypatch):
-    """Run one suite round below (2,2,1) at seed 0; returns the mode of
+def _suite_modes(monkeypatch, bound=(2, 2, 1), seed=0):
+    """Run one suite round below ``bound`` at ``seed``; returns the mode of
     every point it drew."""
     from qtspecials import identities
 
@@ -865,8 +865,17 @@ def _suite_modes(monkeypatch):
 
     draw = identities.random_qt_point
     monkeypatch.setattr(identities, "random_qt_point", recording)
-    assert identities.run_identity_suite((2, 2, 1), points=1, seed=0).all_pass
+    assert identities.run_identity_suite(bound, points=1, seed=seed).all_pass
     return [point.mode for point in points]
+
+
+def _key_parts(x):
+    """The leaves of a memo key, walking into its tuples and Monos."""
+    if isinstance(x, tuple):
+        for y in x:
+            yield from _key_parts(y)
+    else:
+        yield x
 
 
 def test_the_partition_enumeration_memo_holds_only_ints(monkeypatch):
@@ -901,19 +910,27 @@ def test_no_memo_key_holds_a_rational(monkeypatch):
                                part_cap=3, trunc=5))
     modes.append(point.mode)
 
-    def parts(x):
-        if type(x) is tuple:
-            for y in x:
-                yield from parts(y)
-        else:
-            yield x
-
     while modes:
         mode = modes.pop()
         for key, value in mode.cache.items():
-            assert not any(isinstance(p, Rational) for p in parts(key)), key
+            assert not any(isinstance(p, Rational) for p in _key_parts(key)), key
             if isinstance(value, wcore.ScalarMode):
                 modes.append(value)
+
+
+def test_each_scalar_in_the_memo_keys_of_a_suite_round_is_one_coef(monkeypatch):
+    """coef interns, so the keys hash and compare each scalar by identity:
+    after a suite round, every Coef in a point's memo keys is the one object
+    of its value."""
+    coefs = 0
+    for mode in _suite_modes(monkeypatch, (2, 1), seed=3):
+        by_value = {}
+        for key in mode.cache:
+            for p in _key_parts(key):
+                if isinstance(p, wcore.Coef):
+                    coefs += 1
+                    assert by_value.setdefault(p.value, p) is p, (key, p)
+    assert coefs > 0
 
 
 def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
@@ -990,6 +1007,19 @@ def test_equal_scalars_give_the_oracle_value_from_one_entry(make_mode, first, se
     for got, expect in _w_calls(second, mode):
         assert got == expect
     assert len(mode.cache) == entries
+
+
+@pytest.mark.parametrize("make_mode", EQUAL_FORM_MODES)
+@pytest.mark.parametrize("first, second", SAME_SCALAR)
+def test_equal_scalars_are_one_coef_of_their_mode(make_mode, first, second):
+    mode, other = make_mode(), make_mode()
+    c = wcore.coef(first, mode)
+    assert wcore.coef(second, mode) is c
+    assert wcore.coef(c, mode) is c
+    d = wcore.coef(second, other)  # a Coef belongs to the mode that interned it
+    assert d is not c and d.value == c.value
+    assert wcore.coef(first, other) is d
+    assert wcore.Coef.__hash__ is object.__hash__
 
 
 @pytest.mark.parametrize("make_mode", EQUAL_FORM_MODES)
