@@ -1,30 +1,30 @@
 """Partition-indexed qt-Stirling, Bernoulli, Bell, Catalan and Fibonacci
 numbers, plus the integer-alpha ordinary limits (t = q^alpha, q -> 1).
 
-The Stirling formulas contain an inner limit: a change-of-basis
-coefficient evaluated at parameters (1/q, 1/t) as q tends to 1.  A limit
-at q = 1 does not change under q -> 1/q, so the inner limit is a limit in
-the plain formal mode ``FormalQ(T)``, T = 1/t (``FormalQ(1)`` when t = q^a,
-for one part only), but no formal family is built for it: it is taken in
-Rationals.  The limit b(lam, mu) of the qt-binomial comes from the q -> 1
-limit of the one-box recursion of the binomial, the analogue of the Jack
-and Macdonald binomial recursions (Lassalle, J. Funct. Anal. 158 (1998);
-Okounkov, Math. Res. Lett. 4 (1997)), see ``_b``; only a pair whose
-recursion has D = 0 takes the formal limit of ``qt_binomial``.  The limit
-of v is a signed power of T times b, and u is solved from it.  At a point
-the roles swap: u is ``u_coeff``, built from the W family ``s_down``, and v
-is solved from it; v is never built from its own W family ``s_up``.  Both
-solves use that u and v are inverse triangular matrices (U V = I), at a
-point and in the limit.  So a Stirling sum at a point builds one W family,
-``s_down``, and, away from D = 0, no formal value.  A formal outer mode
-calls ``u_coeff`` and ``v_coeff`` itself.
+Each Stirling number is a sum of products of two change-of-basis
+coefficients, one taken in the outer mode and one as an inner limit: the
+coefficient at parameters (1/q, 1/t) as q tends to 1.  u at (1/q, 1/t) is
+v at (q, t), term by term: both expand (x; q, t)_lam over mu in the powers
+x^{|mu|} (the binomial theorem), and tests/test_specials.py checks the
+equality of the formal values.  A limit at q = 1 does not change under
+q -> 1/q, so both inner limits are one signed binomial limit,
+(-1)^{|mu|} T^{-n(mu)} b_T(lam, mu): v's at T = 1/t, u's at T = t, and
+T = 1 when t = q^a (for one part only).  b_T(lam, mu), the q -> 1 limit of
+the qt-binomial at t = T, comes in Rationals from the limit of the one-box
+recursion of the binomial, the analogue of the Jack and Macdonald binomial
+recursions (Lassalle, J. Funct. Anal. 158 (1998); Okounkov, Math. Res.
+Lett. 4 (1997)), see ``_b``; only a pair whose recursion has D = 0 takes
+the formal limit of ``qt_binomial`` in a ``FormalQ(T)``.  The other
+coefficient is u, ``u_coeff`` from the W family ``s_down``, or v, which a
+point solves from u (u and v are inverse triangular matrices, U V = I) and
+a formal mode takes from ``v_coeff``.  So a Stirling sum at a point builds
+one W family, ``s_down``, and, away from D = 0, no formal value.
 
-u and v are cached by ``_u`` and ``_v`` in the mode they are taken in: the
-point, or the one ``FormalQ(T)`` of the outer mode, itself kept in the
-outer mode's cache, which also holds b ("b").  The alpha-binomials and
-alpha-Bernoulli numbers take their q -> 1 limits through ``_limit``, which
-keeps each in the cache of ``FormalQ.alpha(a)``, alive as long as the
-process.
+u, v, b and the powers of T are cached in the outer mode ("u", "v", "b",
+"Tpow"), and so is the ``FormalQ(T)`` of the D = 0 pairs ("inner").  The
+alpha-binomials and alpha-Bernoulli numbers take their q -> 1 limits through
+``_limit``, which keeps each in the cache of ``FormalQ.alpha(a)``, alive as
+long as the process.
 """
 
 from __future__ import annotations
@@ -77,15 +77,6 @@ def u_coeff(lam, mu, mode: ScalarMode):
                       [], mode)
 
 
-@memo("inner", 0)
-def _inner_mode(mode: ScalarMode) -> FormalQ:
-    """The one FormalQ(1/t0) of ``mode``, in whose cache the Stirling inner
-    limits are kept as Rationals (``_b``, ``_u``, ``_v``); FormalQ(1) when
-    t = q^a, which ``stirling`` lets through for one-part partitions only: a
-    one-part coefficient has no power of t."""
-    return FormalQ(1 if mode.t0 is None else 1 / mode.t0)
-
-
 @memo("limit", 2)
 def _limit(fn, args, mode: FormalQ):
     """lim_{q -> 1} of fn(*args, mode) as an exact Rational, cached in the
@@ -94,11 +85,27 @@ def _limit(fn, args, mode: FormalQ):
     return limit_at_one(fn(*args, mode))
 
 
-@memo("b", 2)
-def _b(lam, mu, mode: FormalQ) -> Rational:
-    """b(lam, mu), the limit at q = 1 of ``qt_binomial(lam, mu)`` in the inner
-    ``FormalQ(T)``, T = t0, in Rationals; cached in ``mode``.  Called on
-    mu <= lam only.
+@memo("Tpow", 2)
+def _t_power(k: int, reciprocal: bool, mode: ScalarMode) -> Rational:
+    """T^{-k} for the inner limits of ``mode``: T = 1/t0 if ``reciprocal``,
+    else t0, and T = 1 when t = q^a."""
+    if mode.t0 is None:
+        return Rational(1)
+    return mode.t0 ** (k if reciprocal else -k)
+
+
+@memo("inner", 1)
+def _inner_mode(reciprocal: bool, mode: ScalarMode) -> FormalQ:
+    """FormalQ(T), T as in ``_t_power``, in which ``_b`` takes the limit of a
+    pair with D = 0; built for such a pair only."""
+    return FormalQ(1 if mode.t0 is None else 1 / mode.t0 if reciprocal else mode.t0)
+
+
+@memo("b", 3)
+def _b(lam, mu, reciprocal: bool, mode: ScalarMode) -> Rational:
+    """b_T(lam, mu), the limit at q = 1 of ``qt_binomial(lam, mu)`` in
+    ``FormalQ(T)``, T as in ``_t_power``, in Rationals; cached in ``mode``.
+    Called on mu <= lam only.
 
     The one-box recursion of the binomial (the analogue of the Jack and
     Macdonald binomial recursions, Lassalle 1998, Okounkov 1997) in the
@@ -112,45 +119,38 @@ def _b(lam, mu, mode: FormalQ) -> Rational:
     """
     if lam == mu:
         return Rational(1)
-    s = 1 / mode.t0  # T^{1-i} = s^{i-1}, and T^{1-i} [i]_T = 1 + s + ... + s^{i-1}
-    d = sum_rationals([[li - mi, s ** (i - 1)]
+    d = sum_rationals([[li - mi, _t_power(i - 1, reciprocal, mode)]
                        for i, (li, mi) in enumerate(zip(lam, mu), start=1) if li != mi])
     if d == 0:
-        return _limit(qt_binomial, (lam, mu), mode)
+        return _limit(qt_binomial, (lam, mu), _inner_mode(reciprocal, mode))
     terms = []
     for i in valid_bumps(mu):
         nu = bump(mu, i)
         if contains(lam, nu):
-            # T^{1-i} b(lam, nu) b(nu, mu) as i terms: b(nu, mu) = box (1 + ... + s^{i-1})
+            # T^{1-i} b(lam, nu) b(nu, mu) as i terms: T^{1-i} [i]_T = T^0 + ... + T^{1-i}
             box = nu[i - 1] - (nu[i] if i < len(nu) else 0)
-            terms.extend([box, s ** (i - 1 + k), _b(lam, nu, mode)] for k in range(i))
+            b = _b(lam, nu, reciprocal, mode)
+            terms.extend([box, _t_power(i - 1 + k, reciprocal, mode), b] for k in range(i))
     return sum_rationals(terms) / d
 
 
-@memo("u", 2)
-def _u(lam, kappa, mode: ScalarMode) -> Rational:
-    """u(lam, kappa), cached in ``mode``: ``u_coeff`` at a point; in the inner
-    ``FormalQ(T)`` its limit at q = 1, solved from ``_v`` there.
+def _inner_limit(lam, mu, reciprocal: bool, mode: ScalarMode):
+    """The inner limit, lifted into ``mode``, of v(lam, mu) if ``reciprocal``,
+    else of u(lam, mu): (-1)^{|mu|} T^{-n(mu)} b_T(lam, mu)."""
+    x = _b(lam, mu, reciprocal, mode) * _t_power(n_stat(mu), reciprocal, mode)
+    return mode.lift(-x if weight(mu) % 2 else x)
 
-    u and v are inverse triangular matrices, at a point and in the limit:
-    sum_{kappa <= rho <= lam} v(lam, rho) u(rho, kappa) = delta(lam, kappa),
-    triangular in rho with the unknown u(lam, kappa) at rho = lam and the
-    leading coefficient v(lam, lam) = (-1)^{|lam|} T^{-n(lam)}, never 0.
-    Called on kappa <= lam only.
-    """
-    if mode.is_point:
-        return u_coeff(lam, kappa, mode)
-    if lam == kappa:
-        return 1 / _v(lam, lam, mode)
-    return _solve_recurrence(
-        lam, lambda rho: _v(lam, rho, mode) if contains(rho, kappa) else 0,
-        lambda rho: _u(rho, kappa, mode), sum_rationals)
+
+@memo("u", 2)
+def _u(lam, kappa, mode: ScalarMode):
+    """``u_coeff``, cached in ``mode``."""
+    return u_coeff(lam, kappa, mode)
 
 
 @memo("v", 2)
-def _v(lam, mu, mode: ScalarMode) -> Rational:
-    """v(lam, mu), cached in ``mode``: in the inner ``FormalQ(T)`` the limit of
-    ``v_coeff``, (-1)^{|mu|} T^{-n(mu)} b(lam, mu); at a point solved from
+def _v(lam, mu, mode: ScalarMode):
+    """v(lam, mu), cached in ``mode``: ``v_coeff`` in a formal mode, where a
+    solve would add RatFuncQs that no gcd reduces; at a point solved from
     ``_u``.
 
     u and v are inverse triangular matrices:
@@ -160,8 +160,7 @@ def _v(lam, mu, mode: ScalarMode) -> Rational:
     q and t, never 0.  Called on mu <= lam only.
     """
     if not mode.is_point:
-        v = _b(lam, mu, mode) / mode.t0 ** n_stat(mu)
-        return -v if weight(mu) % 2 else v
+        return v_coeff(lam, mu, mode)
     if lam == mu:
         return 1 / _u(lam, lam, mode)
     return _solve_recurrence(
@@ -170,17 +169,6 @@ def _v(lam, mu, mode: ScalarMode) -> Rational:
 
 
 STIRLING_KINDS = ("first", "second")
-
-
-def _coeff(fn, args, limit: bool, mode: ScalarMode):
-    """fn(*args) in ``mode`` (fn is u_coeff or v_coeff), or if ``limit`` its
-    inner limit at (1/q, 1/t), taken in ``_inner_mode(mode)`` and lifted back
-    into ``mode``.  At a point v is solved from u, in the inner mode u from
-    v; a formal outer mode calls fn itself."""
-    if not (limit or mode.is_point):
-        return fn(*args, mode)
-    value = (_v if fn is v_coeff else _u)(*args, _inner_mode(mode) if limit else mode)
-    return mode.lift(value)
 
 
 def stirling(kind: str, nu, mu, mode: ScalarMode):
@@ -203,11 +191,12 @@ def _stirling(kind: str, nu, mu, mode: ScalarMode):
             "Stirling limits with n >= 2 need a rational t "
             "(a point mode or a formal mode with fixed t)"
         )
-    if kind == "first":
-        s, u_lim, v_lim = 1 - n, False, True
+    first = kind == "first"
+    if first:
+        s = 1 - n
         qe, te = n_prime_stat(nu), -2 * n_stat(mu) - s * weight(mu)
     else:
-        s, u_lim, v_lim = n - 1, True, False
+        s = n - 1
         qe, te = -n_prime_stat(mu), 2 * n_stat(nu) - s * weight(nu)
     pref = prod_ratio([mode.qpow(qe), mode.tpow(te)],
                       [pochm(1, n - i, 1, mode) ** (v - m)
@@ -217,10 +206,10 @@ def _stirling(kind: str, nu, mu, mode: ScalarMode):
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
-        u = _coeff(u_coeff, (nu, lam), u_lim, mode)
+        u = _u(nu, lam, mode) if first else _inner_limit(nu, lam, False, mode)
         if u == 0:
             continue
-        v = _coeff(v_coeff, (lam, mu), v_lim, mode)
+        v = _inner_limit(lam, mu, True, mode) if first else _v(lam, mu, mode)
         if v == 0:
             continue
         terms.append([u, mode.tpow(s * weight(lam)), v])

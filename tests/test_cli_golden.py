@@ -117,6 +117,12 @@ GOLDEN = [
      "95bf6bcd1a0d5c9f7a33f64962748f54d4861ae99c25d5120008a1b8dba38d1d"),
     (("bell", "--bound", "2,2,1", "--q", "2/7", "--t=-2"),
      "37f935f66c662c431b012f98a11900cfcc3556ab770a159dbd2efedd2a748d77"),
+    # recorded while u's inner limits were still solved from v's; with the
+    # two above they cover both kinds at t = -2 and t = -1/2
+    (("stirling", "--kind", "second", "--bound", "3,2,1", "--q", "2/7", "--t=-2"),
+     "b0961ceb8f90c49e4492c3479371f2d9553028f026594ef10546f48ec9ed5110"),
+    (("stirling", "--kind", "first", "--bound", "3,2,1", "--q", "2/7", "--t=-1/2"),
+     "987b76882a023714b0f5d00b0dc5c84e393cba34ace8a7b3da92d454fe08284f"),
 ]
 
 

@@ -157,21 +157,22 @@ def _seq_stirling(kind, nu, mu, mode):
     den = mode.one
     for i in range(1, n + 1):
         den = den * (mode.one - mode.q * mode.tpow(n - i)) ** (nu[i - 1] - mu[i - 1])
-    if kind == "first":
-        s, u_lim, v_lim = 1 - n, False, True
+    first = kind == "first"
+    if first:
+        s = 1 - n
         pref = mode.qpow(n_prime_stat(nu)) * mode.tpow(-2 * n_stat(mu) - s * weight(mu))
     else:
-        s, u_lim, v_lim = n - 1, True, False
+        s = n - 1
         pref = mode.qpow(-n_prime_stat(mu)) * mode.tpow(2 * n_stat(nu) - s * weight(nu))
     pref = guarded_div(pref, den, "Stirling prefactor")
     total = mode.zero
     for lam in enumerate_sub(nu):
         if not contains(lam, mu):
             continue
-        u = specials._coeff(specials.u_coeff, (nu, lam), u_lim, mode)
+        u = specials._u(nu, lam, mode) if first else specials._inner_limit(nu, lam, False, mode)
         if u == 0:
             continue
-        v = specials._coeff(specials.v_coeff, (lam, mu), v_lim, mode)
+        v = specials._inner_limit(lam, mu, True, mode) if first else specials._v(lam, mu, mode)
         total = total + u * mode.tpow(s * weight(lam)) * v
     return pref * total
 

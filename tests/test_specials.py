@@ -190,6 +190,39 @@ def test_stirling_inversion_both_orders():
                 assert both[0] == delta and both[1] == delta, (nu, mu)
 
 
+def _inversion_failures(bound, mode):
+    """The (nu, mu) below ``bound`` where sum_lam S1(nu, lam) S2(lam, mu)
+    is not delta(nu, mu)."""
+    return [(nu, mu) for nu in enumerate_sub(bound) for mu in enumerate_sub(nu)
+            if sum(stirling("first", nu, lam, mode) * stirling("second", lam, mu, mode)
+                   for lam in enumerate_sub(nu) if contains(lam, mu)) != (nu == mu)]
+
+
+# Faults of the binomial limits b: each one-box value doubled, which the
+# recursion carries into every off-diagonal b, or every off-diagonal b plus
+# one.  Doubling every off-diagonal b in the recursion multiplies b(lam, mu)
+# by 2^{|lam| - |mu|}, a grading that S1 S2 = I does not see.
+B_FAULTS = [
+    pytest.param(lambda lam, mu, b: 2 * b if weight(lam) - weight(mu) == 1 else b,
+                 id="one-box-doubled"),
+    pytest.param(lambda lam, mu, b: b if lam == mu else b + 1, id="off-diagonal-plus-one"),
+]
+
+
+@pytest.mark.parametrize("fault", B_FAULTS)
+def test_stirling_inversion_sees_a_fault_in_the_inner_limits(monkeypatch, fault):
+    """S1 S2 = I tests the inner limits: v's and u's come from the binomial
+    limits b at T = 1/t and at T = t, neither solved from the other, so a
+    fault of b breaks the inversion."""
+    import qtspecials.specials as specials
+
+    bound = (2, 2, 1)
+    assert _inversion_failures(bound, QtPoint(Rational(2, 7), Rational(5, 11), n=3).mode) == []
+    b = specials._b
+    monkeypatch.setattr(specials, "_b", lambda lam, mu, *args: fault(lam, mu, b(lam, mu, *args)))
+    assert _inversion_failures(bound, QtPoint(Rational(2, 7), Rational(5, 11), n=3).mode)
+
+
 def test_stirling_defining_expansion(mode):
     for Q in (Rational(5, 8), Rational(3, 11), Rational(9, 2)):
         for lam in enumerate_sub((2, 2)):
@@ -262,17 +295,18 @@ def test_second_stirling_build_on_one_mode_reuses_every_coefficient(monkeypatch)
         assert StirlingTable.build(kind, (2, 2, 1), mode).entries == first[kind].entries
 
 
-def _d_vanishes(lam, mu, t0):
-    """D = sum_i (lam_i - mu_i) T^{1-i} of the one-box recursion, T = 1/t0,
-    is 0: the pairs whose inner limit takes the formal binomial."""
-    return sum((li - mi) * t0 ** i for i, (li, mi) in enumerate(zip(lam, mu))) == 0
+def _d_vanishes(lam, mu, T):
+    """D = sum_i (lam_i - mu_i) T^{1-i} of the one-box recursion is 0: the
+    pairs whose inner limit takes the formal binomial."""
+    return sum((li - mi) * T ** -i for i, (li, mi) in enumerate(zip(lam, mu))) == 0
 
 
 def test_both_stirling_builds_take_no_formal_limit_of_v(monkeypatch):
     """The inner limits of u and v are Rational recursions: at a generic
     point both tables run no formal u_coeff, v_coeff or qt_binomial; at
-    t = -2 the formal qt_binomial runs once on each pair with D = 0, and on
-    no other."""
+    t = -2 the formal qt_binomial runs once on each pair with D = 0 at
+    T = 1/t (v's limits) and once on each at T = t (u's limits), and on no
+    other."""
     import qtspecials.specials as specials
 
     formal = []
@@ -292,10 +326,30 @@ def test_both_stirling_builds_take_no_formal_limit_of_v(monkeypatch):
         mode = QtPoint(STIRLING_Q, t, n=3, max_part=4).mode
         for kind in STIRLING_KINDS:
             StirlingTable.build(kind, bound, mode)
-        expect = sorted(("qt_binomial", lam, mu) for lam in enumerate_sub(bound)
-                        for mu in enumerate_sub(lam) if lam != mu and _d_vanishes(lam, mu, t))
+        expect = sorted(("qt_binomial", lam, mu) for T in (1 / t, t)
+                        for lam in enumerate_sub(bound)
+                        for mu in enumerate_sub(lam) if lam != mu and _d_vanishes(lam, mu, T))
         assert bool(expect) == expect_formal, t
         assert sorted(formal) == expect, t
+
+
+def test_both_stirling_builds_at_a_generic_point_build_no_formal_mode(monkeypatch):
+    """Away from D = 0 a Stirling table at a point constructs no FormalQ:
+    its inner limits are Rationals, kept in the point's own cache."""
+    from qtspecials import wcore
+
+    built = []
+    init = wcore.FormalQ.__init__
+
+    def counting(self, t0):
+        built.append(t0)
+        init(self, t0)
+
+    monkeypatch.setattr(wcore.FormalQ, "__init__", counting)
+    mode = QtPoint(Rational(2, 7), Rational(5, 11), n=3, max_part=4).mode
+    for kind in STIRLING_KINDS:
+        StirlingTable.build(kind, (2, 2, 1), mode)
+    assert built == []
 
 
 UV_POINTS = [
@@ -371,16 +425,32 @@ def _inner_limit_cases():
 
 
 def test_inner_limits_match_the_reciprocal_mode():
-    from qtspecials.specials import _inner_mode, _limit
+    """Both inner limits of a formal outer mode, v's (reciprocal) and u's,
+    against the limits of v_coeff and u_coeff at (1/q, 1/t0)."""
+    from qtspecials.specials import _inner_limit
 
     for outer, recip, bound in _inner_limit_cases():
-        inner = _inner_mode(outer)
         for lam in enumerate_sub(bound):
             for mu in enumerate_sub(lam):
-                for coeff in (u_coeff, v_coeff):
-                    expect = limit_at_one(coeff(lam, mu, recip))
-                    got = _limit(coeff, (lam, mu), inner)
+                for coeff, reciprocal in ((u_coeff, False), (v_coeff, True)):
+                    expect = outer.lift(limit_at_one(coeff(lam, mu, recip)))
+                    got = _inner_limit(lam, mu, reciprocal, outer)
                     assert got == expect, (outer, coeff.__name__, lam, mu)
+
+
+@pytest.mark.parametrize("t0", [Rational(3, 5), Rational(-2)], ids=str)
+def test_u_at_reciprocal_parameters_is_v(t0):
+    """u(lam, mu) at (1/q, 1/t0) is v(lam, mu) at (q, t0), as formal values:
+    both expand (x; q, t0)_lam over mu in the powers x^{|mu|} (the binomial
+    theorem), and they agree term by term, so u's inner limit is v's at
+    T = t0.  Compared in their stored forms, not only as functions."""
+    recip, direct = _ReciprocalMode(t0), FormalQ(t0)
+    pairs = {(lam, mu) for bound in ((2, 2, 1), (3, 2))
+             for lam in enumerate_sub(bound) for mu in enumerate_sub(lam)}
+    assert len(pairs) == 80
+    for lam, mu in sorted(pairs):
+        u, v = u_coeff(lam, mu, recip), v_coeff(lam, mu, direct)
+        assert isinstance(u, RatFuncQ) and _exact_form(u) == _exact_form(v), (lam, mu)
 
 
 # Two identities of the inner limits, observed here rather than proved.  Let
@@ -390,7 +460,8 @@ def test_inner_limits_match_the_reciprocal_mode():
 #     five T, 320 cases, 0 failures.
 # (2) The recursion D b(lam, mu) = sum_i T^{1-i} b(lam, mu + e_i) b(mu + e_i, mu)
 #     over partitions mu + e_i inside lam, D = sum_i (lam_i - mu_i) T^{1-i},
-#     with the formal limit where D = 0, and u solved from v by V U = I.
+#     with the formal limit where D = 0.  v's inner limit takes it at
+#     T = 1/t, u's at T = t (test_u_at_reciprocal_parameters_is_v).
 #     test_recursive_inner_limits_match_the_formal_family: 286 pairs at
 #     each of four points, u and v, 2288 cases, 0 failures.
 ONE_BOX_T = [Rational(1, 3), Rational(11, 5), Rational(-7, 3), Rational(-1, 2), Rational(-2)]
@@ -425,19 +496,20 @@ def test_one_box_limit(T):
     pytest.param(Rational(2, 7), Rational(-1, 2), id="2/7--1/2"),
 ])
 def test_recursive_inner_limits_match_the_formal_family(q, t):
-    """The inner u and v of a point, from the one-box recursion and the
-    solve, against the limits of u_coeff and v_coeff built formally in a
-    fresh FormalQ(1/t)."""
-    from qtspecials.specials import _inner_mode, _u, _v
+    """The inner u and v of a point, from the one-box recursion at T = t and
+    at T = 1/t, against the limits of u_coeff and v_coeff built formally in
+    a fresh FormalQ(1/t)."""
+    from qtspecials.specials import _inner_limit
 
-    inner = _inner_mode(QtPoint(q, t, n=4, max_part=4).mode)
+    mode = QtPoint(q, t, n=4, max_part=4).mode
     direct = FormalQ(1 / t)
     pairs = sorted({(lam, mu) for bound in ((3, 2, 1), (2, 2, 2), (3, 3), (3, 2, 1, 1))
                     for lam in enumerate_sub(bound) for mu in enumerate_sub(lam)})
     assert len(pairs) == 286
     for lam, mu in pairs:
-        assert _u(lam, mu, inner) == limit_at_one(u_coeff(lam, mu, direct)), (lam, mu)
-        assert _v(lam, mu, inner) == limit_at_one(v_coeff(lam, mu, direct)), (lam, mu)
+        u, v = (_inner_limit(lam, mu, reciprocal, mode) for reciprocal in (False, True))
+        assert u == limit_at_one(u_coeff(lam, mu, direct)), (lam, mu)
+        assert v == limit_at_one(v_coeff(lam, mu, direct)), (lam, mu)
 
 
 def _old_v_coeff(lam, mu, mode):
@@ -463,15 +535,16 @@ def test_v_coeff_matches_its_product_formula(make_mode):
 
 
 
-def _two_branch_stirling(kind, nu, mu, mode):
+def _two_branch_stirling(kind, nu, mu, mode, inner):
     """Both Stirling kinds as two separate sums, each written out in full:
-    the reference for the one sum that serves both kinds."""
-    from qtspecials.specials import _inner_mode, _limit
+    the reference for the one sum that serves both kinds.  Both inner
+    limits are the formal limits of u_coeff and v_coeff in ``inner``, the
+    FormalQ(1/t0) of ``mode``."""
+    from qtspecials.specials import _limit
 
     if not contains(nu, mu):
         return mode.zero
     n = len(nu)
-    inner = _inner_mode(mode)
     den = mode.one
     for i in range(1, n + 1):
         den = den * (mode.one - mode.q * mode.tpow(n - i)) ** (nu[i - 1] - mu[i - 1])
@@ -526,11 +599,12 @@ def _exact_form(x):
 ])
 def test_one_sum_stirling_matches_the_two_branch_sums(make_mode, bound):
     mode = make_mode()
+    inner = FormalQ(1 if mode.t0 is None else 1 / mode.t0)
     for kind in STIRLING_KINDS:
         for nu in enumerate_sub(bound):
             for mu in enumerate_sub(nu):
                 got = stirling(kind, nu, mu, mode)
-                expect = _two_branch_stirling(kind, nu, mu, mode)
+                expect = _two_branch_stirling(kind, nu, mu, mode, inner)
                 assert _exact_form(got) == _exact_form(expect), (kind, nu, mu)
 
 # -- Bernoulli ----------------------------------------------------------------

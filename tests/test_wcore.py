@@ -526,15 +526,14 @@ def _memo_cases():
          lambda m: specials.stirling("second", (2, 1), (1, 0), m)),
         ("_u", specials, "u_coeff", lambda m: specials._u((2, 1), (1, 0), m)),
         ("_v", specials, "_u", lambda m: specials._v((2, 1), (1, 0), m)),
-        ("_u_inner", specials, "_v",
-         lambda m: specials._u((2, 1), (1, 0), specials._inner_mode(m))),
-        ("_b", specials, "valid_bumps",
-         lambda m: specials._b((2, 1), (0, 0), specials._inner_mode(m))),
+        ("_u_inner", specials, "valid_bumps",
+         lambda m: specials._b((2, 1), (0, 0), False, m)),
+        ("_b", specials, "valid_bumps", lambda m: specials._b((2, 1), (0, 0), True, m)),
         ("bernoulli", specials, "qt_binomial", lambda m: specials.bernoulli((2, 1), m)),
         ("_limit", specials, "limit_at_one",
          lambda m: specials._limit(specials.u_coeff, ((2, 1), (1, 0)),
-                                   specials._inner_mode(m))),
-        ("_inner_mode", specials, "FormalQ", lambda m: specials._inner_mode(m)),
+                                   specials._inner_mode(True, m))),
+        ("_inner_mode", specials, "FormalQ", lambda m: specials._inner_mode(True, m)),
         ("_poch_partition", wcore, "pochm", lambda m: wcore.poch_partition(x, (5, 5), m)),
     ]
 
@@ -610,13 +609,18 @@ def _use_every_memo_layer(point):
     stirling("first", (2, 1), (1, 0), mode)
     bernoulli((2, 1), mode)
     exp_e(Rational(1, 100), point, 2, part_cap=3, trunc=4)
-    return weakref.ref(mode), weakref.ref(_inner_mode(mode))
+    # at t = -2 the limit of u((2, 2, 0), (1, 0, 0)) has D = 0: the one
+    # FormalQ(t) fallback mode, kept in the point's cache
+    assert ("inner", False) not in mode.cache
+    stirling("second", (2, 2, 0), (1, 0, 0), mode)
+    assert ("inner", False) in mode.cache
+    return weakref.ref(mode), weakref.ref(_inner_mode(False, mode))
 
 
 def test_dropped_point_frees_its_mode_after_every_memo_layer():
     import gc
 
-    point = QtPoint(Rational(1, 2), Rational(1, 3), n=2, max_part=5)
+    point = QtPoint(Rational(2, 7), Rational(-2), n=3, max_part=5)
     ref, inner_ref = _use_every_memo_layer(point)
     assert ref() is not None and inner_ref() is not None
     gc.disable()
