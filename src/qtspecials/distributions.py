@@ -189,7 +189,9 @@ def poisson_normalization(spec: DensitySpec):
 
 def poisson_tail(spec: DensitySpec, total) -> Rational:
     """The tail bound |total| n r^(part_cap+1) / (1 - r), r = series_ratio of
-    z, of a poisson density whose truncated masses add up to ``total``."""
+    z, of a poisson density whose truncated masses add up to ``total``;
+    raises ConvergenceViolated where the density fails its ratio test."""
+    _check_poisson(spec)
     r = series_ratio(spec.z, spec.point, spec.n)
     return abs(total) * spec.n * r ** (spec.part_cap + 1) / (1 - r)
 

@@ -50,9 +50,11 @@ GEOMETRIC_PART_CAP, GEOMETRIC_TRUNC = 6, 30  # sizes of the suite's geometric ch
 
 class IdentityCheck:
     """Record of one verified identity: name, both sides, exact residual.
-    An approximate check passes when |residual| < tolerance."""
+    An approximate check passes when |residual| < tolerance.  The parameters
+    are kept as given and formatted on the first read of ``params``."""
 
-    __slots__ = ("name", "lhs", "rhs", "residual", "params", "approximate", "tolerance")
+    __slots__ = ("name", "lhs", "rhs", "residual", "_raw", "_params", "approximate",
+                 "tolerance")
 
     def __init__(self, name: str, lhs, rhs, residual, params: dict,
                  approximate: bool = False, tolerance=None):
@@ -60,9 +62,18 @@ class IdentityCheck:
         self.lhs = lhs
         self.rhs = rhs
         self.residual = residual
-        self.params = params
+        self._raw = params
+        self._params = None
         self.approximate = approximate
         self.tolerance = tolerance
+
+    @property
+    def params(self) -> dict:
+        """The parameters as strings; a formal scalar is left out."""
+        if self._params is None:
+            self._params = {k: _show(v) for k, v in self._raw.items()
+                            if not isinstance(v, RatFuncQ)}
+        return self._params
 
     @property
     def passed(self) -> bool:
@@ -91,17 +102,13 @@ class IdentityCheck:
         return rec
 
 
-def _params(**kv) -> dict:
-    """The parameters of a check as strings; a formal scalar is left out."""
-    out = {}
-    for k, v in kv.items():
-        if isinstance(v, tuple):
-            out[k] = format_partition(v)
-        elif isinstance(v, int):
-            out[k] = str(v)
-        elif not isinstance(v, RatFuncQ):
-            out[k] = format_rational(v)
-    return out
+def _show(v) -> str:
+    """One check parameter as a string: a partition, an int or a rational."""
+    if isinstance(v, tuple):
+        return format_partition(v)
+    if isinstance(v, int):
+        return str(v)
+    return format_rational(v)
 
 
 # ---------------------------------------------------------------------------
@@ -114,13 +121,16 @@ def check_binomial_theorem(lam, x, mode: ScalarMode) -> IdentityCheck:
     lhs = poch_partition(x, lam, mode)
     rhs = sum_prods([[v_coeff(lam, mu, mode), x ** weight(mu)] for mu in enumerate_sub(lam)],
                     mode)
-    return IdentityCheck("binomial_theorem", lhs, rhs, lhs - rhs, _params(lam=lam, x=x))
+    return IdentityCheck("binomial_theorem", lhs, rhs, lhs - rhs, dict(lam=lam, x=x))
 
 
-def _slot(s, n: int, mode: ScalarMode) -> Coef:
+@memo("slot", 2)
+def _slot(s: Coef, n: int, mode: ScalarMode) -> Coef:
     """s^{-1} t^{n-1}, the auxiliary scalar of W^ab in the n-row series
-    below, taken once per check."""
-    return coef(s ** -1 * mode.tpow(n - 1), mode)
+    below, and at n = 1 the reciprocal 1/x of the 2phi1 sum; one per point."""
+    if s.value == 0:
+        raise DegenerateParameters("an inverted scalar of an identity check vanishes")
+    return coef(s.value ** -1 * mode.tpow(n - 1), mode)
 
 
 def _series_factors(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode) -> list:
@@ -132,11 +142,18 @@ def _series_factors(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode) -> list:
             w_principal("ab", lam, nu, mode, s_slot), poch_partition(r, lam, mode)]
 
 
-# A weak-cocycle term recurs for every mu below lam, so it is memoized; a
-# 2phi1 check meets each of its terms once, so it sums their factors itself.
+# Both halves of a weak-cocycle term recur across the checks of a point, so
+# they are memoized; a 2phi1 check meets each of its terms once, so it sums
+# their factors itself.
 @memo("cocycle", 4)
 def _cocycle_term(nu, lam, s_slot: Coef, r: Coef, mode: ScalarMode):
     return prod_ratio(_series_factors(nu, lam, s_slot, r, mode), [], mode)
+
+
+@memo("cocycle_w", 3)
+def _cocycle_w(lam, mu, r_slot: Coef, mode: ScalarMode):
+    """The (lam, mu) half of a weak-cocycle term, W^ab_mu(q^lam t^delta; r_slot)."""
+    return w_principal("ab", mu, lam, mode, r_slot)
 
 
 def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
@@ -144,15 +161,15 @@ def check_2phi1(lam, s, x, mode: ScalarMode) -> IdentityCheck:
     lam = tuple(lam)
     s = mode.lift(s)
     x = mode.lift(x)
+    s_slot, x_inv = _slot(coef(s, mode), len(lam), mode), _slot(coef(x, mode), 1, mode)
     lhs = guarded_div(
-        poch_partition(s * x ** -1, lam, mode),
+        poch_partition(s * x_inv.value, lam, mode),
         poch_partition(s, lam, mode),
         "left side of the terminating sum",
     )
-    s_slot, x_inv = _slot(s, len(lam), mode), coef(x ** -1, mode)
     rhs = sum_prods([_series_factors(lam, mu, s_slot, x_inv, mode)
                      for mu in enumerate_sub(lam)], mode)
-    return IdentityCheck("2phi1", lhs, rhs, lhs - rhs, _params(lam=lam, s=s, x=x))
+    return IdentityCheck("2phi1", lhs, rhs, lhs - rhs, dict(lam=lam, s=s, x=x))
 
 
 @memo("wsum", 2)
@@ -171,7 +188,7 @@ def check_pascal(lam, i: int, k: int, mode: ScalarMode) -> IdentityCheck:
         terms.append([mode.qpow(lam[i - 1]), mode.tpow(1 - i),
                       _weighted_binom_sum(lam, k - 1, mode)])
     rhs = sum_prods(terms, mode)
-    return IdentityCheck("pascal", lhs, rhs, lhs - rhs, _params(lam=lam, i=i, k=k))
+    return IdentityCheck("pascal", lhs, rhs, lhs - rhs, dict(lam=lam, i=i, k=k))
 
 
 def check_symmetry(lam, k: int, mode: ScalarMode) -> IdentityCheck:
@@ -179,7 +196,7 @@ def check_symmetry(lam, k: int, mode: ScalarMode) -> IdentityCheck:
     lhs, rhs = (sum_prods([[qt_binomial(lam, mu, mode)]
                            for mu in enumerate_sub(lam, weight_filter=w)], mode)
                 for w in (k, weight(lam) - k))
-    return IdentityCheck("symmetry", lhs, rhs, lhs - rhs, _params(lam=lam, k=k))
+    return IdentityCheck("symmetry", lhs, rhs, lhs - rhs, dict(lam=lam, k=k))
 
 
 def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
@@ -188,16 +205,17 @@ def check_weak_cocycle(nu, mu, s, r, mode: ScalarMode) -> IdentityCheck:
     s = mode.lift(s)
     r = mode.lift(r)
     n = len(nu)
-    lhs = poch_partition(s * r, nu, mode) * w_principal(
-        "ab", mu, nu, mode, _slot(s * r, n, mode)
+    s_coef, r_coef, sr_coef = coef(s, mode), coef(r, mode), coef(s * r, mode)
+    lhs = poch_partition(sr_coef, nu, mode) * w_principal(
+        "ab", mu, nu, mode, _slot(sr_coef, n, mode)
     )
-    s_slot, r_slot, r_coef = _slot(s, n, mode), _slot(r, n, mode), coef(r, mode)
+    s_slot, r_slot = _slot(s_coef, n, mode), _slot(r_coef, n, mode)
     rhs = sum_prods([[_cocycle_term(nu, lam, s_slot, r_coef, mode),
-                      w_principal("ab", mu, lam, mode, r_slot)]
+                      _cocycle_w(lam, mu, r_slot, mode)]
                      for lam in enumerate_sub(nu) if contains(lam, mu)], mode)
-    rhs = poch_partition(s, nu, mode) * rhs  # the factor (s)_nu of every term
+    rhs = poch_partition(s_coef, nu, mode) * rhs  # the factor (s)_nu of every term
     return IdentityCheck(
-        "weak_cocycle", lhs, rhs, lhs - rhs, _params(nu=nu, mu=mu, s=s, r=r)
+        "weak_cocycle", lhs, rhs, lhs - rhs, dict(nu=nu, mu=mu, s=s, r=r)
     )
 
 
@@ -211,7 +229,7 @@ def check_double_binomial(nu, mu, mode: ScalarMode) -> IdentityCheck:
     rhs = sum_prods([[mode.tpow(-n_stat(lam)), mode.qpow(n_prime_stat(lam)),
                       qt_binomial(nu, lam, mode), qt_binomial(lam, mu, mode)]
                      for lam in enumerate_sub(nu) if contains(lam, mu)], mode)
-    return IdentityCheck("double_binomial", lhs, rhs, lhs - rhs, _params(nu=nu, mu=mu))
+    return IdentityCheck("double_binomial", lhs, rhs, lhs - rhs, dict(nu=nu, mu=mu))
 
 
 def check_density_normalization(lam, z, which: str, mode: ScalarMode) -> IdentityCheck:
@@ -223,7 +241,7 @@ def check_density_normalization(lam, z, which: str, mode: ScalarMode) -> Identit
     total = sum_prods([[mass(lam, mu, z, mode)] for mu in enumerate_sub(lam)], mode)
     return IdentityCheck(
         f"density_normalization_{which}", total, mode.one, total - mode.one,
-        _params(lam=lam, z=z),
+        dict(lam=lam, z=z),
     )
 
 
@@ -267,7 +285,7 @@ def check_geometric(
     rhs = sum_prods(terms, mode)
     return IdentityCheck(
         "geometric", lhs, rhs, lhs - rhs,
-        _params(mu=mu, z=z, part_cap=part_cap, trunc=trunc),
+        dict(mu=mu, z=z, part_cap=part_cap, trunc=trunc),
         approximate=True, tolerance=as_rational(tolerance),
     )
 
@@ -485,7 +503,7 @@ def run_specials_suite(
                 d = stirling(kind, nu, nu, mode)
                 report.add(IdentityCheck(
                     f"stirling_diagonal_{kind}", d, mode.one, d - mode.one,
-                    _params(nu=nu),
+                    dict(nu=nu),
                 ))
             for mu in enumerate_sub(nu):
                 lams = [lam for lam in enumerate_sub(nu) if contains(lam, mu)]
@@ -495,10 +513,10 @@ def run_specials_suite(
                                   stirling("second", lam, mu, mode)] for lam in lams], mode)
                 delta = mode.one if mu == nu else mode.zero
                 report.add(IdentityCheck(
-                    "uv_inversion", uv, delta, uv - delta, _params(nu=nu, mu=mu)))
+                    "uv_inversion", uv, delta, uv - delta, dict(nu=nu, mu=mu)))
                 report.add(IdentityCheck(
                     "stirling_inversion", s12, delta, s12 - delta,
-                    _params(nu=nu, mu=mu)))
+                    dict(nu=nu, mu=mu)))
 
         # change of basis: reciprocal-base product against u; powers against v
         for lam in stir_lams:
@@ -508,15 +526,15 @@ def run_specials_suite(
             ex_v = sum_prods([[v_coeff(lam, mu, mode), poch_reciprocal(x, mu, mode)]
                               for mu in mus], mode)
             report.add(IdentityCheck(
-                "change_of_basis_u", recip, ex_u, recip - ex_u, _params(lam=lam, x=x)))
+                "change_of_basis_u", recip, ex_u, recip - ex_u, dict(lam=lam, x=x)))
             xw = x ** weight(lam)
             report.add(IdentityCheck(
-                "change_of_basis_v", xw, ex_v, xw - ex_v, _params(lam=lam, x=x)))
+                "change_of_basis_v", xw, ex_v, xw - ex_v, dict(lam=lam, x=x)))
             report.add(IdentityCheck(
                 "stirling_expansion",
                 "(bracket)", "(expansion)",
                 stirling_expansion_residual(lam, Q, mode),
-                _params(lam=lam, Q=Q),
+                dict(lam=lam, Q=Q),
             ))
 
         # Bernoulli recurrence residual
@@ -526,7 +544,7 @@ def run_specials_suite(
                 continue
             res = bernoulli_recurrence_residual(lam, mode)
             report.add(IdentityCheck(
-                "bernoulli_recurrence", "(sum)", mode.zero, res, _params(lam=lam)))
+                "bernoulli_recurrence", "(sum)", mode.zero, res, dict(lam=lam)))
 
         # Catalan closed forms at this point: the bracket ratio prod_i
         # (1 - q t^{n-i}) / (1 - q^{k+[i=1]} t^{n-i}) is written out in
@@ -540,7 +558,7 @@ def run_specials_suite(
                                 [pochm(k + (i == 1), n - i, 1, mode) for i in range(1, n + 1)],
                                 mode, "rectangular Catalan")
             report.add(IdentityCheck(
-                "catalan_rectangular", lhs, closed, lhs - closed, _params(k=k)))
+                "catalan_rectangular", lhs, closed, lhs - closed, dict(k=k)))
 
         # Bell against its defining sum, restated independently.  bell sums
         # through sum_prods, so this side adds one term at a time on purpose:
@@ -554,7 +572,7 @@ def run_specials_suite(
                     * stirling("second", lam, mu, mode)
                 )
             report.add(IdentityCheck(
-                "bell_definition", b, direct, b - direct, _params(lam=lam)))
+                "bell_definition", b, direct, b - direct, dict(lam=lam)))
 
         # Fibonacci against a brute-force decomposition sum, added one term at
         # a time on purpose, as the Bell check above is.
@@ -573,7 +591,7 @@ def run_specials_suite(
                     * qt_binomial(nu, mu, mode)
                 )
             report.add(IdentityCheck(
-                "fibonacci_decomposition", got, brute, got - brute, _params(lam=lam)))
+                "fibonacci_decomposition", got, brute, got - brute, dict(lam=lam)))
 
     # classical 1-part limits (deterministic, point-free)
     bern, cat, fib, bel = _classical_sequences()
@@ -583,7 +601,7 @@ def run_specials_suite(
         for m, ref in enumerate(refs, start=first):
             got = alpha_limit(lambda mo: fn((m,), mo), 1)
             report.add(IdentityCheck(
-                f"classical_{name}", got, ref, got - ref, _params(m=m)))
+                f"classical_{name}", got, ref, got - ref, dict(m=m)))
 
     # exploratory: odd-weight ordinary Bernoulli values (reported, not asserted)
     if n == 2:

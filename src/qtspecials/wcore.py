@@ -25,8 +25,9 @@ reads the ints of its factors off their pochm values.  One decorator,
 unless c = 1), ("partition", a, lam) for (a; q, t)_lam, ("weight", mu),
 ("h", lam, mu), ("skew", kind, lam, mu, x, s) and
 ("W", kind, lam, mu, z, s); ``identities`` adds ("wsum", lam, k) for its
-weighted binomial sums and ("cocycle", nu, lam, s, r) for the (nu, lam)
-half of its weak-cocycle terms.
+weighted binomial sums, ("slot", s, n) for each scalar s^{-1} t^{n-1} it
+inverts, and ("cocycle", nu, lam, s, r) and ("cocycle_w", lam, mu, r) for
+the (nu, lam) and (lam, mu) halves of its weak-cocycle terms.
 
 Every product of factors in the library, here and in ``binomial``,
 ``specials`` and ``distributions``, is one call of ``prod_ratio(num, den,

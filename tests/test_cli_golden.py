@@ -123,6 +123,11 @@ GOLDEN = [
      "b0961ceb8f90c49e4492c3479371f2d9553028f026594ef10546f48ec9ed5110"),
     (("stirling", "--kind", "first", "--bound", "3,2,1", "--q", "2/7", "--t=-1/2"),
      "987b76882a023714b0f5d00b0dc5c84e393cba34ace8a7b3da92d454fe08284f"),
+    # recorded while every weak-cocycle and 2phi1 check still took its own
+    # W^ab slots and W^ab_mu(q^lam t^delta) lookups and formatted its
+    # parameters when built: the bound of the suite benchmark
+    (("verify", "--bound", "3,3,3", "--points", "1", "--seed", "1"),
+     "99712218ef32b090a63cc812cae7d386904c842eed668ad2be93746ffccd16e7"),
 ]
 
 

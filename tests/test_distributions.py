@@ -15,6 +15,7 @@ from qtspecials.distributions import (
     exp_e,
     poisson_masses,
     poisson_normalization,
+    poisson_tail,
     sample,
 )
 from qtspecials.errors import (ConvergenceViolated, DegenerateParameters,
@@ -369,6 +370,15 @@ def test_poisson_masses_guard_their_kind_and_convergence():
                        part_cap=2)
     with pytest.raises(ConvergenceViolated):
         poisson_masses(spec)
+
+
+@pytest.mark.parametrize("z", [Rational(5, 11), Rational(3)], ids=["ratio-one", "ratio-above-one"])
+def test_poisson_tail_refuses_a_density_that_fails_the_ratio_test(z):
+    """At r = 1 the bound divided by zero, and at r > 1 it came out negative."""
+    spec = DensitySpec(kind="poisson", z=z, point=QtPoint(Rational(2, 7), Rational(5, 11), n=2),
+                       part_cap=3)
+    with pytest.raises(ConvergenceViolated):
+        poisson_tail(spec, Rational(1))
 
 
 def test_vanishing_denominator_factor_raises_as_the_direct_formula_does():

@@ -131,6 +131,24 @@ def test_weak_cocycle_random(mode):
                               mode).passed
 
 
+ZERO_SCALARS = [
+    pytest.param(lambda m: check_2phi1((1, 0), 0, Rational(5, 11), m), id="2phi1-s"),
+    pytest.param(lambda m: check_2phi1((1, 0), Rational(2, 7), 0, m), id="2phi1-x"),
+    pytest.param(lambda m: check_weak_cocycle((1, 0), (1, 0), 0, Rational(5, 11), m),
+                 id="weak_cocycle-s"),
+    pytest.param(lambda m: check_weak_cocycle((1, 0), (1, 0), Rational(2, 7), 0, m),
+                 id="weak_cocycle-r"),
+]
+
+
+@pytest.mark.parametrize("check", ZERO_SCALARS)
+def test_a_vanishing_inverted_scalar_is_degenerate(check):
+    """1/s and 1/x (and 1/r of the cocycle) used to raise a bare
+    ZeroDivisionError."""
+    with pytest.raises(DegenerateParameters):
+        check(QtPoint(Rational(2, 7), Rational(5, 11), n=2).mode)
+
+
 def test_double_binomial_cases(mode):
     # mu = nu: single term
     c = check_double_binomial((2, 1), (2, 1), mode)
@@ -223,6 +241,34 @@ def test_suite_deterministic():
     a = run_identity_suite((2,), points=2, seed=9).to_dict()
     b = run_identity_suite((2,), points=2, seed=9).to_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("bound", [(2, 1), (3, 2, 1)], ids=str)
+def test_a_suite_round_formats_its_parameters_only_when_serialized(monkeypatch, bound):
+    """A report that is never serialized formats no rational; serialized,
+    it equals a report whose checks formatted their parameters when built."""
+    from qtspecials import identities
+
+    calls, original = [], identities.format_rational
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(identities, "format_rational", counting)
+    lazy = run_identity_suite(bound, points=1, seed=2)
+    assert calls == []
+    got = lazy.to_dict()
+    assert calls  # the counter is live
+
+    init = IdentityCheck.__init__
+
+    def eager(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self.params  # noqa: B018 -- formats at construction
+
+    monkeypatch.setattr(IdentityCheck, "__init__", eager)
+    assert got == run_identity_suite(bound, points=1, seed=2).to_dict()
 
 
 def test_random_point_rejects_degenerate(rng):

@@ -171,7 +171,7 @@ def test_repeating_a_check_at_the_same_point_adds_no_cache_entry(qt):
         assert len(mode.cache) == entries
         assert (again.lhs, again.rhs, again.residual) == (first.lhs, first.rhs, first.residual)
     kinds = {key[0] for key in mode.cache}
-    assert {"wsum", "cocycle"} <= kinds
+    assert {"wsum", "cocycle", "cocycle_w", "slot"} <= kinds
 
 
 # ---------------------------------------------------------------------------

@@ -510,7 +510,7 @@ def test_one_alpha_mode_per_alpha():
 def _memo_cases():
     """(id, module, dependency, call): ``call(mode)`` runs a memoized
     function whose body calls ``module.dependency``."""
-    from qtspecials import binomial, specials
+    from qtspecials import binomial, identities, specials
 
     x, y = Rational(4, 9), Rational(-5, 3)
     return [
@@ -535,6 +535,9 @@ def _memo_cases():
                                    specials._inner_mode(True, m))),
         ("_inner_mode", specials, "FormalQ", lambda m: specials._inner_mode(True, m)),
         ("_poch_partition", wcore, "pochm", lambda m: wcore.poch_partition(x, (5, 5), m)),
+        ("_slot", identities, "coef", lambda m: identities._slot(wcore.coef(x, m), 3, m)),
+        ("_cocycle_w", identities, "w_principal",
+         lambda m: identities._cocycle_w((2, 1), (1, 0), wcore.coef(y, m), m)),
     ]
 
 
@@ -945,8 +948,8 @@ def test_cache_entries_per_memo_kind_of_one_suite_round(monkeypatch):
     counts = [dict(Counter(key[0] for key in mode.cache))
               for mode in _suite_modes(monkeypatch)]
     assert counts == [
-        {"W": 346, "binom": 88, "cocycle": 40, "h": 47, "partition": 72, "poch": 135,
-         "skew": 258, "weight": 13, "wsum": 62},
+        {"W": 346, "binom": 88, "cocycle": 40, "cocycle_w": 40, "h": 47, "partition": 72,
+         "poch": 135, "skew": 258, "slot": 4, "weight": 13, "wsum": 62},
         {"W": 223, "h": 3, "partition": 1, "poch": 46, "skew": 20, "weight": 84},
     ]
 
