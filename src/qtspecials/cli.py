@@ -177,14 +177,19 @@ def _write(args, text: str):
 
 
 def _cmd_binom(args) -> int:
-    from .binomial import qt_binomial
-
     lam = parse_partition(args.lam)
     mu = parse_partition(args.mu)
     if len(mu) != len(lam):
         raise ValueError("lam and mu must have the same length")
     mode, meta = _value_mode(args, lam, max(lam[0] + 2, 4))
-    value = format_rational(limit_at_one(qt_binomial(lam, mu, mode)))
+    if args.alpha is None:
+        from .binomial import qt_binomial
+
+        value = format_rational(qt_binomial(lam, mu, mode))
+    else:  # the exact limit, with no formal q
+        from .specials import binomial_alpha
+
+        value = format_rational(binomial_alpha(lam, mu, args.alpha))
     payload = {"command": "binom", "lambda": format_partition(lam),
                "mu": format_partition(mu), **meta, "value": value}
     _emit(args, payload, (("lambda", "mu", "value"),
@@ -218,8 +223,9 @@ def _cmd_sequence(args) -> int:
     fn = getattr(specials, name)
     if name == "bernoulli" and args.alpha is not None:  # exact limits, not formal q
         fn = lambda lam, _mode: specials.bernoulli_alpha(lam, args.alpha)
-    shape = parse_partition(args.lam if args.lam else args.bound)
-    lams = [shape] if args.lam else enumerate_sub(shape)
+    single = args.lam is not None
+    shape = parse_partition(args.lam if single else args.bound)
+    lams = [shape] if single else enumerate_sub(shape)
     # window covers the doubled index that the Catalan ratio reaches
     mode, meta = _value_mode(args, shape, 2 * shape[0] + 2 if shape[0] else 4)
     values = {}
@@ -228,7 +234,7 @@ def _cmd_sequence(args) -> int:
         try:
             values[lam] = limit_at_one(fn(lam, mode))
         except DegenerateParameters as exc:
-            if args.lam:
+            if single:
                 raise
             undefined[format_partition(lam)] = str(exc)
     table = {format_partition(l): format_rational(v) for l, v in values.items()}
@@ -263,7 +269,7 @@ def _density_spec(args):
 
     z = parse_rational(args.z)
     _check_sizes(args, 0, "--part-cap", "--trunc")
-    lam = parse_partition(args.lam) if args.lam else None
+    lam = parse_partition(args.lam) if args.lam is not None else None
     if args.kind == "poisson":
         if args.n is None:
             raise ValueError("--n is required for the poisson density")

@@ -21,10 +21,16 @@ a formal mode takes from ``v_coeff``.  So a Stirling sum at a point builds
 one W family, ``s_down``, and, away from D = 0, no formal value.
 
 u, v, b and the powers of T are cached in the outer mode ("u", "v", "b",
-"Tpow"), and so is the ``FormalQ(T)`` of the D = 0 pairs ("inner").  The
-alpha-binomials and alpha-Bernoulli numbers take their q -> 1 limits through
-``_limit``, which keeps each in the cache of ``FormalQ.alpha(a)``, alive as
-long as the process.
+"Tpow"), and so is the ``FormalQ(T)`` of the D = 0 pairs ("inner").
+
+The alpha-binomials, the limits at t = q^a (the Jack-type binomials of
+Lassalle, C. R. Acad. Sci. Paris 310 (1990), and Okounkov and Olshanski,
+Math. Res. Lett. 4 (1997)), are the same recursion ``_b`` in
+``FormalQ.alpha(a)``, with T = 1 and a one-box value of its own; the
+alpha-Bernoulli numbers are solved over them.  Neither builds a formal
+value, and both stay in the cache of ``FormalQ.alpha(a)``, alive as long as
+the process.  ``alpha_limit`` is the formal route: the limit of any
+quantity evaluated in ``FormalQ.alpha(a)``.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .partitions import (
     sum_decompositions,
     valid_bumps,
     weight,
+    zeros,
 )
 from .scalars import Rational, limit_at_one, sum_rationals
 from .wcore import (
@@ -77,14 +84,6 @@ def u_coeff(lam, mu, mode: ScalarMode):
                       [], mode)
 
 
-@memo("limit", 2)
-def _limit(fn, args, mode: FormalQ):
-    """lim_{q -> 1} of fn(*args, mode) as an exact Rational, cached in the
-    formal ``mode``: the alpha-binomials and alpha-Bernoulli numbers, and the
-    Stirling inner limits of the binomial at D = 0 (``_b``)."""
-    return limit_at_one(fn(*args, mode))
-
-
 @memo("Tpow", 2)
 def _t_power(k: int, reciprocal: bool, mode: ScalarMode) -> Rational:
     """T^{-k} for the inner limits of ``mode``: T = 1/t0 if ``reciprocal``,
@@ -105,33 +104,55 @@ def _inner_mode(reciprocal: bool, mode: ScalarMode) -> FormalQ:
 def _b(lam, mu, reciprocal: bool, mode: ScalarMode) -> Rational:
     """b_T(lam, mu), the limit at q = 1 of ``qt_binomial(lam, mu)`` in
     ``FormalQ(T)``, T as in ``_t_power``, in Rationals; cached in ``mode``.
-    Called on mu <= lam only.
+    0 unless 0^n <= mu <= lam.  When t = q^a it is the alpha-binomial, the
+    limit of the binomial in ``FormalQ.alpha(a)``, whichever ``reciprocal``:
+    the Stirling sums reach that mode at one part only, where both agree.
 
     The one-box recursion of the binomial (the analogue of the Jack and
     Macdonald binomial recursions, Lassalle 1998, Okounkov 1997) in the
     limit: D b(lam, mu) = sum_i T^{1-i} b(lam, nu) b(nu, mu) over the
     partitions nu = mu + e_i inside lam, D = sum_i (lam_i - mu_i) T^{1-i},
     top-down from b(lam, lam) = 1, with the one-box value
-    b(nu, mu) = (nu_i - nu_{i+1}) T^{1-i} [i]_T, nu_{n+1} = 0.  Both are
-    observed, not proved here: tests/test_specials.py checks them against the
-    formal limit.  A pair with D = 0 takes the formal limit of the binomial
-    instead.
+    b(nu, mu) = (nu_i - nu_{i+1}) T^{1-i} [i]_T, nu_{n+1} = 0, at a rational
+    T, and ``_alpha_box`` at t = q^a, where T = 1 and D = |lam| - |mu|.
+    Both one-box values and the recursion are observed, not proved here:
+    tests/test_specials.py checks them against the formal limit.  A pair
+    with D = 0 takes the formal limit of the binomial instead.
     """
     if lam == mu:
         return Rational(1)
+    if not contains(lam, mu) or (mu and mu[-1] < 0):
+        return Rational(0)
     d = sum_rationals([[li - mi, _t_power(i - 1, reciprocal, mode)]
                        for i, (li, mi) in enumerate(zip(lam, mu), start=1) if li != mi])
     if d == 0:
-        return _limit(qt_binomial, (lam, mu), _inner_mode(reciprocal, mode))
+        return limit_at_one(qt_binomial(lam, mu, _inner_mode(reciprocal, mode)))
     terms = []
     for i in valid_bumps(mu):
         nu = bump(mu, i)
         if contains(lam, nu):
-            # T^{1-i} b(lam, nu) b(nu, mu) as i terms: T^{1-i} [i]_T = T^0 + ... + T^{1-i}
-            box = nu[i - 1] - (nu[i] if i < len(nu) else 0)
             b = _b(lam, nu, reciprocal, mode)
-            terms.extend([box, _t_power(i - 1 + k, reciprocal, mode), b] for k in range(i))
+            if mode.t0 is None:  # t = q^a: T = 1, weight 1, the alpha one-box value
+                terms.append([_alpha_box(nu, i, mode.t.num.degree), b])
+            else:
+                # T^{1-i} b(lam, nu) b(nu, mu) as i terms: T^{1-i} [i]_T = T^0 + ... + T^{1-i}
+                box = nu[i - 1] - (nu[i] if i < len(nu) else 0)
+                terms.extend([box, _t_power(i - 1 + k, reciprocal, mode), b] for k in range(i))
     return sum_rationals(terms) / d
+
+
+def _alpha_box(nu, i: int, a: int) -> Rational:
+    """b(nu, nu - e_i) at t = q^a: (nu_i - nu_{i+1})
+    prod_{j>i} (nu_i - nu_{j+1} + a(j-i)) / (nu_i - nu_j + a(j-i))
+    prod_{j<i} (nu_j - nu_i + a(i-j+1)) / (nu_j - nu_i + a(i-j)), with
+    nu_{n+1} = 0; no denominator is below a.  At n = 1 it is nu_1."""
+    x, v = nu + (0,), nu[i - 1]
+    above, below = range(i + 1, len(nu) + 1), range(1, i)
+    return Rational(
+        (v - x[i]) * prod(v - x[j] + a * (j - i) for j in above)
+        * prod(x[j - 1] - v + a * (i - j + 1) for j in below),
+        prod(v - x[j - 1] + a * (j - i) for j in above)
+        * prod(x[j - 1] - v + a * (i - j) for j in below))
 
 
 def _inner_limit(lam, mu, reciprocal: bool, mode: ScalarMode):
@@ -359,9 +380,22 @@ def alpha_limit(quantity, alpha: int):
 
 
 def binomial_alpha(lam, mu, alpha: int) -> Rational:
-    """alpha-binomial coefficient: the t = q^alpha, q -> 1 limit."""
-    return _limit(qt_binomial, (check_partition(lam), check_decreasing(mu)),
-                  FormalQ.alpha(alpha))
+    """alpha-binomial coefficient: the t = q^alpha, q -> 1 limit, from the
+    one-box recursion ``_b`` in ``FormalQ.alpha(alpha)``; 0 unless
+    0^n <= mu <= lam."""
+    return _b_from_top(check_partition(lam), check_decreasing(mu), FormalQ.alpha(alpha))
+
+
+def _b_from_top(lam, mu, mode: FormalQ) -> Rational:
+    """``_b(lam, mu, False, mode)``, the partitions between mu and lam taken
+    heaviest first, so that each call finds the values above it cached: the
+    bare recursion is |lam| - |mu| calls deep, past Python's recursion limit
+    from about 500 on."""
+    if not mu or mu[-1] >= 0:  # else 0, with nothing to fill
+        for nu in reversed(enumerate_sub(lam)):
+            if contains(nu, mu):
+                _b(lam, nu, False, mode)
+    return _b(lam, mu, False, mode)
 
 
 def bernoulli_alpha(lam, alpha: int) -> Rational:
@@ -380,7 +414,8 @@ def _bernoulli_limit(lam, mode: FormalQ) -> Rational:
     if weight(lam) == 0:
         return Rational(1)
     lam1 = bump(lam, 1)
-    return _solve_recurrence(lam, lambda mu: _limit(qt_binomial, (lam1, mu), mode),
+    _b_from_top(lam1, zeros(len(lam)), mode)  # every coefficient below, one box deep
+    return _solve_recurrence(lam, lambda mu: _b(lam1, mu, False, mode),
                              lambda mu: _bernoulli_limit(mu, mode), sum_rationals)
 
 

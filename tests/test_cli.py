@@ -364,6 +364,25 @@ def test_malformed_partition_literal_is_an_input_error(capsys, argv):
                                          "message": f"not a partition literal: {literal!r}"}}
 
 
+@pytest.mark.parametrize("argv", [
+    ("bernoulli", "--lambda", "", "--alpha", "1"),
+    ("bell", "--lambda", "", "--q", "1/2", "--t", "1/3"),
+    ("catalan", "--lambda", "", "--alpha", "1"),
+    ("fibonacci", "--lambda", "", "--q", "1/2", "--t", "1/3"),
+    ("density", "--kind", "poisson", "--lambda", "", "--n", "2", "--z", "1/5",
+     "--q", "1/2", "--t", "1/3"),
+    ("density", "--kind", "g", "--lambda", "", "--z", "1/5", "--q", "1/2", "--t", "1/3"),
+], ids=["bernoulli", "bell", "catalan", "fibonacci", "density-poisson", "density-g"])
+def test_empty_lambda_literal_is_an_input_error(capsys, argv):
+    """An empty --lambda is a literal to parse like any other, not a missing
+    option: the sequence commands do not fall back to an absent --bound, and
+    the poisson density does not drop it."""
+    code, out = run_cli(capsys, *argv)
+    assert code == 1
+    assert json.loads(out) == {"error": {"type": "NotAPartition",
+                                         "message": "not a partition literal: ''"}}
+
+
 PT = ("--z", "1/5", "--q", "1/2", "--t", "1/3")
 POISSON = ("--kind", "poisson", "--n", "2", *PT)
 G = ("--kind", "g", "--lambda", "2,1", *PT)
@@ -414,6 +433,29 @@ def test_importing_the_cli_leaves_the_command_modules_unloaded():
     out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_binom_at_a_point_leaves_the_special_numbers_unloaded():
+    """binom --alpha reads the alpha-binomial of ``specials``; binom at a
+    point imports nothing past the binomial layer.  In a fresh interpreter."""
+    import os
+    import subprocess
+    import sys
+
+    import qtspecials
+
+    script = (
+        "import io, sys\n"
+        "from contextlib import redirect_stdout\n"
+        "from qtspecials.cli import main\n"
+        "with redirect_stdout(io.StringIO()):\n"
+        "    code = main(['binom', '--lambda', '2,1', '--mu', '1,0', '--q', '1/2', '--t', '1/3'])\n"
+        "print(code, 'qtspecials.specials' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(qtspecials.__file__)))
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.split() == ["0", "False"]
 
 
 def test_the_library_imports_no_dataclasses():

@@ -128,6 +128,14 @@ GOLDEN = [
     # parameters when built: the bound of the suite benchmark
     (("verify", "--bound", "3,3,3", "--points", "1", "--seed", "1"),
      "99712218ef32b090a63cc812cae7d386904c842eed668ad2be93746ffccd16e7"),
+    # recorded while the alpha-binomials and alpha-Bernoulli numbers were
+    # still the limits of formal qt-binomials in t = q^alpha
+    (("bernoulli", "--bound", "6,5,4", "--alpha", "2"),
+     "2272481ca70b02840b3f7790abc178955096039494583eb4a46e1d5fa897cd99"),
+    (("binom", "--lambda", "6,5,4,3", "--mu", "3,2,1,0", "--alpha", "2"),
+     "2b237d307dbdcc662f17de611b4c5b3c1fa5f5ab02a739ae2e17cf258ec4957a"),
+    (("binom", "--lambda", "4,3,2,1", "--mu", "2,1,1,0", "--alpha", "3"),
+     "a084ed108778c0ca0cb2f1580094aa90a46d61105bd6fd078e04e9e076f69eb0"),
 ]
 
 

@@ -392,14 +392,12 @@ def test_direct_inner_limits_of_u_and_v_are_inverse_matrices():
     """sum_kappa u_lim(lam, kappa) v_lim(kappa, mu) = delta, both limits
     taken directly: the identity by which the Stirling sum solves the inner
     u from the inner v."""
-    from qtspecials.specials import _limit
-
     for t0 in (Rational(5, 11), Rational(-7, 3)):
         inner = FormalQ(1 / t0)
         for lam in enumerate_sub((3, 2, 1)):
             for mu in enumerate_sub(lam):
-                total = sum(_limit(u_coeff, (lam, kappa), inner)
-                            * _limit(v_coeff, (kappa, mu), inner)
+                total = sum(limit_at_one(u_coeff(lam, kappa, inner))
+                            * limit_at_one(v_coeff(kappa, mu, inner))
                             for kappa in enumerate_sub(lam) if contains(kappa, mu))
                 assert total == (lam == mu), (t0, lam, mu)
 
@@ -540,8 +538,6 @@ def _two_branch_stirling(kind, nu, mu, mode, inner):
     the reference for the one sum that serves both kinds.  Both inner
     limits are the formal limits of u_coeff and v_coeff in ``inner``, the
     FormalQ(1/t0) of ``mode``."""
-    from qtspecials.specials import _limit
-
     if not contains(nu, mu):
         return mode.zero
     n = len(nu)
@@ -559,7 +555,7 @@ def _two_branch_stirling(kind, nu, mu, mode, inner):
             ul = u_coeff(nu, lam, mode)
             if ul == 0:
                 continue
-            lim = _limit(v_coeff, (lam, mu), inner)
+            lim = limit_at_one(v_coeff(lam, mu, inner))
             if lim == 0:
                 continue
             total = total + ul * mode.tpow((1 - n) * weight(lam)) * mode.lift(lim)
@@ -570,7 +566,7 @@ def _two_branch_stirling(kind, nu, mu, mode, inner):
         for lam in enumerate_sub(nu):
             if not contains(lam, mu):
                 continue
-            lim = _limit(u_coeff, (nu, lam), inner)
+            lim = limit_at_one(u_coeff(nu, lam, inner))
             if lim == 0:
                 continue
             vl = v_coeff(lam, mu, mode)
@@ -736,6 +732,95 @@ def test_alpha_binomial_is_classical_at_alpha_one():
     for mm in range(7):
         for k in range(mm + 1):
             assert binomial_alpha((mm,), (k,), 1) == comb(mm, k)
+
+
+# The alpha-binomials come from the one-box recursion ``_b`` in
+# FormalQ.alpha(a), with T = 1 and the alpha one-box value, not from a
+# formal qt_binomial.  Both the one-box product and the recursion at t = q^a
+# are observed, not proved: the tests below pin them against the formal
+# limit, and tests/test_binomial_oracle.py against interpolation polynomials.
+ALPHA_POSET = ((4, 3, 2, 1), (3, 3, 2), (5, 3))
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_alpha_one_box_value_matches_the_formal_limit(alpha):
+    from qtspecials.specials import _alpha_box
+
+    pairs = _one_box_pairs([ALPHA_POSET[0]])
+    assert len(pairs) == 84
+    for nu, mu, i in pairs:
+        formal = alpha_limit(lambda m: qt_binomial(nu, mu, m), alpha)
+        assert _alpha_box(nu, i, alpha) == formal, (alpha, nu, mu)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_binomial_alpha_matches_the_formal_limit(alpha):
+    pairs = {(lam, mu) for bound in ALPHA_POSET
+             for lam in enumerate_sub(bound) for mu in enumerate_sub(lam)}
+    assert len(pairs) == 889
+    for lam, mu in sorted(pairs):
+        formal = alpha_limit(lambda m: qt_binomial(lam, mu, m), alpha)
+        assert binomial_alpha(lam, mu, alpha) == formal, (alpha, lam, mu)
+
+
+@pytest.mark.parametrize("alpha", [1, 2, 3])
+def test_binomial_alpha_rows_sum_to_the_binomial_coefficients(alpha):
+    """sum_{|mu| = k} B_alpha(lam, mu) = C(|lam|, k), at sizes the formal
+    route cannot reach in a test."""
+    sums = 0
+    for lam in ((6, 5, 4, 3), (4, 3, 2, 1), (5, 5, 2), (3, 3, 3, 3)):
+        for k in range(weight(lam) + 1):
+            row = sum(binomial_alpha(lam, mu, alpha) for mu in enumerate_sub(lam, k))
+            assert row == comb(weight(lam), k), (alpha, lam, k)
+            sums += 1
+    assert sums == 56
+
+
+def test_binomial_alpha_at_six_parts():
+    """Recorded from the formal limit, a route that takes minutes at this
+    size."""
+    assert binomial_alpha((6, 5, 4, 3, 2, 1), (5, 4, 3, 2, 1, 0), 2) == Rational(27469773, 2860)
+
+
+def test_binomial_alpha_beyond_the_recursion_limit():
+    """The recursion is |lam| - |mu| boxes long; it is taken from the top, so
+    no call goes that deep."""
+    assert binomial_alpha((600,), (0,), 1) == 1
+    assert binomial_alpha((600,), (2,), 3) == comb(600, 2)
+
+
+def test_alpha_limits_build_no_formal_binomial(monkeypatch):
+    """binomial_alpha and bernoulli_alpha leave no qt_binomial in the cache
+    of their fresh t = q^7 mode."""
+    monkeypatch.setattr(FormalQ, "_alpha_modes", {})
+    binomial_alpha((3, 2, 1), (1, 1, 0), 7)
+    bernoulli_alpha((2, 2), 7)
+    kinds = {key[0] for key in FormalQ.alpha(7).cache}
+    assert "b" in kinds and "binom" not in kinds
+
+
+@pytest.mark.parametrize("fault", B_FAULTS + [
+    pytest.param(lambda lam, mu, b: b if lam == mu else 2 * b, id="off-diagonal-doubled")])
+def test_alpha_catalan_relation_sees_a_fault_in_the_binomial_limits(monkeypatch, fault):
+    """The relation of the benchmark's limits oracle: the limit of the
+    qt-Catalan number, taken formally, is B_alpha(2 lam, lam) over the
+    limit of the bracket of lam + e_1.  A fault of ``_b`` breaks it, also the
+    doubling of every off-diagonal value that S1 S2 = I does not see."""
+    import qtspecials.specials as specials
+
+    monkeypatch.setattr(FormalQ, "_alpha_modes", {})  # a cache the fault may fill
+
+    def failures():
+        return [(lam, a) for a in (1, 2) for lam in ((1,), (2,), (1, 1), (2, 1), (2, 2))
+                if alpha_limit(lambda m: catalan(lam, m), a)
+                != binomial_alpha(tuple(2 * p for p in lam), lam, a)
+                / bracket_alpha((lam[0] + 1,) + lam[1:], a)]
+
+    assert failures() == []
+    FormalQ._alpha_modes.clear()
+    b = specials._b
+    monkeypatch.setattr(specials, "_b", lambda lam, mu, *args: fault(lam, mu, b(lam, mu, *args)))
+    assert failures()
 
 
 def test_alpha_bracket_formula():

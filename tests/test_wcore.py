@@ -530,9 +530,6 @@ def _memo_cases():
          lambda m: specials._b((2, 1), (0, 0), False, m)),
         ("_b", specials, "valid_bumps", lambda m: specials._b((2, 1), (0, 0), True, m)),
         ("bernoulli", specials, "qt_binomial", lambda m: specials.bernoulli((2, 1), m)),
-        ("_limit", specials, "limit_at_one",
-         lambda m: specials._limit(specials.u_coeff, ((2, 1), (1, 0)),
-                                   specials._inner_mode(True, m))),
         ("_inner_mode", specials, "FormalQ", lambda m: specials._inner_mode(True, m)),
         ("_poch_partition", wcore, "pochm", lambda m: wcore.poch_partition(x, (5, 5), m)),
         ("_slot", identities, "coef", lambda m: identities._slot(wcore.coef(x, m), 3, m)),
